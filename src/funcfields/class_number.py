@@ -16,6 +16,7 @@ root-modulus condition.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .poly import (
     FqPoly,
@@ -96,6 +97,12 @@ def zeta_tuple_for_signature(sig):
     """Table row for a signature (quartic: Thms 3.4.1/3.4.3; cubic analogue)."""
     if isinstance(sig, (tuple, list)):
         raise TypeError("expected a Signature")
+    return _zeta_tuple(sig)
+
+
+@lru_cache(maxsize=None)
+def _zeta_tuple(sig):
+    # one entry per distinct signature; Signature hashes and compares by pairs
     tup = ZetaFactorTuple.from_signature(sig)
     # the tables guarantee |sum z_i^n| <= n - 1
     for n in range(1, 13):

@@ -160,6 +160,7 @@ class CubicModel:
         self.field = A.field
         self.A = A
         self.B = B
+        self._disc = None
         if not _skip_checks:
             if A.is_constant() and B.is_constant():
                 raise HypothesisRefused("nonconstant-coefficient", "A or B must be nonconstant")
@@ -183,7 +184,10 @@ class CubicModel:
         return [self.B, -self.A, FqPoly.zero(F)]
 
     def discriminant(self):
-        return cubic_disc(self)
+        """cubic_disc(self), computed once per model."""
+        if self._disc is None:
+            self._disc = cubic_disc(self)
+        return self._disc
 
     def y(self):
         return OrderElement(self, [FqPoly.zero(self.field), FqPoly.one(self.field), FqPoly.zero(self.field)])

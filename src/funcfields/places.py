@@ -71,7 +71,7 @@ class _BaseAsResidue:
         return poly.constant()
 
     def lift(self, elem):
-        return FqPoly.const(self.F, elem)
+        return FqPoly(self.F, (elem,))
 
     def iter_elements(self):
         return iter(range(self.F.q))

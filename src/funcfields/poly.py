@@ -217,7 +217,7 @@ class FqPoly:
         F = self.field
         acc = FqPoly.zero(F)
         for c in reversed(self.coeffs):
-            acc = acc * other + FqPoly.const(F, c)
+            acc = acc * other + FqPoly(F, (c,))
         return acc
 
     def coeff(self, i):
@@ -295,8 +295,9 @@ def crt(residues, moduli):
 # Generic finite-field polynomial engine.
 #
 # A "field protocol" object K provides: zero, one, char, order, add, sub,
-# neg, mul, inv, pow.  Polynomials over K are little-endian lists of
-# elements with no trailing zeros.
+# neg, mul, inv, from_rand.  FqField and ResidueField are such objects.
+# Polynomials over K are little-endian lists of elements with no trailing
+# zeros.
 # ---------------------------------------------------------------------------
 
 
@@ -806,40 +807,6 @@ def _tonelli_shanks(K, a):
     return x
 
 
-class _FqProtocol:
-    """Adapter exposing an FqField under the generic polynomial protocol."""
-
-    def __init__(self, field):
-        self.F = field
-        self.zero = 0
-        self.one = 1
-        self.char = field.p
-        self.order = field.q
-
-    def add(self, a, b):
-        return self.F.add(a, b)
-
-    def sub(self, a, b):
-        return self.F.sub(a, b)
-
-    def neg(self, a):
-        return self.F.neg(a)
-
-    def mul(self, a, b):
-        return self.F.mul(a, b)
-
-    def inv(self, a):
-        return self.F.inv(a)
-
-    def from_rand(self, rng):
-        return rng.randrange(self.F.q)
-
-
-@lru_cache(maxsize=None)
-def _protocol(field):
-    return _FqProtocol(field)
-
-
 @lru_cache(maxsize=65536)
 def residue_field(P):
     """Shared ResidueField instances; places are constructed freely."""
@@ -862,7 +829,7 @@ class Factorization:
         self.seed = seed
 
     def value(self, field):
-        out = FqPoly.const(field, self.unit)
+        out = FqPoly(field, (self.unit,))
         for f, m in self.factors:
             out = out * f ** m
         return out
@@ -920,12 +887,11 @@ def factorize(f, seed=0):
     unit = f.sgn
     if f.degree < 1:
         return Factorization(unit, [], seed)
-    K = _protocol(F)
     rng = random.Random(seed)
     factors = []
     for mult, part in squarefree_decomposition(f):
-        for d, g in gp_distinct_degree(K, list(part.monic().coeffs)):
-            for piece in gp_equal_degree_split(K, g, d, rng):
+        for d, g in gp_distinct_degree(F, list(part.monic().coeffs)):
+            for piece in gp_equal_degree_split(F, g, d, rng):
                 factors.append((FqPoly(F, piece), mult))
     fact = Factorization(unit, factors, seed)
     return fact
@@ -934,7 +900,7 @@ def factorize(f, seed=0):
 def is_irreducible(f):
     if f.degree < 1:
         raise ValueError("irreducibility undefined for constants")
-    return gp_irreducible(_protocol(f.field), list(f.monic().coeffs))
+    return gp_irreducible(f.field, list(f.monic().coeffs))
 
 
 def is_squarefree(f):
@@ -997,7 +963,6 @@ def monic_irreducibles(field, m):
     """Tuple of all monic irreducibles of degree m, in base-q lex order."""
     if m < 1:
         raise ValueError("degree must be >= 1")
-    K = _protocol(field)
     out = []
     q = field.q
     for idx in range(q ** m):
@@ -1007,7 +972,7 @@ def monic_irreducibles(field, m):
             cs.append(e % q)
             e //= q
         cs.append(1)
-        if m == 1 or gp_irreducible(K, cs):
+        if m == 1 or gp_irreducible(field, cs):
             out.append(FqPoly(field, cs))
     return tuple(out)
 
@@ -1042,11 +1007,11 @@ def count_roots_in_extension(f, m):
         raise ValueError("zero polynomial")
     if f.degree < 1:
         return 0
-    K = _protocol(f.field)
+    F = f.field
     fc = list(f.monic().coeffs)
     x = [0, 1]
-    h = gp_pow_mod(K, x, f.field.q ** m, fc)
-    g = gp_gcd(K, gp_sub(K, h, x), fc)
+    h = gp_pow_mod(F, x, F.q ** m, fc)
+    g = gp_gcd(F, gp_sub(F, h, x), fc)
     return len(g) - 1 if g else 0
 
 

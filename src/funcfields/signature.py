@@ -28,7 +28,7 @@ from .poly import (
     gp_derivative,
 )
 from .places import FinitePlace, InfinitePlace
-from .models import CubicModel, QuarticModel, cubic_disc, minimal_polynomial_fq, reduce_quartic
+from .models import CubicModel, QuarticModel, minimal_polynomial_fq, reduce_quartic
 
 SELF_CHECK = False
 
@@ -228,7 +228,7 @@ def signature_cubic(model, place, _depth=0, _iterations=0):
     u0 = int(u0)
     a = place.residue(A, u1)
     b = place.residue(B, u0)
-    D = cubic_disc(model)
+    D = model.discriminant()
     vD = place.val(D)
     delta = int(vD) - 3 * u1
     if delta < 0:

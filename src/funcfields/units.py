@@ -138,7 +138,7 @@ def construct_rank1(field, A, a, kappa, variant):
         if 2 * a.degree <= n1:
             _refuse(checks, "deg-a>degA/2")
         checks["deg-a>degA/2"] = True
-    B = a * (a * a - A) + FqPoly.const(F, kappa)
+    B = a * (a * a - A) + FqPoly(F, (kappa,))
     D = FqPoly.const(F, F.from_int(4)) * A ** 3 - FqPoly.const(F, F.from_int(27)) * B * B
     try:
         D1, D2 = squarefree_split(D)

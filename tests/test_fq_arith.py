@@ -20,6 +20,7 @@ from funcfields import (
     poly_gcd,
     residue_power_test,
 )
+from funcfields.places import _BaseAsResidue
 from funcfields.poly import NEG_DEG, squarefree_decomposition, poly_sqrt
 
 F5 = GF(5)
@@ -159,6 +160,22 @@ def test_factorize_roundtrip_bulk():
             if f.is_zero():
                 continue
             assert factorize(f).value(F) == f
+
+
+@pytest.mark.parametrize("pk, coeffs", [((2, 2), [3, 1, 2]), ((5, 2), [7, 3, 13])])
+def test_extension_constants_keep_their_encoding(pk, coeffs):
+    # coefficients are element encodings, which from_int (mod p) would alter
+    F = GF(*pk)
+    rng = random.Random(F.q)
+    polys = [FqPoly(F, coeffs)] + [rand_poly(rng, F, 4) for _ in range(40)]
+    for f in polys:
+        if f.is_zero():
+            continue
+        assert factorize(f).value(F) == f
+        assert f.compose(FqPoly.x(F)) == f
+    K = _BaseAsResidue(F)
+    for c in range(F.q):
+        assert K.lift(c) == FqPoly(F, (c,))
 
 
 def test_factorize_deterministic_and_sorted():
