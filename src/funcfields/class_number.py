@@ -14,6 +14,7 @@ root-modulus condition.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -226,8 +227,10 @@ def estimate_h(model, lam, zeta=None, genus_value=None):
         den *= 1 - u ** f
     E = Fraction(q) ** g * (1 - u) / den
     for m in range(1, lam + 1):
-        for _, res in zeta.require_finite(m):
-            E = E * zeta_tuple_for_signature(res.signature).local_factor(q, m)
+        # one power per distinct tuple: the places of degree m share few of them
+        counts = Counter(zeta_tuple_for_signature(res.signature) for _, res in zeta.require_finite(m))
+        for tup, count in counts.items():
+            E = E * tup.local_factor(q, m) ** count
     psi = _psi_bound(q, g, n, lam)
     E_rounded = (E.numerator * 2 + E.denominator) // (2 * E.denominator)  # floor(E + 1/2)
     radius = float(E) * math.expm1(psi) + 0.5

@@ -233,6 +233,7 @@ class QuarticModel:
         self.A = A
         self.B = B
         self.C = C
+        self._disc = self._ac_disc = None
         if not _skip_checks:
             if self.field.p == 2:
                 raise HypothesisRefused("characteristic", "quartic models require characteristic != 2")
@@ -248,7 +249,7 @@ class QuarticModel:
             if B.is_zero():
                 # constants must not extend: A^2 - 4C = c u^2 with c a nonsquare
                 # would put F_{q^2}(x) inside the field
-                S = A * A - C.scale(self.field.from_int(4))
+                S = self.ac_discriminant()
                 root = poly_sqrt(S.monic())
                 if root is not None and not self.field.is_square(S.sgn):
                     raise HypothesisRefused(
@@ -278,7 +279,16 @@ class QuarticModel:
         return [self.C, -self.B, -self.A, FqPoly.zero(F)]
 
     def discriminant(self):
-        return quartic_disc(self)
+        """quartic_disc(self), computed once per model."""
+        if self._disc is None:
+            self._disc = quartic_disc(self)
+        return self._disc
+
+    def ac_discriminant(self):
+        """A^2 - 4C, the discriminant of T^2 - A T + C, computed once per model."""
+        if self._ac_disc is None:
+            self._ac_disc = self.A * self.A - self.C.scale(self.field.from_int(4))
+        return self._ac_disc
 
     def y(self):
         F = self.field

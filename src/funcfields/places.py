@@ -11,6 +11,21 @@ the degree valuation, v(f) = -deg f.  Both expose the same interface:
 
 residue() is the workhorse of the signature tables: every "A-bar is a
 square mod P" test and every "sgn(A) is a square" test is the same call.
+
+Which residue field a finite place gets (poly.residue_field): a place of
+degree 1 gets F_q itself with the residue map f -> f(-P(0)); a place of
+degree d >= 2 that monic_irreducibles reached as a Frobenius orbit (all
+places of degree d once they are enumerated, when q^d <=
+fq.TABLE_MAX_ORDER) gets F_{q^d} = GF(p, k d) with the map f -> f(alpha)
+at the root alpha of P that the enumeration found.  Both compute with
+the ints of that field (plain ints mod p, or table lookups), because the
+class-number and zeta computations spend their time in Kummer factor
+types at exactly these places.  Every other place, such as
+a place over D of degree >= 2 met without enumeration, keeps the
+coefficient-tuple ResidueField: building F_{q^d} tables for it would cost
+more than the few residue operations it needs.  The two agree through
+x -> alpha, so results do not depend on which one a place gets.  The
+infinite place's residue field is F_q (_BaseAsResidue).
 """
 
 from .poly import FqPoly, POS_INF, residue_field

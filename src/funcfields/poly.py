@@ -10,11 +10,28 @@ The factorization stack (squarefree split, distinct-degree, equal-degree)
 is written over an abstract finite-field protocol so the same engine
 factors over F_q and over residue fields F_q[x]/(P).  Equal-degree
 splitting draws randomness from a seeded PRNG recorded in the output.
+
+Residue fields come in two kinds, both from residue_field(P).  When
+monic_irreducibles enumerates the places of degree d >= 2 with q^d <=
+fq.TABLE_MAX_ORDER, it walks the Frobenius orbits of E = GF(p, k d)
+instead of testing every monic candidate, and records the tower: an
+embedding F_q -> E and a root alpha in E of each place P.  Those places
+and every place of degree 1 (E = F_q, alpha = -P(0)) get a
+TowerResidueField, which is E with the residue map f -> f(alpha), so
+every operation of the Kummer factor types that dominate class-number
+work is a table lookup.  The tower is fixed once per (q, d) and built only
+by enumeration; a place that no enumeration reached (a place over D of
+degree >= 2, say) or with q^d above the threshold gets the tuple
+ResidueField, whose few operations would not repay building E.  Both
+agree through x -> alpha on every result that leaves the field.
 """
 
+import operator
 import random
 import re
 from functools import lru_cache
+
+from .fq import GF, TABLE_MAX_ORDER
 
 NEG_DEG = float("-inf")
 POS_INF = float("inf")
@@ -295,9 +312,10 @@ def crt(residues, moduli):
 # Generic finite-field polynomial engine.
 #
 # A "field protocol" object K provides: zero, one, char, order, add, sub,
-# neg, mul, inv, from_rand.  FqField and ResidueField are such objects.
-# Polynomials over K are little-endian lists of elements with no trailing
-# zeros.
+# neg, mul, inv, from_rand, and optionally sort_key (the order gp_roots
+# returns roots in; the elements' own order without it).  FqField,
+# ResidueField and TowerResidueField are such objects.  Polynomials over K
+# are little-endian lists of elements with no trailing zeros.
 # ---------------------------------------------------------------------------
 
 
@@ -510,7 +528,8 @@ def gp_roots(K, f):
         return []
     rng = random.Random(0xF0F0)
     linears = gp_equal_degree_split(K, g, 1, rng)
-    return sorted(K.neg(l[0]) for l in linears)  # factors are monic x + c
+    # factors are monic x + c
+    return sorted((K.neg(l[0]) for l in linears), key=getattr(K, "sort_key", None))
 
 
 def gp_count_roots(K, f):
@@ -583,8 +602,10 @@ def _small_prime_factors(n):
 
 
 # ---------------------------------------------------------------------------
-# Residue fields F_q[x]/(P) as field-protocol objects (elements are
-# little-endian coefficient tuples of fixed length deg P).
+# Residue fields k(P) = F_q[x]/(P) as field-protocol objects.  ResidueField
+# holds little-endian coefficient tuples of fixed length deg P and serves
+# every P; TowerResidueField (below) serves the places that enumeration
+# reached as Frobenius orbits, and the places of degree 1.
 # ---------------------------------------------------------------------------
 
 
@@ -598,6 +619,7 @@ class ResidueField:
         self.char = self.base.p
         self.order = self.base.q ** self.deg
         self._invs = {}
+        self._nonsquare = None
         self._prime_base = self.base.k == 1
         self.zero = (0,) * self.deg
         one = [0] * self.deg
@@ -774,6 +796,16 @@ class ResidueField:
             yield tuple(out)
 
 
+def _first_nonsquare(K):
+    """The first non-square of an odd-order field in iter_elements order, cached on K."""
+    if K._nonsquare is None:
+        for elem in K.iter_elements():
+            if not K.is_zero(elem) and not K.is_square(elem):
+                K._nonsquare = elem
+                break
+    return K._nonsquare
+
+
 def _tonelli_shanks(K, a):
     """Square root in an odd-order field protocol object."""
     Q = K.order
@@ -781,12 +813,7 @@ def _tonelli_shanks(K, a):
         return None
     if Q % 4 == 3:
         return K.pow_elem(a, (Q + 1) // 4)
-    # find a non-square deterministically
-    z = None
-    for elem in K.iter_elements():
-        if not K.is_zero(elem) and K.pow_elem(elem, (Q - 1) // 2) != K.one:
-            z = elem
-            break
+    z = _first_nonsquare(K)
     s, t = 0, Q - 1
     while t % 2 == 0:
         s += 1
@@ -807,9 +834,158 @@ def _tonelli_shanks(K, a):
     return x
 
 
+class TowerResidueField:
+    """k(P) as E = F_{q^d}, d = deg P, with the residue map f -> f(alpha).
+
+    alpha is a root of P in E and F_q sits in E through the embedding
+    `emb` (an indexable map from F_q encodings to E encodings), so k(P) is
+    E itself and its elements are E's ints: add, mul, inv, pow_elem and the
+    power tests are E's table operations.  x^i mod P corresponds to
+    alpha^i, so iter_elements, from_rand, lift and sort_key follow the
+    coefficient vectors of ResidueField(P), and every result that leaves
+    the field (a lift, a root order, the first element with a property) is
+    the image of the one ResidueField(P) gives.
+    """
+
+    def __init__(self, P, E, emb, alpha):
+        F = P.field
+        self.P, self.base, self.E = P, F, E
+        self.deg = len(P.coeffs) - 1
+        self.char = F.p
+        self.order = E.q
+        self.zero, self.one = 0, 1
+        self.alpha = alpha
+        self._emb = emb
+        self._powers = [E.pow(alpha, i) for i in range(self.deg)]
+        self._solve = None  # inverse basis matrix over F_p, built by the first lift
+        self._nonsquare = None
+        self.add, self.sub, self.neg = E.add, E.sub, E.neg
+        self.mul, self.inv, self.pow_elem = E.mul, E.inv, E.pow
+        self.is_nth_power, self.is_square, self.is_cube = E.is_nth_power, E.is_square, E.is_cube
+
+    def embed(self, poly):
+        """Residue of an FqPoly: Horner evaluation at alpha."""
+        add, mul, emb, a = self.E.add, self.E.mul, self._emb, self.alpha
+        acc = 0
+        for c in reversed(poly.coeffs):
+            acc = add(mul(acc, a), emb[c])
+        return acc
+
+    def from_base(self, c):
+        return self._emb[c]
+
+    def _from_coords(self, cs):
+        add, mul, emb = self.E.add, self.E.mul, self._emb
+        acc = 0
+        for c, ap in zip(cs, self._powers):
+            acc = add(acc, mul(emb[c], ap))
+        return acc
+
+    def from_rand(self, rng):
+        q = self.base.q
+        return self._from_coords([rng.randrange(q) for _ in range(self.deg)])
+
+    def coords(self, a):
+        """F_q encodings c_i with a = sum c_i alpha^i (the ResidueField tuple)."""
+        if self.deg == 1:
+            return [a]  # E is F_q
+        if self._solve is None:
+            self._solve = self._basis_inverse()
+        p, F = self.char, self.base
+        digits = self.E._dec(a)
+        x = [sum(map(operator.mul, row, digits)) % p for row in self._solve]
+        k = F.k
+        return [F._enc(x[i * k:(i + 1) * k]) for i in range(self.deg)]
+
+    def _basis_inverse(self):
+        # columns: base-p digits of beta^j alpha^i, beta the image of F's
+        # generator x (encoding p^j is x^j); the inverse maps E's digits to
+        # the coordinates in that F_p-basis, (i, j) in column i k + j
+        E, F, p = self.E, self.base, self.char
+        cols = [E._dec(E.mul(self._emb[p ** j], ap)) for ap in self._powers for j in range(F.k)]
+        return _fp_inverse([list(r) for r in zip(*cols)], p)
+
+    def lift(self, elem):
+        """Canonical lift (degree < deg P)."""
+        return FqPoly(self.base, self.coords(elem))
+
+    def sort_key(self, a):
+        return tuple(self.coords(a))
+
+    def is_zero(self, a):
+        return a == 0
+
+    def sqrt(self, a):
+        if self.char == 2:
+            return self.E.pow(a, self.order // 2)
+        if not self.is_square(a):
+            return None
+        return _tonelli_shanks(self, a)
+
+    def cube_root(self, a):
+        """ResidueField's cube root: when there are three, the first in iter_elements order."""
+        E = self.E
+        if self.deg == 1 or self.char == 3 or not a or (self.order - 1) % 3:
+            # E's own rule: the Frobenius inverse, the unique root, or (E
+            # being F_q) the least encoding, which is the first element
+            return E.cube_root(a)
+        r = E.nth_root(a, 3)
+        if r is None:
+            return None
+        w = E._exp[(self.order - 1) // 3]  # a primitive cube root of unity
+        roots = (r, E.mul(r, w), E.mul(r, E.mul(w, w)))
+        return min(roots, key=lambda x: self.coords(x)[::-1])
+
+    def iter_elements(self):
+        q, d = self.base.q, self.deg
+        for idx in range(self.order):
+            cs = []
+            for _ in range(d):
+                cs.append(idx % q)
+                idx //= q
+            yield self._from_coords(cs)
+
+
+def _fp_inverse(M, p):
+    """Inverse of an invertible square matrix over F_p (rows of ints), Gauss-Jordan."""
+    n = len(M)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    for c in range(n):
+        r = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[r] = rows[r], rows[c]
+        inv = pow(rows[c][c], p - 2, p)
+        rows[c] = [v * inv % p for v in rows[c]]
+        for r in range(n):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+# (F_q, d) -> (E, emb, {coefficient tuple of P: alpha}), recorded by the
+# Frobenius-orbit enumeration of the places of degree d, read by residue_field
+_TOWERS = {}
+
+
 @lru_cache(maxsize=65536)
 def residue_field(P):
-    """Shared ResidueField instances; places are constructed freely."""
+    """Shared residue fields; places are constructed freely.
+
+    A TowerResidueField when deg P = 1 (E = F_q, alpha = -P(0)) or when
+    monic_irreducibles recorded a tower for (F_q, deg P); otherwise, for
+    places of higher degree over D that no enumeration reached and for
+    q^deg P above fq.TABLE_MAX_ORDER, the tuple ResidueField.
+    """
+    F = P.field
+    d = len(P.coeffs) - 1
+    if d == 1:
+        return TowerResidueField(P, F, range(F.q), F.neg(F.div(P.coeffs[0], P.coeffs[1])))
+    tower = _TOWERS.get((F, d))
+    if tower is not None:
+        E, emb, roots = tower
+        alpha = roots.get(P.coeffs)
+        if alpha is not None:
+            return TowerResidueField(P, E, emb, alpha)
     return ResidueField(P)
 
 
@@ -960,11 +1136,19 @@ def poly_sqrt(f):
 
 @lru_cache(maxsize=None)
 def monic_irreducibles(field, m):
-    """Tuple of all monic irreducibles of degree m, in base-q lex order."""
+    """Tuple of all monic irreducibles of degree m, in base-q lex order.
+
+    For m >= 2 and q^m <= fq.TABLE_MAX_ORDER they are the minimal
+    polynomials of the Frobenius orbits of size m in E = F_{q^m}, and the
+    tower they come from is recorded for residue_field; otherwise every
+    monic candidate gets a Rabin test.
+    """
     if m < 1:
         raise ValueError("degree must be >= 1")
-    out = []
     q = field.q
+    if m > 1 and q ** m <= TABLE_MAX_ORDER:
+        return _orbit_irreducibles(field, m)
+    out = []
     for idx in range(q ** m):
         cs = []
         e = idx
@@ -975,6 +1159,60 @@ def monic_irreducibles(field, m):
         if m == 1 or gp_irreducible(field, cs):
             out.append(FqPoly(field, cs))
     return tuple(out)
+
+
+def _orbit_irreducibles(F, d):
+    """Degree-d places as Frobenius orbits x -> x^q of E = GF(p, k d); records the tower.
+
+    An element of E lies in no proper subfield containing F_q exactly when
+    its orbit has d members, and then prod (T - r) over the orbit is its
+    minimal polynomial P over F_q.  The root kept for P is the orbit
+    member of least encoding.
+    """
+    q = F.q
+    E = GF(F.p, F.k * d)
+    emb = _base_embedding(F, E)
+    pull = {e: c for c, e in enumerate(emb)}
+    n = E.q - 1
+    exp, add, mul, neg = E._exp, E.add, E.mul, E.neg
+    seen = bytearray(n)
+    roots = {}
+    for j0 in range(n):  # g^j -> g^(j q) on the exponents of E's generator g
+        if seen[j0]:
+            continue
+        orbit, j = [], j0
+        while not seen[j]:
+            seen[j] = 1
+            orbit.append(exp[j])
+            j = j * q % n
+        if len(orbit) < d:
+            continue
+        cs = [1]
+        for r in orbit:  # times (T - r)
+            r = neg(r)
+            cs = [mul(r, cs[0])] + [add(a, mul(r, b)) for a, b in zip(cs, cs[1:])] + [1]
+        roots[tuple(pull[c] for c in cs)] = min(orbit)
+    _TOWERS[F, d] = (E, emb, roots)
+    # base-q order of the index sum c_i q^i is the order of (c_(d-1), ..., c_0)
+    return tuple(FqPoly(F, cs) for cs in sorted(roots, key=lambda cs: cs[-2::-1]))
+
+
+def _base_embedding(F, E):
+    """E-encodings of F's elements, sending F's generator to the least root of its modulus."""
+    if F.k == 1:
+        return range(F.p)
+    n = E.q - 1
+    modulus = FqPoly(E, F.modulus)  # F_p coefficients encode the same in E
+    # the roots lie in the subfield of order q, {g^j : (q - 1) j = 0 mod n}
+    beta = min(r for r in (E._exp[j] for j in range(0, n, n // (F.q - 1))) if modulus.evaluate(r) == 0)
+    powers = [E.pow(beta, j) for j in range(F.k)]
+    emb = []
+    for c in range(F.q):
+        acc = 0
+        for digit, bp in zip(F._dec(c), powers):
+            acc = E.add(acc, E.mul(digit, bp))
+        emb.append(acc)
+    return emb
 
 
 def enumerate_monic_irreducibles(field, m, start=None, stop=None):
@@ -1026,7 +1264,7 @@ def residue_power_test(a, P, n, e=1, want_witness=False):
         raise ValueError("unsupported exponent n=%d" % n)
     if e not in (1, 2):
         raise ValueError("unsupported modulus power e=%d" % e)
-    K = ResidueField(P)
+    K = residue_field(P)
     r = K.embed(a)
     p = K.char
 

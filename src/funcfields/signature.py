@@ -178,17 +178,18 @@ def signature_cubic(model, place, _depth=0, _iterations=0):
     F = model.field
     p = F.p
     A, B = model.A, model.B
-    if not place.is_infinite:
+    u1 = place.val(A)
+    u0 = place.val(B)
+    if u1 >= 2 and u0 >= 3:
+        # a finite place (u0 <= 0 at infinity): divide out P^2 from A and P^3 from B
         P2, P3 = place.P ** 2, place.P ** 3
-        while (A.is_zero() or (A % P2).is_zero()) and (B % P3).is_zero():
+        while u1 >= 2 and u0 >= 3:
             if not A.is_zero():
                 A = A.exact_div(P2)
             B = B.exact_div(P3)
-        if A is not model.A or B is not model.B:
-            model = CubicModel(A, B, _skip_checks=True)
+            u1, u0 = u1 - 2, u0 - 3
+        model = CubicModel(A, B, _skip_checks=True)
     K = place.residue_field
-    u1 = place.val(A)
-    u0 = place.val(B)
     trace = ["u(A)=%s u(B)=%s at %s" % (u1, u0, place.describe())]
 
     three_u1 = 3 * u1 if u1 is not POS_INF else POS_INF
@@ -509,7 +510,7 @@ def _quartic_case4(model, place, K, trace, u2, u1, u0, allow_transforms):
     F = model.field
     A, B, C = model.A, model.B, model.C
     u2, u0 = int(u2), int(u0)
-    S = A * A - C.scale(F.from_int(4))
+    S = model.ac_discriminant()
     w = place.val(S)
     a = place.residue(A, u2)
     half = K.inv(K.from_base(F.from_int(2)))
@@ -601,54 +602,6 @@ def _quartic_transform(model, place, trace, reason, allow_transforms, kind=None)
 # ---------------------------------------------------------------------------
 
 
-class _QuadExt:
-    """k(P)(sqrt(rho)) as a residue-field protocol; elements are pairs."""
-
-    def __init__(self, base, rho):
-        self.base = base
-        self.rho = rho
-        self.char = base.char
-        self.order = base.order ** 2
-        self.zero = (base.zero, base.zero)
-        self.one = (base.one, base.zero)
-
-    def embed_base(self, a):
-        return (a, self.base.zero)
-
-    def add(self, a, b):
-        return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))
-
-    def sub(self, a, b):
-        return (self.base.sub(a[0], b[0]), self.base.sub(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.base.neg(a[0]), self.base.neg(a[1]))
-
-    def mul(self, a, b):
-        k = self.base
-        x = k.add(k.mul(a[0], b[0]), k.mul(self.rho, k.mul(a[1], b[1])))
-        y = k.add(k.mul(a[0], b[1]), k.mul(a[1], b[0]))
-        return (x, y)
-
-    def pow_elem(self, a, e):
-        r = self.one
-        b = a
-        while e:
-            if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return r
-
-    def is_zero(self, a):
-        return a == self.zero
-
-    def is_square(self, a):
-        if self.is_zero(a):
-            return True
-        return self.pow_elem(a, (self.order - 1) // 2) == self.one
-
-
 def _biquadratic_signature(model, place):
     """Two-step analysis of y^4 - A y^2 + C = 0 through z = 2y^2 - A, z^2 = A^2 - 4C.
 
@@ -658,7 +611,7 @@ def _biquadratic_signature(model, place):
     F = model.field
     A, C = model.A, model.C
     K = place.residue_field
-    S = A * A - C.scale(F.from_int(4))
+    S = model.ac_discriminant()
     if S.is_zero():
         raise InternalFault("biquadratic model with square defining quadratic")
     u2, u0, w = place.val(A), place.val(C), place.val(S)
@@ -668,11 +621,11 @@ def _biquadratic_signature(model, place):
     half = K.inv(two)
     pairs = []
 
-    def level2(e1, f1, v_eta, res_class, K2):
-        """Places of F above one place of the quadratic subfield."""
+    def level2(e1, f1, v_eta, square):
+        """Places of F above one place of the quadratic subfield; square: is eta-bar a square."""
         if v_eta % 2:
             pairs.append((2 * e1, f1))
-        elif K2.is_square(res_class):
+        elif square:
             pairs.append((e1, f1))
             pairs.append((e1, f1))
         else:
@@ -684,7 +637,7 @@ def _biquadratic_signature(model, place):
         va = 2 * int(u2) if u2 is not POS_INF else POS_INF
         if va > w:
             trace.append("ramified subfield place, v(eta) = w odd: total ramification")
-            level2(2, 1, w, None, K)  # v odd -> ramified; res unused
+            level2(2, 1, w, None)  # v odd -> ramified
         else:
             if va == w:
                 raise InternalFault("parity clash in biquadratic ramified case")
@@ -694,7 +647,7 @@ def _biquadratic_signature(model, place):
                 cls = K.mul(cls, sigma)
             sq = K.is_square(cls)
             trace.append("ramified subfield place, even v(eta): unit class square=%s" % sq)
-            level2(2, 1, 0, cls, K)
+            level2(2, 1, 0, sq)
         sig = Signature(pairs, 4)
         return SignatureResult(sig, "Biquadratic", trace, place=place)
 
@@ -705,14 +658,12 @@ def _biquadratic_signature(model, place):
         trace.append("subfield splits")
         for z in branches:
             v_eta, cls = _eta_data(place, K, A, C, u2, u0, w, z, half)
-            level2(1, 1, v_eta, cls, K)
+            level2(1, 1, v_eta, K.is_square(cls))
         sig = Signature(pairs, 4)
         return SignatureResult(sig, "Biquadratic", trace, place=place)
-    K2 = _QuadExt(K, rho)
-    zeta = (K.zero, K.one)
     trace.append("subfield inert")
-    v_eta, cls = _eta_data_ext(place, K, K2, A, C, u2, u0, w, zeta, half)
-    level2(1, 2, v_eta, cls, K2)
+    v_eta, (x, y) = _eta_data_inert(place, K, A, u2, w, half)
+    level2(1, 2, v_eta, _inert_square(K, rho, x, y))
     sig = Signature(pairs, 4)
     return SignatureResult(sig, "Biquadratic", trace, place=place)
 
@@ -736,20 +687,25 @@ def _eta_data(place, K, A, C, u2, u0, w, zeta, half):
     return int(u0) - va, K.mul(c, K.inv(other))
 
 
-def _eta_data_ext(place, K, K2, A, C, u2, u0, w, zeta, half):
+def _eta_data_inert(place, K, A, u2, w, half):
+    """(v(eta), (x, y)) with eta-bar = x + y sqrt(rho) on the inert branch z = sqrt(rho) pi^(w/2)."""
     vz = w // 2
     va = int(u2) if u2 is not POS_INF else POS_INF
-    half2 = K2.embed_base(half)
     if va < vz:
-        a = place.residue(A, va)
-        return va, K2.mul(K2.embed_base(a), half2)
+        return va, (K.mul(place.residue(A, va), half), K.zero)
     if va > vz:
-        return vz, K2.mul(zeta, half2)
-    a = K2.embed_base(place.residue(A, va))
-    s = K2.mul(K2.add(a, zeta), half2)
-    if K2.is_zero(s):
-        raise InternalFault("inert branch cannot cancel")
-    return va, s
+        return vz, (K.zero, half)
+    # y = 1/2, so eta-bar cannot vanish
+    return va, (K.mul(place.residue(A, va), half), half)
+
+
+def _inert_square(K, rho, x, y):
+    """Is x + y sqrt(rho) a square in k(P)(sqrt(rho)), rho a non-square of k(P)?
+
+    Exactly when its norm x^2 - rho y^2 is a square in k(P): for Q = |k(P)|
+    odd, eta^((Q^2 - 1)/2) = N(eta)^((Q - 1)/2) with N(eta) = eta^(Q + 1).
+    """
+    return K.is_square(K.sub(K.mul(x, x), K.mul(rho, K.mul(y, y))))
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,10 @@ def test_extension_field_arithmetic():
 
 
 def test_deterministic_modulus_choice():
-    assert GF(2, 2).modulus == GF(2, 2).modulus
-    assert FqPoly(GF(3, 2), (1,)).field.modulus is None or True
+    # x^2 + x + 1 is the only irreducible quadratic over F_2
+    assert GF(2, 2).modulus == (1, 1, 1)
+    # x^3, x^3 + 1 and x^3 + x (encodings 0-2) have roots; x^3 + x + 1 has none
+    assert GF(2, 3).modulus == (1, 1, 0, 1)
     # least encoding: x^2 + 1 over F_3 is irreducible and encodes below x^2 + x + 2
     assert GF(3, 2).modulus == (1, 0, 1)
 
