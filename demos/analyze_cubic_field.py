@@ -9,11 +9,12 @@ quantity as it appears.
 from funcfields import (
     GF,
     CubicModel,
+    FinitePlace,
     field_discriminant,
-    finite_signature_cubic,
     genus,
-    infinite_signature_cubic,
+    infinite_signature,
     parse_poly,
+    signature_at,
     unit_rank,
 )
 
@@ -21,7 +22,7 @@ F = GF(7)
 model = CubicModel(parse_poly(F, "x^2"), parse_poly(F, "1"))
 print("model:", model.text_form())
 
-inf = infinite_signature_cubic(model)
+inf = infinite_signature(model)
 print("\nsignature at infinity:", inf.signature, "via", inf.method)
 for line in inf.trace:
     print("   ", line)
@@ -41,5 +42,5 @@ print("unit rank =", unit_rank(model, inf))
 print("\nsignatures at a few more places:")
 for Ptxt in ("x", "x + 1", "x^2 + 1"):
     P = parse_poly(F, Ptxt)
-    res = finite_signature_cubic(model, P)
+    res = signature_at(model, FinitePlace(P))
     print("   ", Ptxt, "->", res.signature)

@@ -17,7 +17,6 @@ from .poly import (
     crt,
     count_monic_irreducibles_necklace,
     count_roots_in_extension,
-    enumerate_monic_irreducibles,
     factorize,
     is_irreducible,
     is_squarefree,
@@ -50,12 +49,7 @@ from .signature import (
     Signature,
     SignatureResult,
     element_valuations,
-    finite_signature,
-    finite_signature_cubic,
-    finite_signature_quartic,
     infinite_signature,
-    infinite_signature_cubic,
-    infinite_signature_quartic,
     kummer_signature,
     newton_slopes,
     signature_at,
@@ -96,7 +90,6 @@ from .class_number import (
     estimate_h,
     exact_h,
     h_prime,
-    local_factor_rational,
     search_h_divisor,
     verify_valuation_sum,
     verify_valuation_sum_infinite,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .fq import digits, is_prime
 from .poly import (
     FqPoly,
     HypothesisRefused,
@@ -29,7 +30,7 @@ from .poly import (
     poly_gcd,
 )
 from .places import FinitePlace, InfinitePlace
-from .models import norm, minimal_polynomial_fq
+from .models import closed_norm_cubic, norm, minimal_polynomial_fq
 from .signature import (
     Signature,
     element_valuations,
@@ -110,10 +111,6 @@ def _zeta_tuple(sig):
         if abs(tup.power_sum(n)) > sig.n - 1:
             raise InternalFault("tuple power sum out of range")
     return tup
-
-
-def local_factor_rational(tup, q, m):
-    return tup.local_factor(q, m)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +453,7 @@ def divisibility_certificates(model):
         m = nonzero[1][0]
         gamma = nonzero[0][1]
         checks2 = {
-            "m-prime": _is_prime_int(m),
+            "m-prime": is_prime(m),
             "m-not-3": m != 3,
             "m-not-characteristic": m != F.p,
             "x-side-squarefree-split": squarefree and r >= 2,
@@ -472,17 +469,6 @@ def divisibility_certificates(model):
                 )
             )
     return out
-
-
-def _is_prime_int(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _cubic_side_splits(F, gamma):
@@ -534,17 +520,14 @@ def search_h_divisor(model, p, max_coord_degree=1, skip_constants=True):
     d = max_coord_degree
     size = q ** (d + 1)
     for c_idx in range(size):
-        c = _poly_from_digits(F, c_idx, d)
+        c = FqPoly(F, digits(c_idx, q, d + 1))
         for b_idx in range(size):
-            bb = _poly_from_digits(F, b_idx, d)
+            bb = FqPoly(F, digits(b_idx, q, d + 1))
             if skip_constants and bb.is_zero() and c.is_zero():
                 continue  # alpha in F_q[x] never passes the gcd step
             for a_idx in range(size):
-                a = _poly_from_digits(F, a_idx, d)
-                # closed cubic norm with A = 0: a^3 - B(b^3 - c^3 B - 3abc)
-                Bstd = model.B
-                t1 = bb ** 3 - c ** 3 * Bstd - (a * bb * c).scale(F.from_int(3))
-                nrm = a ** 3 - Bstd * t1
+                a = FqPoly(F, digits(a_idx, q, d + 1))
+                nrm = closed_norm_cubic(model, a, bb, c)
                 if nrm.is_zero():
                     continue
                 if not _is_pth_power_up_to_unit(nrm, p):
@@ -554,14 +537,6 @@ def search_h_divisor(model, p, max_coord_degree=1, skip_constants=True):
                 if witness is not None:
                     return witness
     return None
-
-
-def _poly_from_digits(F, idx, d):
-    out = []
-    for _ in range(d + 1):
-        out.append(idx % F.q)
-        idx //= F.q
-    return FqPoly(F, out)
 
 
 def _is_pth_power_up_to_unit(f, p):
@@ -649,11 +624,7 @@ def _is_power_in_order(model, alpha, p, d):
                 )
                 if not K.is_zero(val) and not K.is_nth_power(val, p):
                     return False
-    Bstd = model.B
-    t1 = alpha.coords[1] ** 3 - alpha.coords[2] ** 3 * Bstd - (
-        alpha.coords[0] * alpha.coords[1] * alpha.coords[2]
-    ).scale(F.from_int(3))
-    n_alpha = alpha.coords[0] ** 3 - Bstd * t1
+    n_alpha = closed_norm_cubic(model, *alpha.coords)
     n0 = int(model.B.degree)
     inf_sig = infinite_signature(model).require()
     if inf_sig.place_count == 1 and n0 % 3:
@@ -664,13 +635,12 @@ def _is_power_in_order(model, alpha, p, d):
         bound = max(0, -(-d // p))
     size = F.q ** (bound + 1)
     for ci in range(size):
-        c = _poly_from_digits(F, ci, bound)
+        c = FqPoly(F, digits(ci, F.q, bound + 1))
         for bi in range(size):
-            bb = _poly_from_digits(F, bi, bound)
+            bb = FqPoly(F, digits(bi, F.q, bound + 1))
             for ai in range(size):
-                a = _poly_from_digits(F, ai, bound)
-                t1 = bb ** 3 - c ** 3 * Bstd - (a * bb * c).scale(F.from_int(3))
-                if ((a ** 3 - Bstd * t1) ** p) != n_alpha:
+                a = FqPoly(F, digits(ai, F.q, bound + 1))
+                if closed_norm_cubic(model, a, bb, c) ** p != n_alpha:
                     continue
                 beta = model.element(a, bb, c)
                 if (beta ** p).coords == alpha.coords:

@@ -2,8 +2,8 @@
 
 Subcommands: analyze, places, basis, units, hbound, hexact, certify,
 search-divisor.  Exit codes: 0 success, 2 usage error, 3 hypothesis
-refusal, 4 unknown-signature blockage.  All output is deterministic for a
-fixed seed; --format json emits the documented schemas with sorted keys.
+refusal, 4 unknown-signature blockage.  All output is deterministic;
+--format json emits the documented schemas with sorted keys.
 """
 
 import argparse
@@ -42,7 +42,7 @@ def _model_from_args(args):
     if getattr(args, "model_file", None):
         with open(args.model_file) as fh:
             return model_from_text(fh.read().strip())
-    F = parse_field(args.q)
+    F = _field_from_args(args)
     if getattr(args, "pure_B", None):
         B = parse_poly(F, args.pure_B)
         return CubicModel(FqPoly.zero(F), -B)
@@ -55,6 +55,12 @@ def _model_from_args(args):
 
 class SystemExit2(Exception):
     pass
+
+
+def _field_from_args(args):
+    if args.q is None:
+        raise SystemExit2("--q is required")
+    return parse_field(args.q)
 
 
 def _emit(args, payload, table_lines):
@@ -75,8 +81,6 @@ def _add_model_flags(p):
     p.add_argument("--C", default="0")
     p.add_argument("--model-file", help="file containing the model text form")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="worker count (output independent of it)")
 
 
 def build_parser():
@@ -168,7 +172,7 @@ def cmd_basis(args):
 
 
 def cmd_units(args):
-    F = parse_field(args.q)
+    F = _field_from_args(args)
     if args.construct == "thm247":
         A = parse_poly(F, args.A)
         model, cert = construct_rank2(F, A)

@@ -71,34 +71,17 @@ def _fp_poly_mulmod(a, b, mod, p):
     return tuple(res)
 
 
-def _fp_irreducible(coeffs, p):
-    """Rabin test for a monic polynomial over F_p given as a coefficient tuple."""
-    k = len(coeffs) - 1
-    if k == 1:
-        return True
+def digits(n, base, length):
+    """The `length` lowest base-`base` digits of n, least significant first.
 
-    def powmod(base, e):
-        r, b = (1,), base
-        while e:
-            if e & 1:
-                r = _fp_poly_mulmod(r, b, coeffs, p)
-            b = _fp_poly_mulmod(b, b, coeffs, p)
-            e >>= 1
-        return r
-
-    x = (0, 1)
-    # x^(p^k) == x mod f
-    if powmod(x, p ** k) != x:
-        return False
-    for r in set(_prime_factors(k)):
-        h = powmod(x, p ** (k // r))
-        diff = list(h) + [0] * max(0, 2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        while diff and diff[-1] == 0:
-            diff.pop()
-        if _fp_gcd_is_nonconstant(tuple(diff), coeffs, p):
-            return False
-    return True
+    Decodes an index into the coefficient list of a polynomial over F_q
+    (base q) or an element encoding into its F_p digits (base p).
+    """
+    out = []
+    for _ in range(length):
+        out.append(n % base)
+        n //= base
+    return out
 
 
 def _prime_factors(n):
@@ -112,23 +95,6 @@ def _prime_factors(n):
     if n > 1:
         out.append(n)
     return out
-
-
-def _fp_gcd_is_nonconstant(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # a mod b, b monicized on the fly
-        inv = pow(b[-1], p - 2, p)
-        while len(a) >= len(b) and a:
-            c = a[-1] * inv % p
-            if c:
-                off = len(a) - len(b)
-                for j in range(len(b)):
-                    a[off + j] = (a[off + j] - c * b[j]) % p
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(a) > 1
 
 
 class FqField:
@@ -157,25 +123,18 @@ class FqField:
     @staticmethod
     def _least_irreducible(p, k):
         # monic degree-k polynomial with least base-p integer encoding
+        from .poly import gp_irreducible
+
+        Fp = GF(p)
         for enc in range(p ** k):
-            coeffs = []
-            e = enc
-            for _ in range(k):
-                coeffs.append(e % p)
-                e //= p
-            coeffs.append(1)
-            if coeffs[0] != 0 and _fp_irreducible(tuple(coeffs), p):
+            coeffs = digits(enc, p, k) + [1]
+            if coeffs[0] != 0 and gp_irreducible(Fp, coeffs):
                 return tuple(coeffs)
         raise RuntimeError("no irreducible modulus found")  # pragma: no cover
 
     # -- encoding helpers -------------------------------------------------
     def _dec(self, a):
-        p, k = self.p, self.k
-        out = []
-        for _ in range(k):
-            out.append(a % p)
-            a //= p
-        return out
+        return digits(a, self.p, self.k)
 
     def _enc(self, digits):
         p = self.p

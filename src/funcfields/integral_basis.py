@@ -21,7 +21,7 @@ from .poly import (
     residue_power_test,
 )
 from .places import FinitePlace
-from .models import OrderElement, RationalFunction, is_integral, trace as elem_trace
+from .models import OrderElement, is_integral, laplace_det, trace as elem_trace
 from .invariants import field_discriminant
 from .signature import signature_at
 
@@ -140,7 +140,7 @@ def _cubic_uv_char2(model, report):
 def _with_condition_char2(model):
     out = []
     for P, m in _factor(model.B):
-        vA = float("inf") if model.A.is_zero() else _mult(model.A, P)
+        vA = FinitePlace(P).val(model.A)
         if 3 * vA < 2 * m:
             out.append((P, m))
     return out
@@ -156,7 +156,7 @@ def _cubic_uv_char3(model, report):
     if A.is_zero() or not all(m <= 2 for m, _ in squarefree_decomposition(A)):
         raise HypothesisRefused("A-cubefree-nonzero", "characteristic 3 basis needs A != 0 cubefree")
     for P, mP in _factor(A):
-        vB = _mult(B, P) if not B.is_zero() else float("inf")
+        vB = FinitePlace(P).val(B)
         if 3 * mP > 2 * vB:
             sig = signature_at(model, FinitePlace(P)).require()
             if sig.flat() != (3, 1):
@@ -187,16 +187,6 @@ def _factor(f):
     if f.degree < 1:
         return []
     return list(factorize(f))
-
-
-def _mult(f, P):
-    v = 0
-    while True:
-        q, r = f.divmod(P)
-        if not r.is_zero():
-            return v
-        v += 1
-        f = q
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +228,10 @@ def integral_basis_quartic(model, report=None):
                 "excluded-case", "v_P(I)=1 with A^2/3 + 4C = 0 mod %s (Lemma case 3)" % P
             )
         P2 = P * P
-        vC = _mult(C, P) if not C.is_zero() else 3
-        vB = _mult(B, P) if not B.is_zero() else 2
-        vA = _mult(A, P) if not A.is_zero() else 2
+        place = FinitePlace(P)
+        vC = place.val(C) if not C.is_zero() else 3
+        vB = place.val(B) if not B.is_zero() else 2
+        vA = place.val(A) if not A.is_zero() else 2
         case, U, V, W = None, None, None, None
         if vC >= 2:
             if vB >= 1:
@@ -393,22 +384,7 @@ def basis_discriminant(basis):
             t = elem_trace(els[i] * els[j])
             row.append(t)
         rows.append(row)
-    det = _rf_det(rows, model.field)
-    return det
-
-
-def _rf_det(mat, F):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    det = RationalFunction.zero(F)
-    sign = 1
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * _rf_det(minor, F)
-        det = (det + term) if sign > 0 else (det - term)
-        sign = -sign
-    return det
+    return laplace_det(rows)
 
 
 def verify_basis(basis, model=None, report=None):

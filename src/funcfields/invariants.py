@@ -18,7 +18,7 @@ from .poly import (
     residue_power_test,
 )
 from .places import FinitePlace
-from .signature import finite_signature, infinite_signature, signature_at
+from .signature import infinite_signature, signature_at
 
 
 def _vals(place, *polys):

@@ -15,6 +15,7 @@ the defining relation, mirroring the closed product formulas the proofs use.
 from dataclasses import dataclass
 
 from .poly import (
+    POS_INF,
     FqPoly,
     FuncFieldError,
     HypothesisRefused,
@@ -24,6 +25,7 @@ from .poly import (
     poly_gcd,
     poly_sqrt,
 )
+from .places import FinitePlace
 
 
 class RationalFunction:
@@ -353,6 +355,10 @@ def model_from_text(text):
             raise ValueError("expected key=value, got %r" % tok)
         k, v = tok.split("=", 1)
         kv[k] = v
+    keys = ("q", "A", "B") if parts[0] == "cubic" else ("q", "A", "B", "C")
+    missing = [k for k in keys if k not in kv]
+    if missing:
+        raise ValueError("%s model text lacks %s" % (parts[0], ", ".join(k + "=" for k in missing)))
     from .fq import parse_field
 
     F = parse_field(kv["q"])
@@ -374,27 +380,14 @@ def _standard_form_divisor_cubic(A, B):
     if basis.is_zero() or basis.degree < 1:
         return out
     for P, _ in factorize(basis):
-        va = POSINF if A.is_zero() else _mult(A, P)
-        vb = POSINF if B.is_zero() else _mult(B, P)
-        e = min(va // 2 if va is not POSINF else POSINF, vb // 3 if vb is not POSINF else POSINF)
-        if e is POSINF:
+        place = FinitePlace(P)
+        va, vb = place.val(A), place.val(B)
+        e = min(va // 2 if va is not POS_INF else POS_INF, vb // 3 if vb is not POS_INF else POS_INF)
+        if e is POS_INF:
             raise FuncFieldError("zero model")
         if e > 0:
             out = out * P ** e
     return out
-
-
-POSINF = float("inf")
-
-
-def _mult(f, P):
-    v = 0
-    while True:
-        q, r = f.divmod(P)
-        if not r.is_zero():
-            return v
-        v += 1
-        f = q
 
 
 def _standard_form_divisor_quartic(A, B, C):
@@ -409,9 +402,10 @@ def _standard_form_divisor_quartic(A, B, C):
     if basis.degree < 1:
         return out
     for P, _ in factorize(basis):
+        place = FinitePlace(P)
         caps = []
         for f, k in ((A, 2), (B, 3), (C, 4)):
-            caps.append(POSINF if f.is_zero() else _mult(f, P) // k)
+            caps.append(POS_INF if f.is_zero() else place.val(f) // k)
         e = min(caps)
         if e > 0:
             out = out * P ** int(e)
@@ -756,8 +750,7 @@ def multiplication_matrix(alpha):
 def norm(alpha):
     """Norm to F_q(x); exact determinant of the multiplication matrix."""
     model = alpha.model
-    rows = multiplication_matrix(alpha)
-    det = _poly_det([row[:] for row in rows], model.field)
+    det = laplace_det(multiplication_matrix(alpha))
     if alpha.denominator.degree > 0:
         return RationalFunction(det, alpha.denominator ** model.degree)
     return RationalFunction(det)
@@ -770,20 +763,31 @@ def norm_cubic(alpha):
         raise ValueError("norm_cubic needs a cubic model")
     if alpha.denominator.degree > 0:
         raise ValueError("closed form expects a denominator-free element")
-    A, B = model.A, model.B
-    a, b, c = alpha.coords
-    t1 = b ** 3 - c ** 3 * B - FqPoly.const(model.field, _int_const(model.field, 3)) * a * b * c
-    t2 = (
-        a * b * b
-        - FqPoly.const(model.field, _int_const(model.field, 2)) * a * a * c
-        - a * c * c * A
-        - b * c * c * B
-    )
-    val = a ** 3 - B * t1 - A * t2
-    det = norm(alpha).as_polynomial()
-    if val != det:
+    val = closed_norm_cubic(model, *alpha.coords)
+    if val != norm(alpha).as_polynomial():
         raise InternalFault("closed cubic norm disagrees with matrix determinant")
     return val
+
+
+def closed_norm_cubic(model, a, b, c):
+    """N(a + b y + c y^2) on y^3 - A y + B = 0, for polynomials a, b, c.
+
+    a^3 - B (b^3 - c^3 B - 3abc) - A (a b^2 - 2 a^2 c - c^2 (a A + b B)).
+    The c-terms are skipped when c = 0 and the A-term when A = 0, so the
+    exhaustive searches over a + b y and over purely cubic models do no
+    extra work.
+    """
+    F, A, B = model.field, model.A, model.B
+    t1 = b ** 3
+    if c:
+        t1 = t1 - c ** 3 * B - (a * b * c).scale(F.from_int(3))
+    val = a ** 3 - B * t1
+    if A.is_zero():
+        return val
+    t2 = a * b * b
+    if c:
+        t2 = t2 - (a * a * c).scale(F.from_int(2)) - c * c * (a * A + b * B)
+    return val - A * t2
 
 
 def trace(alpha):
@@ -797,17 +801,18 @@ def trace(alpha):
     return RationalFunction(t)
 
 
-def _poly_det(mat, field):
-    n = len(mat)
-    if n == 1:
+def laplace_det(mat):
+    """Determinant of a small square matrix by Laplace expansion along the first row.
+
+    The entries need only + - *, so the one routine serves int, FqPoly and
+    RationalFunction matrices.
+    """
+    if len(mat) == 1:
         return mat[0][0]
-    det = FqPoly.zero(field)
-    sign = 1
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * _poly_det(minor, field)
-        det = det + (term if sign > 0 else -term)
-        sign = -sign
+    det = None
+    for j, a in enumerate(mat[0]):
+        term = a * laplace_det([row[:j] + row[j + 1 :] for row in mat[1:]])
+        det = term if det is None else (det - term if j % 2 else det + term)
     return det
 
 
@@ -844,7 +849,7 @@ def _char_poly_int(rows, F):
         s = FqPoly.zero(F)
         for idx in itertools.combinations(range(n), k):
             sub = [[rows[i][j] for j in idx] for i in idx]
-            s = s + _poly_det(sub, F)
+            s = s + laplace_det(sub)
         sums.append(s)
     # char(T) = T^n - e1 T^(n-1) + e2 T^(n-2) - ...
     out = [FqPoly.zero(F)] * (n + 1)

@@ -15,10 +15,11 @@ Residue fields come in two kinds, both from residue_field(P).  When
 monic_irreducibles enumerates the places of degree d >= 2 with q^d <=
 fq.TABLE_MAX_ORDER, it walks the Frobenius orbits of E = GF(p, k d)
 instead of testing every monic candidate, and records the tower: an
-embedding F_q -> E and a root alpha in E of each place P.  Those places
-and every place of degree 1 (E = F_q, alpha = -P(0)) get a
-TowerResidueField, which is E with the residue map f -> f(alpha), so
-every operation of the Kummer factor types that dominate class-number
+embedding F_q -> E and a root alpha in E of each place P.  It then clears
+the cache of residue_field, so a place asked for earlier gets the tower
+too.  Those places and every place of degree 1 (E = F_q, alpha = -P(0))
+get a TowerResidueField, which is E with the residue map f -> f(alpha),
+so every operation of the Kummer factor types that dominate class-number
 work is a table lookup.  The tower is fixed once per (q, d) and built only
 by enumeration; a place that no enumeration reached (a place over D of
 degree >= 2, say) or with q^d above the threshold gets the tuple
@@ -31,7 +32,7 @@ import random
 import re
 from functools import lru_cache
 
-from .fq import GF, TABLE_MAX_ORDER
+from .fq import GF, TABLE_MAX_ORDER, _prime_factors, digits
 
 NEG_DEG = float("-inf")
 POS_INF = float("inf")
@@ -416,20 +417,6 @@ def gp_derivative(K, a):
     return gp_trim(K, out)
 
 
-def gp_eval(K, a, v):
-    acc = K.zero
-    for c in reversed(a):
-        acc = K.add(K.mul(acc, v), c)
-    return acc
-
-
-def gp_is_squarefree(K, f):
-    d = gp_derivative(K, f)
-    if not d:
-        return False
-    return len(gp_gcd(K, f, d)) == 1
-
-
 def gp_distinct_degree(K, f):
     """[(degree d, product of irreducible factors of degree d)] for squarefree monic f."""
     out = []
@@ -581,24 +568,11 @@ def gp_irreducible(K, f):
     h = gp_pow_mod(K, x, K.order ** n, f)
     if gp_sub(K, h, x):
         return False
-    for r in set(_small_prime_factors(n)):
+    for r in set(_prime_factors(n)):
         h = gp_pow_mod(K, x, K.order ** (n // r), f)
         if len(gp_gcd(K, gp_sub(K, h, x), f)) > 1:
             return False
     return True
-
-
-def _small_prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -788,12 +762,7 @@ class ResidueField:
     def iter_elements(self):
         q, d = self.base.q, self.deg
         for idx in range(self.order):
-            out = []
-            e = idx
-            for _ in range(d):
-                out.append(e % q)
-                e //= q
-            yield tuple(out)
+            yield tuple(digits(idx, q, d))
 
 
 def _first_nonsquare(K):
@@ -892,8 +861,8 @@ class TowerResidueField:
         if self._solve is None:
             self._solve = self._basis_inverse()
         p, F = self.char, self.base
-        digits = self.E._dec(a)
-        x = [sum(map(operator.mul, row, digits)) % p for row in self._solve]
+        ds = self.E._dec(a)
+        x = [sum(map(operator.mul, row, ds)) % p for row in self._solve]
         k = F.k
         return [F._enc(x[i * k:(i + 1) * k]) for i in range(self.deg)]
 
@@ -939,11 +908,7 @@ class TowerResidueField:
     def iter_elements(self):
         q, d = self.base.q, self.deg
         for idx in range(self.order):
-            cs = []
-            for _ in range(d):
-                cs.append(idx % q)
-                idx //= q
-            yield self._from_coords(cs)
+            yield self._from_coords(digits(idx, q, d))
 
 
 def _fp_inverse(M, p):
@@ -987,6 +952,11 @@ def residue_field(P):
         if alpha is not None:
             return TowerResidueField(P, E, emb, alpha)
     return ResidueField(P)
+
+
+# bound once, so it still clears the cache when a profiler rebinds the
+# module name residue_field to a wrapper
+_clear_residue_fields = residue_field.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -1150,12 +1120,7 @@ def monic_irreducibles(field, m):
         return _orbit_irreducibles(field, m)
     out = []
     for idx in range(q ** m):
-        cs = []
-        e = idx
-        for _ in range(m):
-            cs.append(e % q)
-            e //= q
-        cs.append(1)
+        cs = digits(idx, q, m) + [1]
         if m == 1 or gp_irreducible(field, cs):
             out.append(FqPoly(field, cs))
     return tuple(out)
@@ -1193,6 +1158,8 @@ def _orbit_irreducibles(F, d):
             cs = [mul(r, cs[0])] + [add(a, mul(r, b)) for a, b in zip(cs, cs[1:])] + [1]
         roots[tuple(pull[c] for c in cs)] = min(orbit)
     _TOWERS[F, d] = (E, emb, roots)
+    # residue fields cached before the tower existed are tuple ResidueFields
+    _clear_residue_fields()
     # base-q order of the index sum c_i q^i is the order of (c_(d-1), ..., c_0)
     return tuple(FqPoly(F, cs) for cs in sorted(roots, key=lambda cs: cs[-2::-1]))
 
@@ -1215,12 +1182,6 @@ def _base_embedding(F, E):
     return emb
 
 
-def enumerate_monic_irreducibles(field, m, start=None, stop=None):
-    """Yield monic irreducibles of degree m; [start, stop) slices the canonical order."""
-    items = monic_irreducibles(field, m)
-    yield from items[slice(start, stop)]
-
-
 def count_monic_irreducibles_necklace(q, m):
     """(1/m) sum_{d|m} mu(d) q^(m/d)."""
     total = 0
@@ -1233,7 +1194,7 @@ def count_monic_irreducibles_necklace(q, m):
 def _moebius(n):
     if n == 1:
         return 1
-    fac = _small_prime_factors(n)
+    fac = _prime_factors(n)
     if len(set(fac)) != len(fac):
         return 0
     return -1 if len(fac) % 2 else 1

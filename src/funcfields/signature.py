@@ -27,7 +27,7 @@ from .poly import (
     gp_gcd,
     gp_derivative,
 )
-from .places import FinitePlace, InfinitePlace
+from .places import InfinitePlace
 from .models import CubicModel, QuarticModel, minimal_polynomial_fq, reduce_quartic
 
 SELF_CHECK = False
@@ -721,29 +721,6 @@ def signature_at(model, place):
 
 def infinite_signature(model):
     return signature_at(model, InfinitePlace(model.field))
-
-
-def finite_signature(model, P):
-    place = P if isinstance(P, FinitePlace) else FinitePlace(P)
-    return signature_at(model, place)
-
-
-def infinite_signature_cubic(model):
-    return signature_cubic(model, InfinitePlace(model.field))
-
-
-def finite_signature_cubic(model, P):
-    place = P if isinstance(P, FinitePlace) else FinitePlace(P)
-    return signature_cubic(model, place)
-
-
-def infinite_signature_quartic(model):
-    return signature_quartic(model, InfinitePlace(model.field))
-
-
-def finite_signature_quartic(model, P):
-    place = P if isinstance(P, FinitePlace) else FinitePlace(P)
-    return signature_quartic(model, place)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 
+from .fq import digits
 from .poly import FqPoly, HypothesisRefused, InternalFault, squarefree_split
 from .places import InfinitePlace
-from .models import CubicModel, norm, norm_cubic
+from .models import CubicModel, closed_norm_cubic, laplace_det, norm, norm_cubic
 from .signature import element_valuations, infinite_signature
 from .invariants import unit_rank
 
@@ -226,31 +227,21 @@ def _intermediate_unit_search(model, A):
     """
     F = model.field
     half_n1 = A.degree  # n1/2
-    A2 = model.A  # = A^2
+    zero = FqPoly.zero(F)
     # deg b = 0 gives maximum value exactly n1/2 (the units y, A + y themselves);
     # only deg b >= 1 can land strictly between n1/2 and n1
     for db in range(1, half_n1):
         da = db + half_n1
         for b_idx in range(F.q ** db):
             for b_lead in range(1, F.q):
-                b = _poly_from_index(F, b_idx, db, b_lead)
+                b = FqPoly(F, digits(b_idx, F.q, db) + [b_lead])
                 for a_idx in range(F.q ** da):
                     for a_lead in range(1, F.q):
-                        a = _poly_from_index(F, a_idx, da, a_lead)
-                        # N(a + by) = a^3 - B b^3 - A a b^2 with B = -1, A = A^2
-                        n = a ** 3 + b ** 3 - a * b * b * A2
+                        a = FqPoly(F, digits(a_idx, F.q, da) + [a_lead])
+                        n = closed_norm_cubic(model, a, b, zero)
                         if not n.is_zero() and n.degree == 0:
                             return (a, b)
     return None
-
-
-def _poly_from_index(F, idx, deg, lead):
-    coeffs = []
-    for _ in range(deg):
-        coeffs.append(idx % F.q)
-        idx //= F.q
-    coeffs.append(lead)
-    return FqPoly(F, coeffs)
 
 
 def regulator(model, units, infinite=None):
@@ -304,7 +295,7 @@ def regulator(model, units, infinite=None):
             minors = []
             for drop in range(r + 1):
                 sub = [[row[j] for j in range(r + 1) if j != drop] for row in M]
-                minors.append(abs(_int_det(sub)))
+                minors.append(abs(laplace_det(sub)))
             if len(set(minors)) != 1:
                 raise InternalFault("r x r minors disagree: %s" % minors)
             results.add(minors[0])
@@ -336,15 +327,3 @@ def _termwise_bounds(model, alpha, y_vals, place, sig):
         out.append((mn, cands.count(mn) == 1))
     return out
 
-
-def _int_det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    det = 0
-    sign = 1
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        det += sign * mat[0][j] * _int_det(minor)
-        sign = -sign
-    return det

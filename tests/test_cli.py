@@ -125,3 +125,23 @@ def test_model_file_input(tmp_path, capsys):
     code, out, _ = _capture(capsys, ["analyze", "--model-file", str(path)])
     assert code == EXIT_OK
     assert "genus = 1" in out
+
+
+def test_model_file_without_field_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "model.txt"
+    path.write_text("cubic A=x^2 B=1\n")
+    code, _, err = _capture(capsys, ["analyze", "--model-file", str(path)])
+    assert code == EXIT_USAGE
+    assert "q=" in err
+
+
+def test_missing_field_flag_is_usage_error(capsys):
+    code, _, err = _capture(capsys, ["analyze", "--cubic", "--A", "x", "--B", "1"])
+    assert code == EXIT_USAGE
+    assert "--q" in err
+
+
+def test_no_seed_or_jobs_flags(capsys):
+    for flag in ("--seed", "--jobs"):
+        code, _, _ = _capture(capsys, ["analyze", "--cubic", "--q", "7", "--A", "x^2", "--B", "1", flag, "1"])
+        assert code == EXIT_USAGE

@@ -11,7 +11,6 @@ from funcfields import (
     count_monic_irreducibles_necklace,
     count_roots_in_extension,
     crt,
-    enumerate_monic_irreducibles,
     factorize,
     is_irreducible,
     monic_irreducibles,
@@ -234,7 +233,7 @@ def _all_monic(F, m):
 
 
 def test_enumerate_linears():
-    got = list(enumerate_monic_irreducibles(F5, 1))
+    got = list(monic_irreducibles(F5, 1))
     assert [str(p) for p in got] == ["x", "x + 1", "x + 2", "x + 3", "x + 4"]
 
 
@@ -245,9 +244,9 @@ def test_enumeration_counts_match_necklace():
 
 
 def test_enumeration_partitioned_iteration():
-    full = list(enumerate_monic_irreducibles(F7, 2))
-    left = list(enumerate_monic_irreducibles(F7, 2, 0, 10))
-    right = list(enumerate_monic_irreducibles(F7, 2, 10, None))
+    full = list(monic_irreducibles(F7, 2))
+    left = list(monic_irreducibles(F7, 2)[0:10])
+    right = list(monic_irreducibles(F7, 2)[10:None])
     assert left + right == full and len(full) == 21
 
 

@@ -137,6 +137,22 @@ def test_residue_field_choice(monkeypatch):
         residue_field.cache_clear()
 
 
+def test_residue_field_cache_follows_a_new_tower(monkeypatch):
+    # a place asked for before its degree is enumerated gets the tower after it
+    F = GF(3)
+    P = parse_poly(F, "x^2 + 1")
+    monkeypatch.setattr(poly_module, "_TOWERS", {})
+    monic_irreducibles.cache_clear()
+    residue_field.cache_clear()
+    try:
+        assert type(residue_field(P)) is ResidueField
+        assert P in monic_irreducibles(F, 2)
+        assert isinstance(residue_field(P), TowerResidueField)
+    finally:
+        monic_irreducibles.cache_clear()
+        residue_field.cache_clear()
+
+
 def _models():
     F7 = GF(7)
     p7 = lambda s: parse_poly(F7, s)

@@ -13,13 +13,11 @@ from funcfields import (
     QuarticModel,
     Signature,
     element_valuations,
-    finite_signature_cubic,
-    finite_signature_quartic,
-    infinite_signature_cubic,
-    infinite_signature_quartic,
+    infinite_signature,
     kummer_signature,
     monic_irreducibles,
     parse_poly,
+    signature_at,
 )
 from funcfields.poly import InternalFault, UnknownSignature
 from funcfields.places import _BaseAsResidue
@@ -78,23 +76,23 @@ def test_kummer_inconclusive_on_multiple_root():
 
 def test_cubic_infinite_table_char_ge5():
     # 3n1 > 2n0, n1 even, sgn A square
-    assert flat(infinite_signature_cubic(CubicModel(pp("x^2"), pp("1")))) == (1, 1, 1, 1, 1, 1)
+    assert flat(infinite_signature(CubicModel(pp("x^2"), pp("1")))) == (1, 1, 1, 1, 1, 1)
     # 3n1 > 2n0, n1 odd
-    assert flat(infinite_signature_cubic(CubicModel(pp("x^3"), pp("x")))) == (1, 1, 2, 1)
+    assert flat(infinite_signature(CubicModel(pp("x^3"), pp("x")))) == (1, 1, 2, 1)
     # 3n1 > 2n0, n1 even, sgn A not a square (3 is not a square mod 7)
-    assert flat(infinite_signature_cubic(CubicModel(pp("3*x^2"), pp("1")))) == (1, 1, 1, 2)
+    assert flat(infinite_signature(CubicModel(pp("3*x^2"), pp("1")))) == (1, 1, 1, 2)
     # 3n1 < 2n0, n0 not divisible by 3
-    assert flat(infinite_signature_cubic(CubicModel(pp("x"), pp("x^2 + x")))) == (3, 1)
+    assert flat(infinite_signature(CubicModel(pp("x"), pp("x^2 + x")))) == (3, 1)
     # 3n1 < 2n0, 3 | n0, sgn B a cube, q = 1 mod 3
-    assert flat(infinite_signature_cubic(CubicModel(pp("x"), pp("x^3 + x + 1")))) == (1, 1, 1, 1, 1, 1)
+    assert flat(infinite_signature(CubicModel(pp("x"), pp("x^3 + x + 1")))) == (1, 1, 1, 1, 1, 1)
     # same but sgn B not a cube (2 is not a cube mod 7)
-    assert flat(infinite_signature_cubic(CubicModel(pp("x"), pp("2*x^3 + x + 1")))) == (1, 3)
+    assert flat(infinite_signature(CubicModel(pp("x"), pp("2*x^3 + x + 1")))) == (1, 3)
     # q = 5 = -1 mod 3, cube leading coefficient
     assert flat(
-        infinite_signature_cubic(CubicModel(pp("x", F5), pp("x^3 + x + 1", F5)))
+        infinite_signature(CubicModel(pp("x", F5), pp("x^3 + x + 1", F5)))
     ) == (1, 1, 1, 2)
     # 3n1 = 2n0 with separable reduction: T^3 - T + 1 has one root mod 7
-    assert flat(infinite_signature_cubic(CubicModel(pp("x^2 + 1"), pp("x^3")))) == (1, 1, 1, 2)
+    assert flat(infinite_signature(CubicModel(pp("x^2 + 1"), pp("x^3")))) == (1, 1, 1, 2)
 
 
 def test_cubic_infinite_transform_chain():
@@ -102,12 +100,12 @@ def test_cubic_infinite_transform_chain():
     m = CubicModel(pp("3*x^2"), pp("2*x^3 + 1"))
     D = m.discriminant()
     assert D.degree == 3  # odd offset -> ramified pair
-    r = infinite_signature_cubic(m)
+    r = infinite_signature(m)
     assert flat(r) == (1, 1, 2, 1)
     assert r.method == "TransformChain"
     # even offset with square leading coefficient of D
     m2 = CubicModel(pp("3*x^2 + x"), pp("2*x^3 + 1"))
-    r2 = infinite_signature_cubic(m2)
+    r2 = infinite_signature(m2)
     assert r2.known and sum(e * f for e, f in r2.signature.pairs) == 3
 
 
@@ -117,20 +115,20 @@ def test_cubic_infinite_transform_chain():
 def test_cubic_finite_table_char_ge5():
     X = pp("x")
     # 1 <= m0 <= m1 -> (3,1)
-    assert flat(finite_signature_cubic(CubicModel(X, X), X)) == (3, 1)
+    assert flat(signature_at(CubicModel(X, X), FinitePlace(X))) == (3, 1)
     # m1 = 1 < m0 -> (1,1,2,1)
-    assert flat(finite_signature_cubic(CubicModel(X, pp("x^2")), X)) == (1, 1, 2, 1)
+    assert flat(signature_at(CubicModel(X, pp("x^2")), FinitePlace(X))) == (1, 1, 2, 1)
     # m1 = 0 < m0, A square mod P: A=1 at P=x
-    assert flat(finite_signature_cubic(CubicModel(pp("x + 1"), pp("x^2 + x")), X)) == (
+    assert flat(signature_at(CubicModel(pp("x + 1"), pp("x^2 + x")), FinitePlace(X))) == (
         1, 1, 1, 1, 1, 1,
     )
     # m1 = 0 < m0, A nonsquare mod P (3 mod 7)
-    assert flat(finite_signature_cubic(CubicModel(pp("x + 3"), pp("x^2 + x")), X)) == (1, 1, 1, 2)
+    assert flat(signature_at(CubicModel(pp("x + 3"), pp("x^2 + x")), FinitePlace(X))) == (1, 1, 1, 2)
     # m1 > 0 = m0: -B cube test; B = 1 -> -1 = 6 is a cube mod 7, q = 1 mod 3
-    assert flat(finite_signature_cubic(CubicModel(X, pp("1")), X)) == (1, 1, 1, 1, 1, 1)
+    assert flat(signature_at(CubicModel(X, pp("1")), FinitePlace(X))) == (1, 1, 1, 1, 1, 1)
     # m1 = m0 = 0, D a unit, Kummer on the full reduction
     m = CubicModel(X, pp("x^3 + x + 1"))
-    r = finite_signature_cubic(m, pp("x + 1"))
+    r = signature_at(m, FinitePlace(pp("x + 1")))
     assert r.known and r.method == "Kummer"
 
 
@@ -152,7 +150,7 @@ def test_cubic_finite_D_chain_square_branch():
             v = FinitePlace(P).val(D)
             if v == 0:
                 continue
-            r = finite_signature_cubic(m, P)
+            r = signature_at(m, FinitePlace(P))
             assert r.known
             if v % 2:
                 seen_odd = True
@@ -172,21 +170,21 @@ def test_cubic_char2_exact_rows():
     F2 = GF(2)
     F4 = GF(2, 2)
     # 3n1 > 2n0, n1 odd
-    assert flat(infinite_signature_cubic(CubicModel(parse_poly(F2, "x^3"), parse_poly(F2, "x")))) == (1, 1, 2, 1)
+    assert flat(infinite_signature(CubicModel(parse_poly(F2, "x^3"), parse_poly(F2, "x")))) == (1, 1, 2, 1)
     # 3n1 < 2n0, n0 not divisible by 3
     assert flat(
-        infinite_signature_cubic(CubicModel(parse_poly(F2, "x"), parse_poly(F2, "x^2 + x + 1")))
+        infinite_signature(CubicModel(parse_poly(F2, "x"), parse_poly(F2, "x^2 + x + 1")))
     ) == (3, 1)
     # 3n1 < 2n0, 3 | n0 over F_4 (= 1 mod 3): leading coefficient 1 is a cube
     m4 = CubicModel(parse_poly(F4, "x"), parse_poly(F4, "x^3 + x + 1"))
-    r = infinite_signature_cubic(m4)
+    r = infinite_signature(m4)
     assert flat(r) == (1, 1, 1, 1, 1, 1)
 
 
 def test_cubic_char2_iteration_resolves():
     F2 = GF(2)
     m = CubicModel(parse_poly(F2, "x^2 + x"), parse_poly(F2, "1"))
-    r = infinite_signature_cubic(m)
+    r = infinite_signature(m)
     assert r.known and r.method == "Char2Iteration"
     assert flat(r) == (1, 1, 2, 1)
 
@@ -195,22 +193,22 @@ def test_cubic_char2_finite_iteration():
     F2 = GF(2)
     # m1 = 0 < m0 at P = x: A must be a unit at x, B divisible
     m = CubicModel(parse_poly(F2, "x^2 + x + 1"), parse_poly(F2, "x^2"))
-    r = finite_signature_cubic(m, parse_poly(F2, "x"))
+    r = signature_at(m, FinitePlace(parse_poly(F2, "x")))
     assert r.known
     assert sum(e * f for e, f in r.signature.pairs) == 3
 
 
 def test_cubic_char3_exact_rows():
     m = CubicModel(parse_poly(F3, "x^2"), FqPoly.one(F3))
-    assert flat(infinite_signature_cubic(m)) == (1, 1, 1, 1, 1, 1)
+    assert flat(infinite_signature(m)) == (1, 1, 1, 1, 1, 1)
     # 3n1 < 2n0 with n0 not divisible by 3
     m2 = CubicModel(parse_poly(F3, "x"), parse_poly(F3, "x^2 + x"))
-    assert flat(infinite_signature_cubic(m2)) == (3, 1)
+    assert flat(infinite_signature(m2)) == (3, 1)
 
 
 def test_cubic_char3_iteration_resolves_to_totally_ramified():
     m = CubicModel(parse_poly(F3, "x"), parse_poly(F3, "x^3 + 2*x + 1"))
-    r = infinite_signature_cubic(m)
+    r = infinite_signature(m)
     assert r.known and r.method == "Char3Iteration"
     assert flat(r) == (3, 1)
 
@@ -225,7 +223,7 @@ def test_cubic_char3_remark_degree_rule():
     assert B0 ** 3 + B1 == B
     new_B = B1 - (A * B0).scale(c)
     assert new_B.degree == B1.degree or new_B.degree == (A * B0).degree
-    r = infinite_signature_cubic(CubicModel(A, B))
+    r = infinite_signature(CubicModel(A, B))
     assert flat(r) == (3, 1)
 
 
@@ -235,42 +233,42 @@ def test_cubic_char3_remark_degree_rule():
 def test_quartic_infinite_table_rows():
     zero = FqPoly.zero(F7)
     # n0 > 2n2, 3n0 > 4n1, n0 odd -> (4,1)
-    assert flat(infinite_signature_quartic(QuarticModel(pp("x"), pp("x"), pp("x^3")))) == (4, 1)
+    assert flat(infinite_signature(QuarticModel(pp("x"), pp("x"), pp("x^3")))) == (4, 1)
     # biquadratic, n0 = 2 mod 4, -c square (-3 = 4 mod 7)
     assert flat(
-        infinite_signature_quartic(QuarticModel(pp("x^2 + x"), zero, pp("3*x^6 + x")))
+        infinite_signature(QuarticModel(pp("x^2 + x"), zero, pp("3*x^6 + x")))
     ) == (2, 1, 2, 1)
     # 3n2 > 2n1, 2n2 > n0, 2n1 > n0 + n2, n2 odd
     assert flat(
-        infinite_signature_quartic(QuarticModel(pp("x^3"), pp("x^3 + 1"), pp("x^2")))
+        infinite_signature(QuarticModel(pp("x^3"), pp("x^3 + 1"), pp("x^2")))
     ) == (1, 1, 1, 1, 2, 1)
     # B-corner: 2n1 > 3n2, 4n1 > 3n0, n1 not divisible by 3
     assert flat(
-        infinite_signature_quartic(QuarticModel(pp("x"), pp("x^2"), pp("x^2 + 1")))
+        infinite_signature(QuarticModel(pp("x"), pp("x^2"), pp("x^2 + 1")))
     ) == (1, 1, 3, 1)
 
 
 def test_quartic_char_lt5_refused():
     with pytest.raises(UnknownSignature):
-        infinite_signature_quartic(QuarticModel(parse_poly(F3, "x"), parse_poly(F3, "1"), parse_poly(F3, "x"), _skip_checks=True))
+        infinite_signature(QuarticModel(parse_poly(F3, "x"), parse_poly(F3, "1"), parse_poly(F3, "x"), _skip_checks=True))
 
 
 def test_quartic_finite_rows():
     X = pp("x")
     # m0 < 2m2, 3m0 < 4m1, m0 odd -> (4,1): valuations at P=x: m2>=1, m1>=1, m0=1
     m = QuarticModel(pp("x^2 + x"), pp("x + x^2"), pp("x + x^3"))
-    r = finite_signature_quartic(m, X)
+    r = signature_at(m, FinitePlace(X))
     assert flat(r) == (4, 1)
     # m2 = m1 = m0 = 0 with squarefree reduction: plain Kummer
     m2 = QuarticModel(pp("x"), pp("x^2"), pp("x^5"))
-    r2 = finite_signature_quartic(m2, pp("x + 1"))
+    r2 = signature_at(m2, FinitePlace(pp("x + 1")))
     assert r2.known and r2.method == "Kummer"
 
 
 def test_quartic_case4_odd_forces_even_ramification():
     # u2 odd at infinity, no cancellation: every e is even
     m = QuarticModel(pp("x"), pp("1"), pp("x^2"))
-    r = infinite_signature_quartic(m)
+    r = infinite_signature(m)
     assert flat(r) in ((2, 1, 2, 1), (2, 2))
     assert all(e % 2 == 0 for e, _ in r.signature.pairs)
 
@@ -283,10 +281,10 @@ def test_quartic_biquadratic_complete_at_all_small_places():
         QuarticModel(pp("x^2"), zero, pp("x^3 + 1")),
     ]
     for m in models:
-        assert infinite_signature_quartic(m).known
+        assert infinite_signature(m).known
         for d in (1, 2):
             for P in monic_irreducibles(F7, d):
-                r = finite_signature_quartic(m, P)
+                r = signature_at(m, FinitePlace(P))
                 assert r.known, (m, P, r.unknown_reason)
 
 
@@ -296,7 +294,7 @@ def test_quartic_unknown_is_first_class():
     found_unknown = False
     for d in (1, 2):
         for P in monic_irreducibles(F7, d):
-            r = finite_signature_quartic(m, P)
+            r = signature_at(m, FinitePlace(P))
             if not r.known:
                 found_unknown = True
                 assert r.unknown_reason
@@ -323,7 +321,7 @@ def test_ramified_places_divide_D():
             D = m.discriminant()
             for d in (1, 2):
                 for P in monic_irreducibles(F, d):
-                    r = finite_signature_cubic(m, P)
+                    r = signature_at(m, FinitePlace(P))
                     if any(e > 1 for e, _ in r.signature.pairs):
                         assert FinitePlace(P).val(D) > 0
 
