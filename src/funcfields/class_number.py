@@ -26,13 +26,15 @@ from .poly import (
     InternalFault,
     UnknownSignature,
     factorize,
+    gp_derivative,
+    gp_gcd,
+    gp_roots,
     monic_irreducibles,
     poly_gcd,
 )
 from .places import FinitePlace, InfinitePlace
 from .models import closed_norm_cubic, norm, minimal_polynomial_fq
 from .signature import (
-    Signature,
     element_valuations,
     infinite_signature,
     newton_slopes,
@@ -594,27 +596,16 @@ def _is_power_in_order(model, alpha, p, d):
     tight for totally ramified infinity).
     """
     F = model.field
-    from .poly import monic_irreducibles as _mi
-
     for deg in (1, 2):
-        for P in _mi(F, deg):
+        for P in monic_irreducibles(F, deg):
             K = FinitePlace(P).residue_field
             if (K.order - 1) % p:
                 continue
             red = [K.embed(model.B), K.embed(-model.A), K.zero, K.one]
-            from .poly import gp_gcd, gp_derivative, gp_pow_mod, gp_sub, gp_equal_degree_split
-
             der = gp_derivative(K, red)
             if not der or len(gp_gcd(K, red, der)) > 1:
                 continue  # ramified or inseparable reduction; skip
-            h = gp_pow_mod(K, [K.zero, K.one], K.order, red)
-            lin = gp_gcd(K, gp_sub(K, h, [K.zero, K.one]), red)
-            if len(lin) <= 1:
-                continue
-            import random as _random
-
-            for piece in gp_equal_degree_split(K, lin, 1, _random.Random(17)):
-                theta = K.neg(piece[0])
+            for theta in gp_roots(K, red):
                 val = K.add(
                     K.embed(alpha.coords[0]),
                     K.add(

@@ -71,16 +71,20 @@ def _emit(args, payload, table_lines):
             print(line)
 
 
+def _add_field_flags(p):
+    p.add_argument("--q", help="field size, p or p^k")
+    p.add_argument("--A", default="0")
+    p.add_argument("--format", choices=("table", "json"), default="table")
+
+
 def _add_model_flags(p):
     p.add_argument("--cubic", action="store_true", help="cubic model y^3 - A y + B = 0")
     p.add_argument("--quartic", action="store_true", help="quartic model y^4 - A y^2 - B y + C = 0")
     p.add_argument("--pure-B", dest="pure_B", help="purely cubic model y^3 = B(x)")
-    p.add_argument("--q", help="field size, p or p^k")
-    p.add_argument("--A", default="0")
+    _add_field_flags(p)
     p.add_argument("--B", default="0")
     p.add_argument("--C", default="0")
     p.add_argument("--model-file", help="file containing the model text form")
-    p.add_argument("--format", choices=("table", "json"), default="table")
 
 
 def build_parser():
@@ -101,7 +105,7 @@ def build_parser():
             p.add_argument("--budget", type=int, default=1, help="max coordinate degree")
 
     pu = sub.add_parser("units")
-    _add_model_flags(pu)
+    _add_field_flags(pu)
     pu.add_argument("--construct", choices=("thm245", "thm246", "thm247"), required=True)
     pu.add_argument("--a", default="0", help="parameter a for the rank-1 constructions")
     pu.add_argument("--kappa", type=int, default=1)

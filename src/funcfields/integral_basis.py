@@ -11,14 +11,19 @@ match and the change-of-basis degree from scratch.
 
 from dataclasses import dataclass
 
+from .fq import digits
 from .poly import (
     FqPoly,
     HypothesisRefused,
     InternalFault,
     crt,
+    factorize,
+    gp_roots,
+    is_squarefree,
     poly_gcd,
     poly_inverse_mod,
-    residue_power_test,
+    poly_sqrt,
+    squarefree_decomposition,
 )
 from .places import FinitePlace
 from .models import OrderElement, is_integral, laplace_det, trace as elem_trace
@@ -73,8 +78,6 @@ def _cubic_uv_generic(model, I):
     G = poly_gcd(I, A) if not A.is_zero() else I.monic()
     IG = I.exact_div(G)
     # structural guarantees (Cor 2.3.2): G squarefree, G^3 | D, gcd(I/G, A) = 1
-    from .poly import is_squarefree
-
     if not is_squarefree(G):
         raise InternalFault("gcd(I, A) must be squarefree")
     D = model.discriminant()
@@ -104,8 +107,6 @@ def _cubic_uv_char2(model, report):
     F = model.field
     A, B = model.A, model.B
     I = report.index
-    from .poly import is_squarefree, squarefree_decomposition
-
     if not all(m <= 2 for m, _ in squarefree_decomposition(B)):
         raise HypothesisRefused("B-cubefree", "characteristic 2 basis needs B cubefree")
     # every P with 3 v_P(A) < 2 v_P(B) must have signature (1,1,2,1)
@@ -151,8 +152,6 @@ def _cubic_uv_char3(model, report):
     F = model.field
     A, B = model.A, model.B
     I = report.index
-    from .poly import is_squarefree, squarefree_decomposition
-
     if A.is_zero() or not all(m <= 2 for m, _ in squarefree_decomposition(A)):
         raise HypothesisRefused("A-cubefree-nonzero", "characteristic 3 basis needs A != 0 cubefree")
     for P, mP in _factor(A):
@@ -182,8 +181,6 @@ def _cubic_uv_char3(model, report):
 
 
 def _factor(f):
-    from .poly import factorize
-
     if f.degree < 1:
         return []
     return list(factorize(f))
@@ -212,8 +209,6 @@ def integral_basis_quartic(model, report=None):
             model.element(zero, zero, zero, one),
         ]
         return IntegralBasis(model, basis, one, {})
-    from .poly import is_squarefree
-
     if not is_squarefree(I):
         raise HypothesisRefused("index-squarefree", "quartic basis requires squarefree ind(y)")
     A, B, C = model.A, model.B, model.C
@@ -296,16 +291,12 @@ def _solve_star_at_place(model, P):
     each lift of U is tried with every V mod P^2, W following from the linear
     congruence, and the remaining congruences checked exactly.
     """
-    from .places import FinitePlace
-
     F = model.field
     A, B, C = model.A, model.B, model.C
     K = FinitePlace(P).residue_field
     d = K.deg
     if F.q ** (3 * d) > 10 ** 6:
         raise HypothesisRefused("degree-budget", "congruence solving at %s is out of budget" % P)
-    from .poly import gp_roots
-
     a_bar, b_bar, c_bar = K.embed(A), K.embed(B), K.embed(C)
     inv2 = K.from_base(F.inv(F.from_int(2)))
     inv4 = K.from_base(F.inv(F.from_int(4)))
@@ -333,12 +324,7 @@ def _solve_star_at_place(model, P):
 def _residues_mod(F, modulus):
     d = int(modulus.degree)
     for idx in range(F.q ** d):
-        coeffs = []
-        e = idx
-        for _ in range(d):
-            coeffs.append(e % F.q)
-            e //= F.q
-        yield FqPoly(F, coeffs)
+        yield FqPoly(F, digits(idx, F.q, d))
 
 
 def _quartic_star_residues(model, U, V, W, mod):
@@ -455,8 +441,6 @@ def _cubic_congruence_residues(model, U, V, mod):
 
 
 def poly_sqrt_of_square(mod):
-    from .poly import poly_sqrt
-
     root = poly_sqrt(mod)
     if root is None:
         raise InternalFault("modulus is not a perfect square")

@@ -15,14 +15,14 @@ from .poly import (
     InternalFault,
     UnknownSignature,
     factorize,
+    gp_factorize_separable,
+    gp_gcd,
+    gp_mul,
     residue_power_test,
+    squarefree_decomposition,
 )
 from .places import FinitePlace
 from .signature import infinite_signature, signature_at
-
-
-def _vals(place, *polys):
-    return tuple(int(place.val(f)) if not f.is_zero() else None for f in polys)
 
 
 def disc_valuation_cubic(model, P):
@@ -112,8 +112,6 @@ def _disc_val_cubic_char3(model, place):
 
 
 def _is_cubefree(f):
-    from .poly import squarefree_decomposition
-
     return all(mult <= 2 for mult, _ in squarefree_decomposition(f))
 
 
@@ -150,8 +148,6 @@ def dedekind_index_coprime(model, place):
     h = prod G_i^{e_i - 1}; then P does not divide [O : F_q[x][y]] exactly
     when ((g h - f)/P) mod P is coprime to gcd(g-bar, h-bar).
     """
-    from .poly import gp_factorize_separable, gp_gcd
-
     K = place.residue_field
     F = model.field
     fc = [c for c in model.defining_coeffs()] + [FqPoly.one(F)]
@@ -165,10 +161,10 @@ def dedekind_index_coprime(model, place):
     for gi, ei in factors:
         lift = [K.lift(c) for c in gi]
         g_lift = _tv_mul(g_lift, lift)
-        gbar = _gp_mul_local(K, gbar, list(gi))
+        gbar = gp_mul(K, gbar, list(gi))
         for _ in range(ei - 1):
             h_lift = _tv_mul(h_lift, lift)
-            hbar = _gp_mul_local(K, hbar, list(gi))
+            hbar = gp_mul(K, hbar, list(gi))
     prod = _tv_mul(g_lift, h_lift)
     diff = _tv_sub(prod, fc, F)
     tbar = []
@@ -204,12 +200,6 @@ def _tv_sub(a, b, F):
         y = b[i] if i < len(b) else FqPoly.zero(F)
         out.append(x - y)
     return out
-
-
-def _gp_mul_local(K, a, b):
-    from .poly import gp_mul
-
-    return gp_mul(K, a, b)
 
 
 @dataclass

@@ -117,20 +117,13 @@ def _coerce_rf(v, field):
 class Transformation:
     """Record of a generator substitution y_new = (scale * y_old + shift) / divide.
 
-    Composable bookkeeping so valuation arguments that rescale y stay auditable.
+    The standard-form reductions return it, so valuation arguments that
+    rescale y stay auditable.
     """
 
     scale: FqPoly
     shift: FqPoly
     divide: FqPoly
-
-    @classmethod
-    def identity(cls, field):
-        one = FqPoly.one(field)
-        return cls(one, FqPoly.zero(field), one)
-
-    def then_divide(self, Q):
-        return Transformation(self.scale, self.shift, self.divide * Q)
 
     def is_identity(self):
         return (
@@ -140,10 +133,6 @@ class Transformation:
             and self.divide.degree == 0
             and self.divide.sgn == 1
         )
-
-
-def _int_const(field, n):
-    return field.from_int(n)
 
 
 def _check_char(field, minimum, context):
@@ -451,10 +440,10 @@ def cubic_standard_form(S, U, V, W):
     if p == 3:
         return _cubic_standard_form_char3(S, U, V, W)
     # z = S*y has z^3 + U z^2 + SV z + S^2 W = 0; w = z + U/3 depresses it
-    inv3 = FqPoly.const(F, F.inv(_int_const(F, 3)))
+    inv3 = FqPoly.const(F, F.inv(F.from_int(3)))
     third_U = U * inv3
     A = third_U * U - S * V
-    inv27 = FqPoly.const(F, F.inv(_int_const(F, 27)))
+    inv27 = FqPoly.const(F, F.inv(F.from_int(27)))
     B = S * S * W - S * U * V * inv3 + (U ** 3) * inv27 * FqPoly.const(F, 2)
     A2, B2, Q = reduce_cubic(A, B)
     model = CubicModel(A2, B2)
@@ -508,7 +497,7 @@ def quartic_standard_form(a3, a2, a1, a0):
     F = a3.field
     if F.p == 2:
         raise HypothesisRefused("characteristic", "quartic normalization requires char != 2")
-    inv4 = FqPoly.const(F, F.inv(_int_const(F, 4)))
+    inv4 = FqPoly.const(F, F.inv(F.from_int(4)))
     t = -(a3 * inv4)
     # expand (T + t)^4 + a3 (T + t)^3 + a2 (T + t)^2 + a1 (T + t) + a0
     c4 = FqPoly.one(F)
@@ -547,7 +536,7 @@ def cubic_disc(model):
     """D = 4A^3 - 27B^2 = d(1, y, y^2); specializes to B^2 (char 2), A^3 (char 3)."""
     F = model.field
     A, B = model.A, model.B
-    D = FqPoly.const(F, _int_const(F, 4)) * A ** 3 - FqPoly.const(F, _int_const(F, 27)) * B * B
+    D = FqPoly.const(F, F.from_int(4)) * A ** 3 - FqPoly.const(F, F.from_int(27)) * B * B
     if F.p == 2 and D != B * B:
         raise InternalFault("char-2 discriminant mismatch")
     if F.p == 3 and D != A ** 3:
@@ -564,13 +553,13 @@ def quartic_disc(model):
     A, B, C = model.A, model.B, model.C
 
     def c(n):
-        return FqPoly.const(F, _int_const(F, n))
+        return FqPoly.const(F, F.from_int(n))
 
     form1 = c(16) * C * (A * A - c(4) * C) ** 2 + B * B * (
         c(4) * A ** 3 - c(27) * B * B - c(144) * A * C
     )
-    inv9 = FqPoly.const(F, F.inv(_int_const(F, 9)))
-    inv3 = FqPoly.const(F, F.inv(_int_const(F, 3)))
+    inv9 = FqPoly.const(F, F.inv(F.from_int(9)))
+    inv3 = FqPoly.const(F, F.inv(F.from_int(3)))
     t1 = c(2) * A ** 3 * inv9 - c(8) * A * C - c(3) * B * B
     t2 = A * A * inv3 + c(4) * C
     form2 = -(c(3) * t1 * t1) + c(4) * t2 ** 3
@@ -608,9 +597,6 @@ class OrderElement:
             self.coords = tuple(a.scale(c) for a in self.coords)
             denominator = denominator.scale(c)
         self.denominator = denominator
-
-    def is_integral_shape(self):
-        return self.denominator.degree == 0
 
     def is_constant(self):
         return all(a.is_zero() for a in self.coords[1:])
@@ -864,75 +850,30 @@ def _char_poly_int(rows, F):
 def minimal_polynomial(alpha):
     """Minimal polynomial over F_q(x), as little-endian RationalFunction coeffs.
 
-    The characteristic polynomial is exact; for elements in a proper subfield
-    (only possible in the quartic case) the squarefree part is extracted.
+    On the field L of the model, the characteristic polynomial cp of
+    multiplication by alpha is mp^[L : F_q(x)(alpha)] (Lang, Algebra, on
+    norm and trace).  An alpha in F_q(x) gets T - alpha.  A cubic alpha
+    outside F_q(x) generates L, so mp = cp.  A quartic one generates a
+    field of degree 2 or 4, so cp = mp^2 or cp = mp: with cp = T^4 + c3 T^3
+    + c2 T^2 + c1 T + c0, u = c3/2 and v = (c2 - u^2)/2, cp = (T^2 + u T +
+    v)^2 exactly when c1 = 2uv and c0 = v^2 (quartic models have odd
+    characteristic, so 1/2 exists).
     """
-    cp = char_poly(alpha)
-    n = alpha.model.degree
-    if n == 3:
-        if alpha.is_constant():
-            c = RationalFunction(alpha.coords[0], alpha.denominator)
-            return [-c, RationalFunction.one(alpha.model.field)]
-        return cp
-    # quartic: alpha may generate the quadratic subfield; min poly = cp / gcd(cp, cp')
+    F = alpha.model.field
+    one = RationalFunction.one(F)
     if alpha.is_constant():
-        F = alpha.model.field
-        c = RationalFunction(alpha.coords[0], alpha.denominator)
-        return [-c, RationalFunction.one(F)]
-    g = _rf_poly_gcd(cp, _rf_poly_derivative(cp, alpha.model.field))
-    if len(g) == 1:
+        return [-RationalFunction(alpha.coords[0], alpha.denominator), one]
+    cp = char_poly(alpha)
+    if alpha.model.degree == 3:
         return cp
-    mp, rem = _rf_poly_divmod(cp, g)
-    if any(not c.is_zero() for c in rem):
-        raise InternalFault("characteristic polynomial not divisible by its gcd part")
-    # if alpha generates a quadratic subfield, cp = mp^2 exactly
-    return mp
-
-
-def _rf_poly_derivative(cs, F):
-    out = []
-    for i in range(1, len(cs)):
-        k = RationalFunction(FqPoly.const(F, _int_const(F, i)))
-        out.append(cs[i] * k)
-    while out and out[-1].is_zero():
-        out.pop()
-    return out
-
-
-def _rf_poly_divmod(a, b):
-    F = b[-1].num.field
-    a = list(a)
-    db = len(b) - 1
-    q = [RationalFunction.zero(F)] * max(0, len(a) - db)
-    while len(a) - 1 >= db and any(not c.is_zero() for c in a):
-        while a and a[-1].is_zero():
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        c = a[-1] / b[-1]
-        pos = len(a) - 1 - db
-        q[pos] = c
-        for j in range(db + 1):
-            a[pos + j] = a[pos + j] - c * b[j]
-        a.pop()
-    return q, a
-
-
-def _rf_poly_gcd(a, b):
-    a, b = list(a), list(b)
-
-    def trim(v):
-        while v and v[-1].is_zero():
-            v.pop()
-        return v
-
-    a, b = trim(a), trim(b)
-    while b:
-        _, r = _rf_poly_divmod(a, b)
-        a, b = b, trim(r)
-    # normalize monic
-    lead = a[-1]
-    return [c / lead for c in a]
+    c0, c1, c2, c3 = cp[:4]
+    half = RationalFunction(FqPoly(F, (F.inv(F.from_int(2)),)))
+    u = c3 * half
+    v = (c2 - u * u) * half
+    uv = u * v
+    if c1 == uv + uv and c0 == v * v:
+        return [v, u, one]
+    return cp
 
 
 def minimal_polynomial_fq(alpha):

@@ -25,71 +25,10 @@ a place over D of degree >= 2 met without enumeration, keeps the
 coefficient-tuple ResidueField: building F_{q^d} tables for it would cost
 more than the few residue operations it needs.  The two agree through
 x -> alpha, so results do not depend on which one a place gets.  The
-infinite place's residue field is F_q (_BaseAsResidue).
+infinite place's residue field is F_q as a TowerResidueField too.
 """
 
 from .poly import FqPoly, POS_INF, residue_field
-
-
-class _BaseAsResidue:
-    """F_q itself under the residue-field protocol (for the infinite place)."""
-
-    def __init__(self, field):
-        self.F = field
-        self.char = field.p
-        self.order = field.q
-        self.zero = 0
-        self.one = 1
-
-    def add(self, a, b):
-        return self.F.add(a, b)
-
-    def sub(self, a, b):
-        return self.F.sub(a, b)
-
-    def neg(self, a):
-        return self.F.neg(a)
-
-    def mul(self, a, b):
-        return self.F.mul(a, b)
-
-    def inv(self, a):
-        return self.F.inv(a)
-
-    def pow_elem(self, a, e):
-        return self.F.pow(a, e)
-
-    def from_rand(self, rng):
-        return rng.randrange(self.F.q)
-
-    def is_zero(self, a):
-        return a == 0
-
-    def is_square(self, a):
-        return self.F.is_square(a)
-
-    def is_cube(self, a):
-        return self.F.is_cube(a)
-
-    def sqrt(self, a):
-        return self.F.sqrt(a)
-
-    def cube_root(self, a):
-        return self.F.cube_root(a)
-
-    def from_base(self, c):
-        return c
-
-    def embed(self, poly):
-        if poly.degree > 0:
-            raise ValueError("cannot embed nonconstant polynomial in F_q")
-        return poly.constant()
-
-    def lift(self, elem):
-        return FqPoly(self.F, (elem,))
-
-    def iter_elements(self):
-        return iter(range(self.F.q))
 
 
 class FinitePlace:
@@ -171,8 +110,13 @@ class InfinitePlace:
 
     @property
     def residue_field(self):
+        """F_q as the degree-1 TowerResidueField of the place x.
+
+        Its operations are F_q's own.  Residues at infinity come from
+        residue(), never from its embed, which would evaluate at x = 0.
+        """
         if self._rf is None:
-            self._rf = _BaseAsResidue(self.field)
+            self._rf = residue_field(FqPoly.x(self.field))
         return self._rf
 
     def val(self, f):

@@ -91,10 +91,6 @@ class FqPoly:
     def x(cls, field):
         return cls(field, (0, 1))
 
-    @classmethod
-    def from_ints(cls, field, ints):
-        return cls(field, [field.from_int(c) for c in ints])
-
     # -- basic structure -------------------------------------------------
     @property
     def degree(self):
@@ -174,12 +170,6 @@ class FqPoly:
             b = b * b
             e >>= 1
         return r
-
-    def shift_x(self, n):
-        """Multiply by x^n."""
-        if not self.coeffs:
-            return self
-        return FqPoly(self.field, (0,) * n + self.coeffs)
 
     def divmod(self, other):
         if other.is_zero():

@@ -28,7 +28,7 @@ from .poly import (
     gp_derivative,
 )
 from .places import InfinitePlace
-from .models import CubicModel, QuarticModel, minimal_polynomial_fq, reduce_quartic
+from .models import CubicModel, QuarticModel, _binom_shift, minimal_polynomial_fq, reduce_quartic
 
 SELF_CHECK = False
 
@@ -567,8 +567,6 @@ def _quartic_transform(model, place, trace, reason, allow_transforms, kind=None)
                 continue
             coeffs = mp
             if not coeffs[3].is_zero():
-                from .models import _binom_shift
-
                 t = coeffs[3].scale(F.neg(F.inv(F.from_int(4))))
                 coeffs = _binom_shift(list(coeffs), t)
                 if not coeffs[3].is_zero():

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .fq import digits
-from .poly import FqPoly, HypothesisRefused, InternalFault, squarefree_split
+from .poly import FqPoly, HypothesisRefused, InternalFault, is_squarefree, squarefree_split
 from .places import InfinitePlace
 from .models import CubicModel, closed_norm_cubic, laplace_det, norm, norm_cubic
 from .signature import element_valuations, infinite_signature
@@ -185,8 +185,6 @@ def construct_rank2(field, A):
         _refuse(checks, "A-nonconstant")
     checks["A-nonconstant"] = True
     D = FqPoly.const(F, F.from_int(4)) * A ** 6 - FqPoly.const(F, F.from_int(27))
-    from .poly import is_squarefree
-
     if not is_squarefree(D):
         _refuse(checks, "D-squarefree")
     checks["D-squarefree"] = True

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from funcfields.cli import run, EXIT_OK, EXIT_REFUSED, EXIT_UNKNOWN, EXIT_USAGE
 
 
@@ -112,6 +114,21 @@ def test_units_refusal_exit(capsys):
         ["units", "--q", "7", "--A", "x^3", "--a", "x^2", "--construct", "thm245"],
     )
     assert code == EXIT_REFUSED
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--quartic"], ["--cubic"], ["--pure-B", "x^2"], ["--B", "5"], ["--C", "x"], ["--model-file", "model.txt"]],
+)
+def test_units_rejects_model_flags(capsys, extra):
+    # units builds its own model from --q, --A and --a, so a model flag is a usage error
+    code, out, err = _capture(
+        capsys,
+        ["units", "--q", "7", "--A", "x^3", "--a", "x", "--construct", "thm245"] + extra,
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_usage_error(capsys):

@@ -19,7 +19,7 @@ from funcfields import (
     poly_gcd,
     residue_power_test,
 )
-from funcfields.places import _BaseAsResidue
+from funcfields.places import InfinitePlace
 from funcfields.poly import NEG_DEG, squarefree_decomposition, poly_sqrt
 
 F5 = GF(5)
@@ -174,7 +174,7 @@ def test_extension_constants_keep_their_encoding(pk, coeffs):
             continue
         assert factorize(f).value(F) == f
         assert f.compose(FqPoly.x(F)) == f
-    K = _BaseAsResidue(F)
+    K = InfinitePlace(F).residue_field
     for c in range(F.q):
         assert K.lift(c) == FqPoly(F, (c,))
 

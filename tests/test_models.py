@@ -11,9 +11,11 @@ from funcfields import (
     HypothesisRefused,
     OrderElement,
     QuarticModel,
+    RationalFunction,
     cubic_disc,
     cubic_standard_form,
     is_integral,
+    minimal_polynomial,
     minimal_polynomial_fq,
     model_from_text,
     norm,
@@ -23,7 +25,7 @@ from funcfields import (
     quartic_disc,
     quartic_standard_form,
 )
-from funcfields.models import _binom_shift
+from funcfields.models import _binom_shift, char_poly
 from funcfields.poly import FuncFieldError
 
 F5 = GF(5)
@@ -243,6 +245,51 @@ def test_minimal_polynomial_quartic_shift_formula():
     assert mp[1] == -(B * B)
     t = A * A.scale(F7.inv(4)) - C
     assert mp[0] == t * t - (A * B * B).scale(half)
+
+
+def _squared(cs):
+    out = [RationalFunction.zero(cs[0].num.field)] * (2 * len(cs) - 1)
+    for i, a in enumerate(cs):
+        for j, b in enumerate(cs):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _evaluate(mp, alpha):
+    """mp(alpha) with OrderElement arithmetic; coefficients enter as constants."""
+    m, zero = alpha.model, FqPoly.zero(alpha.model.field)
+    acc = OrderElement(m, [zero] * m.degree)
+    power = m.element(FqPoly.one(m.field))
+    for c in mp:
+        acc = acc + OrderElement(m, [c.num] + [zero] * (m.degree - 1), c.den) * power
+        power = power * alpha
+    return acc
+
+
+def test_minimal_polynomial_quadratic_subfield_of_biquadratic():
+    # y^4 - A y^2 + C: y^2 is a root of T^2 - A T + C, so every element of
+    # F_q(x)(y^2) outside F_q(x) has a quadratic minimal polynomial mp, and
+    # its characteristic polynomial is mp^2
+    m = QuarticModel(pp("x^2 + x"), FqPoly.zero(F7), pp("3*x^6 + x"))
+    zero, one = FqPoly.zero(F7), FqPoly.one(F7)
+    y2 = m.element(zero, None, one, None)
+    elements = [
+        y2,
+        y2 + m.element(pp("x + 3")),
+        m.element(zero, None, pp("x"), None),
+        OrderElement(m, [one, zero, pp("2*x"), zero], pp("x^2 + 1")),
+    ]
+    for alpha in elements:
+        mp = minimal_polynomial(alpha)
+        assert len(mp) == 3 and mp[2] == RationalFunction.one(F7)
+        assert all(c.is_zero() for c in _evaluate(mp, alpha).coords)
+        assert _squared(mp) == char_poly(alpha)
+    assert minimal_polynomial(y2)[:2] == [RationalFunction(m.C), RationalFunction(-m.A)]
+    # a generator of the whole field keeps its degree 4 characteristic polynomial
+    for alpha in (m.y(), m.y() + y2):
+        mp = minimal_polynomial(alpha)
+        assert len(mp) == 5 and mp == char_poly(alpha)
+        assert all(c.is_zero() for c in _evaluate(mp, alpha).coords)
 
 
 def test_min_poly_constant_term_vs_norm():

@@ -20,7 +20,6 @@ from funcfields import (
     signature_at,
 )
 from funcfields.poly import InternalFault, UnknownSignature
-from funcfields.places import _BaseAsResidue
 
 F3 = GF(3)
 F5 = GF(5)
@@ -50,7 +49,7 @@ def test_signature_constructor_enforces_fundamental_identity():
 
 
 def test_kummer_three_linear_factors():
-    K = _BaseAsResidue(F7)
+    K = InfinitePlace(F7).residue_field
     # T^3 - T = T(T-1)(T+1)
     red = [0, K.neg(1), 0, 1]
     sig = kummer_signature(red, K, 3)
@@ -58,14 +57,14 @@ def test_kummer_three_linear_factors():
 
 
 def test_kummer_noncube_gives_inert():
-    K = _BaseAsResidue(F7)
+    K = InfinitePlace(F7).residue_field
     red = [K.neg(2), 0, 0, 1]  # T^3 - 2, and 2 is not a cube mod 7
     sig = kummer_signature(red, K, 3)
     assert sig.flat() == (1, 3)
 
 
 def test_kummer_inconclusive_on_multiple_root():
-    K = _BaseAsResidue(F7)
+    K = InfinitePlace(F7).residue_field
     # T^2 (T - 1)
     red = [0, 0, K.neg(1), 1]
     assert kummer_signature(red, K, 3) is None
