@@ -2,8 +2,9 @@
 
 Subcommands: analyze, places, basis, units, hbound, hexact, certify,
 search-divisor.  Exit codes: 0 success, 2 usage error, 3 hypothesis
-refusal, 4 unknown-signature blockage.  All output is deterministic;
---format json emits the documented schemas with sorted keys.
+refusal, 4 unknown-signature blockage, 5 internal fault (a bug).  All
+output is deterministic; --format json emits the documented schemas with
+sorted keys.
 """
 
 import argparse
@@ -15,6 +16,7 @@ from .poly import (
     FuncFieldError,
     FqPoly,
     HypothesisRefused,
+    InternalFault,
     UnknownSignature,
     monic_irreducibles,
     parse_poly,
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 EXIT_UNKNOWN = 4
+EXIT_FAULT = 5
 
 
 def _model_from_args(args):
@@ -72,7 +75,7 @@ def _emit(args, payload, table_lines):
 
 
 def _add_field_flags(p):
-    p.add_argument("--q", help="field size, p or p^k")
+    p.add_argument("--q", help="field size: p, p^k or the prime power q (4 = 2^2)")
     p.add_argument("--A", default="0")
     p.add_argument("--format", choices=("table", "json"), default="table")
 
@@ -273,6 +276,9 @@ def run(argv=None):
     except UnknownSignature as exc:
         print("unknown signature: %s" % exc, file=sys.stderr)
         return EXIT_UNKNOWN
+    except InternalFault as exc:
+        print("internal fault: %s" % exc, file=sys.stderr)
+        return EXIT_FAULT
     except FuncFieldError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -357,9 +357,13 @@ def GF(p, k=1):
 
 
 def parse_field(text):
-    """Parse a field descriptor 'p' or 'p^k'."""
+    """Parse a field descriptor 'p^k' or the order q itself ('7', '4' = 2^2)."""
     text = text.strip()
     if "^" in text:
         ps, ks = text.split("^", 1)
         return GF(int(ps), int(ks))
-    return GF(int(text))
+    q = int(text)
+    factors = _prime_factors(q)
+    if not factors or factors.count(factors[0]) != len(factors):
+        raise ValueError("q = %d is not a prime power; write the field as p or p^k" % q)
+    return GF(q) if len(factors) == 1 else GF(factors[0], len(factors))

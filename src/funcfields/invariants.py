@@ -115,28 +115,30 @@ def _is_cubefree(f):
     return all(mult <= 2 for mult, _ in squarefree_decomposition(f))
 
 
-def disc_valuation_quartic(model, P):
+def disc_valuation_quartic(model, P, sig_result=None):
     """v_P(Delta) for a quartic model (characteristic >= 5).
 
     Places with a decided signature are tame, so the defect applies.  For
     the leftover cases the published parity rules are not always sound (two
     repeated reduction factors can hide a second ramified place), so the
-    index side is settled exactly by Dedekind's criterion: it decides
+    index side is settled exactly.  v_P(D) = 2 v_P(I) + v_P(Delta) makes
+    v_P(I) = 0 when v_P(D) <= 1; otherwise Dedekind's criterion decides
     whether P divides ind(y), and v_P(D) <= 3 then pins v_P(Delta) down.
+    `sig_result` is the P-signature when the caller already has it.
     """
     place = P if isinstance(P, FinitePlace) else FinitePlace(P)
-    sig_res = signature_at(model, place)
-    if sig_res.known:
-        return sig_res.require().ramification_defect()
-    D = model.discriminant()
-    vD = int(place.val(D))
-    if dedekind_index_coprime(model, place):
+    if sig_result is None:
+        sig_result = signature_at(model, place)
+    if sig_result.known:
+        return sig_result.require().ramification_defect()
+    vD = int(place.val(model.discriminant()))
+    if vD < 2 or dedekind_index_coprime(model, place):
         return vD
     if vD <= 3:
         # v_P(I) >= 1 together with v_P(D) = 2 v_P(I) + v_P(Delta) >= 0
         return vD - 2
     raise UnknownSignature(
-        sig_res.unknown_reason or "unknown",
+        sig_result.unknown_reason or "unknown",
         "P divides ind(y) and v_P(D) = %d leaves v_P(Delta) ambiguous" % vD,
     )
 
@@ -287,7 +289,7 @@ def field_discriminant(model):
                     sig_res = None
             else:
                 sig_res = signature_at(model, place)
-                vDelta = disc_valuation_quartic(model, place)
+                vDelta = disc_valuation_quartic(model, place, sig_res)
                 vI = (vD - vDelta) // 2
         except (UnknownSignature, HypothesisRefused):
             unknown.append(P)

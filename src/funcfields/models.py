@@ -928,12 +928,27 @@ def _monic_divisors(f):
     return seen
 
 
+def _top_degree_ties(degrees):
+    """True when the largest of `degrees` occurs at least twice.
+
+    A polynomial root r of degree t makes the terms of the defining
+    polynomial at r sum to zero, so their leading terms must cancel: the
+    top degree is reached twice (the Newton polygon at infinity).  A zero
+    coefficient has degree -inf and never reaches the top.
+    """
+    top = max(degrees)
+    return degrees.count(top) >= 2
+
+
 def _cubic_irreducible(A, B):
     """T^3 - A T + B irreducible over F_q(x) iff it has no polynomial root."""
     if B.is_zero():
         return False
     F = A.field
     for d in _monic_divisors(B):
+        t = d.degree
+        if not _top_degree_ties([3 * t, A.degree + t, B.degree]):
+            continue
         for c in range(1, F.q):
             r = d.scale(c)
             if (r ** 3 - A * r + B).is_zero():
@@ -948,6 +963,9 @@ def _quartic_irreducible(A, B, C):
     F = A.field
     divisors = _monic_divisors(C)
     for d in divisors:
+        t = d.degree
+        if not _top_degree_ties([4 * t, A.degree + 2 * t, B.degree + t, C.degree]):
+            continue
         for c in range(1, F.q):
             r = d.scale(c)
             if (r ** 4 - A * r * r - B * r + C).is_zero():

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from funcfields.cli import run, EXIT_OK, EXIT_REFUSED, EXIT_UNKNOWN, EXIT_USAGE
+from funcfields import GF
+from funcfields import cli
+from funcfields.cli import run, EXIT_FAULT, EXIT_OK, EXIT_REFUSED, EXIT_UNKNOWN, EXIT_USAGE
+from funcfields.fq import parse_field
+from funcfields.poly import InternalFault
 
 
 def _capture(capsys, argv):
@@ -162,3 +166,39 @@ def test_no_seed_or_jobs_flags(capsys):
     for flag in ("--seed", "--jobs"):
         code, _, _ = _capture(capsys, ["analyze", "--cubic", "--q", "7", "--A", "x^2", "--B", "1", flag, "1"])
         assert code == EXIT_USAGE
+
+
+def test_internal_fault_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(args):
+        raise InternalFault("degree ledger broken")
+
+    monkeypatch.setitem(cli._HANDLERS, "analyze", broken)
+    code, out, err = _capture(capsys, ["analyze", "--cubic", "--q", "7", "--A", "x^2", "--B", "1"])
+    assert code == EXIT_FAULT
+    assert out == ""
+    assert err == "internal fault: degree ledger broken\n"
+
+
+@pytest.mark.parametrize("text, p, k", [("4", 2, 2), ("9", 3, 2), ("2^2", 2, 2), ("7", 7, 1)])
+def test_parse_field_prime_powers(text, p, k):
+    F = parse_field(text)
+    assert (F.p, F.k) == (p, k)
+    assert F is (GF(p) if k == 1 else GF(p, k))
+
+
+@pytest.mark.parametrize("text", ["6", "1", "12"])
+def test_parse_field_refuses_non_prime_powers(text):
+    with pytest.raises(ValueError, match=r"not a prime power; write the field as p or p\^k"):
+        parse_field(text)
+
+
+def test_q_as_prime_power_matches_p_k_form(capsys):
+    model = ["--pure-B", "x^2+x", "--format", "json"]
+    code4, out4, _ = _capture(capsys, ["analyze", "--q", "4"] + model)
+    code22, out22, _ = _capture(capsys, ["analyze", "--q", "2^2"] + model)
+    assert code4 == code22 == EXIT_OK
+    assert out4 == out22
+    code, out, err = _capture(capsys, ["analyze", "--q", "6"] + model)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "p^k" in err

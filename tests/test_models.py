@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from funcfields import (
     GF,
@@ -25,7 +26,14 @@ from funcfields import (
     quartic_disc,
     quartic_standard_form,
 )
-from funcfields.models import _binom_shift, char_poly
+from funcfields.models import (
+    _binom_shift,
+    _cubic_irreducible,
+    _monic_divisors,
+    _quartic_irreducible,
+    char_poly,
+    poly_sqrt,
+)
 from funcfields.poly import FuncFieldError
 
 F5 = GF(5)
@@ -324,3 +332,79 @@ def test_model_text_roundtrip():
     assert model_from_text(m.text_form()) == m
     qm = QuarticModel(pp("x"), pp("x^2"), pp("x^5"))
     assert model_from_text(qm.text_form()) == qm
+
+
+# -- irreducibility: the degree-pruned root search against the exhaustive one --
+
+
+def _roots_exhaustive(f, last, divisors):
+    """Does f(T) vanish at some c * d, c a nonzero scalar and d a monic divisor of `last`?"""
+    F = last.field
+    return any(f(d.scale(c)).is_zero() for d in divisors for c in range(1, F.q))
+
+
+def _cubic_irreducible_reference(A, B):
+    if B.is_zero():
+        return False
+    return not _roots_exhaustive(lambda r: r ** 3 - A * r + B, B, _monic_divisors(B))
+
+
+def _quartic_irreducible_reference(A, B, C):
+    """No root among all divisors of C, and no (T^2 + uT + v)(T^2 - uT + w) split."""
+    if C.is_zero():
+        return False
+    F = A.field
+    divisors = _monic_divisors(C)
+    if _roots_exhaustive(lambda r: r ** 4 - A * r * r - B * r + C, C, divisors):
+        return False
+    if B.is_zero():
+        if poly_sqrt(A * A - C.scale(F.from_int(4))) is not None:
+            return False
+        s = poly_sqrt(C)
+        if s is not None:
+            for v in (s, -s):
+                if poly_sqrt(v.scale(F.from_int(2)) + A) is not None:
+                    return False
+        return True
+    for d in divisors:
+        for c in range(1, F.q):
+            v = d.scale(c)
+            w, r = C.divmod(v)
+            if not r.is_zero():
+                continue
+            u = poly_sqrt(w + v + A)
+            if u is not None and any(uu * (w - v) == -B for uu in (u, -u)):
+                return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([5, 7, 13]), st.integers(0, 10 ** 9), st.sampled_from(["random", "root"]))
+def test_cubic_irreducible_pruned_matches_exhaustive(q, seed, shape):
+    rng = random.Random(seed)
+    F = GF(q)
+    A = rand_poly(rng, F, rng.randrange(-1, 4)) if rng.random() < 0.8 else FqPoly.zero(F)
+    if shape == "root":  # plant a root r: B = A r - r^3
+        r = rand_poly(rng, F, rng.randrange(0, 3))
+        B = A * r - r ** 3
+    else:
+        B = rand_poly(rng, F, rng.randrange(0, 5))
+    assert _cubic_irreducible(A, B) == _cubic_irreducible_reference(A, B)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([5, 7, 13]), st.integers(0, 10 ** 9), st.sampled_from(["random", "root", "split"]))
+def test_quartic_irreducible_pruned_matches_exhaustive(q, seed, shape):
+    rng = random.Random(seed)
+    F = GF(q)
+    A = rand_poly(rng, F, rng.randrange(-1, 3)) if rng.random() < 0.8 else FqPoly.zero(F)
+    B = rand_poly(rng, F, rng.randrange(-1, 4)) if rng.random() < 0.8 else FqPoly.zero(F)
+    if shape == "root":  # plant a root r: C = A r^2 + B r - r^4
+        r = rand_poly(rng, F, rng.randrange(0, 2))
+        C = A * r * r + B * r - r ** 4
+    elif shape == "split":  # (T^2 + uT + v)(T^2 - uT + w) = T^4 - A T^2 - B T + C
+        u, v, w = (rand_poly(rng, F, rng.randrange(-1, 2)) for _ in range(3))
+        A, B, C = u * u - v - w, u * (v - w), v * w
+    else:
+        C = rand_poly(rng, F, rng.randrange(0, 4))
+    assert _quartic_irreducible(A, B, C) == _quartic_irreducible_reference(A, B, C)
