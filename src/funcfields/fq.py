@@ -84,6 +84,35 @@ def digits(n, base, length):
     return out
 
 
+def tonelli_shanks(a, q, one, mul, pow_, nonsquare):
+    """A square root of the nonzero square a in a field of odd order q.
+
+    mul and pow_ are the field's product and power; nonsquare() returns a
+    fixed non-square and is called only when q = 1 mod 4.  The root is a
+    function of a and that non-square alone.
+    """
+    if q % 4 == 3:
+        return pow_(a, (q + 1) // 4)
+    s, t = 0, q - 1
+    while t % 2 == 0:
+        s += 1
+        t //= 2
+    m, c = s, pow_(nonsquare(), t)
+    x = pow_(a, (t + 1) // 2)
+    b = pow_(a, t)
+    while b != one:
+        i, b2 = 0, b
+        while b2 != one:
+            b2 = mul(b2, b2)
+            i += 1
+        e = pow_(c, 1 << (m - i - 1))
+        x = mul(x, e)
+        c = mul(e, e)
+        b = mul(b, c)
+        m = i
+    return x
+
+
 def _prime_factors(n):
     out = []
     d = 2
@@ -102,7 +131,7 @@ class FqField:
 
     __slots__ = (
         "p", "k", "q", "modulus", "zero", "one", "char", "order",
-        "_inv_cache", "_exp", "_log", "_zech", "_neg",
+        "_inv_cache", "_exp", "_log", "_zech", "_neg", "_nonsquare",
     )
 
     def __init__(self, p, k=1):
@@ -116,7 +145,7 @@ class FqField:
         self.zero, self.one = 0, 1
         self.modulus = None if k == 1 else self._least_irreducible(p, k)
         self._inv_cache = {}
-        self._exp = self._log = self._zech = self._neg = None
+        self._exp = self._log = self._zech = self._neg = self._nonsquare = None
         if k > 1 and self.q <= TABLE_MAX_ORDER:
             self._build_tables()
 
@@ -309,11 +338,20 @@ class FqField:
             return None
         if g == 1:
             return self.pow(a, pow(n, -1, self.q - 1))
+        if n == 2:
+            # the roots are r and -r
+            r = tonelli_shanks(a, self.q, 1, self.mul, self.pow, self._least_nonsquare)
+            return min(r, self.neg(r))
         # small-field search, ascending for determinism
         for x in range(1, self.q):
             if self.pow(x, n) == a:
                 return x
         return None  # pragma: no cover
+
+    def _least_nonsquare(self):
+        if self._nonsquare is None:
+            self._nonsquare = next(z for z in range(2, self.q) if not self.is_nth_power(z, 2))
+        return self._nonsquare
 
     def is_square(self, a):
         if self.p == 2:

@@ -777,11 +777,18 @@ def closed_norm_cubic(model, a, b, c):
 
 
 def trace(alpha):
-    rows = multiplication_matrix(alpha)
-    F = alpha.model.field
-    t = FqPoly.zero(F)
-    for i in range(alpha.model.degree):
-        t = t + rows[i][i]
+    """Tr(alpha) to F_q(x), from the power sums of y.
+
+    Newton's identities on y^3 - A y + B give Tr(1, y, y^2) = (3, 0, 2A),
+    and on y^4 - A y^2 - B y + C they give Tr(1, y, y^2, y^3) =
+    (4, 0, 2A, 3B); so no multiplication matrix is built.
+    """
+    model = alpha.model
+    F = model.field
+    a = alpha.coords
+    t = a[0].scale(F.from_int(model.degree)) + (model.A * a[2]).scale(F.from_int(2))
+    if model.degree == 4:
+        t = t + (model.B * a[3]).scale(F.from_int(3))
     if alpha.denominator.degree > 0:
         return RationalFunction(t, alpha.denominator)
     return RationalFunction(t)

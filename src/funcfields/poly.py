@@ -32,7 +32,7 @@ import random
 import re
 from functools import lru_cache
 
-from .fq import GF, TABLE_MAX_ORDER, _prime_factors, digits
+from .fq import GF, TABLE_MAX_ORDER, _prime_factors, digits, tonelli_shanks
 
 NEG_DEG = float("-inf")
 POS_INF = float("inf")
@@ -766,31 +766,10 @@ def _first_nonsquare(K):
 
 
 def _tonelli_shanks(K, a):
-    """Square root in an odd-order field protocol object."""
-    Q = K.order
-    if K.pow_elem(a, (Q - 1) // 2) != K.one:
+    """Square root in an odd-order field protocol object, from its first non-square."""
+    if K.pow_elem(a, (K.order - 1) // 2) != K.one:
         return None
-    if Q % 4 == 3:
-        return K.pow_elem(a, (Q + 1) // 4)
-    z = _first_nonsquare(K)
-    s, t = 0, Q - 1
-    while t % 2 == 0:
-        s += 1
-        t //= 2
-    m, c = s, K.pow_elem(z, t)
-    x = K.pow_elem(a, (t + 1) // 2)
-    b = K.pow_elem(a, t)
-    while b != K.one:
-        i, b2 = 0, b
-        while b2 != K.one:
-            b2 = K.mul(b2, b2)
-            i += 1
-        e = K.pow_elem(c, 1 << (m - i - 1))
-        x = K.mul(x, e)
-        c = K.mul(e, e)
-        b = K.mul(b, c)
-        m = i
-    return x
+    return tonelli_shanks(a, K.order, K.one, K.mul, K.pow_elem, lambda: _first_nonsquare(K))
 
 
 class TowerResidueField:

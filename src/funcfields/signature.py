@@ -21,6 +21,7 @@ from .poly import (
     FqPoly,
     InternalFault,
     POS_INF,
+    TowerResidueField,
     UnknownSignature,
     gp_count_roots,
     gp_factor_degrees,
@@ -236,7 +237,10 @@ def signature_cubic(model, place, _depth=0, _iterations=0):
         raise InternalFault("discriminant valuation below generic level")
     if delta == 0:
         red = [b, K.neg(a), K.zero, K.one]  # T^3 - a T + b
-        sig = kummer_signature(red, K, 3)
+        if p >= 5 and K.order % 3 == 1:
+            sig = _depressed_cubic_type(K, a, b)
+        else:
+            sig = kummer_signature(red, K, 3)
         trace.append("3u1=2u0, disc at generic level: Kummer on T^3 - Abar T + Bbar")
         if sig is None:
             raise InternalFault("squarefree reduction expected when v(D) = 3 u1")
@@ -253,6 +257,39 @@ def signature_cubic(model, place, _depth=0, _iterations=0):
     trace.append("3u1=2u0, v(D) offset even: chain reduction T(T^2 - 9 Bbar^2/Dbar), Dbar square=%s" % sq)
     sig = (1, 1, 1, 1, 1, 1) if sq else (1, 1, 1, 2)
     return _finish(place, sig, 3, "TransformChain", trace, red, K)
+
+
+def _depressed_cubic_type(K, a, b):
+    """Flat signature of the factor type of T^3 - a T + b over K, or None.
+
+    For char K >= 5 and |K| = 1 mod 3, without factoring.  With
+    Delta = 4a^3 - 27b^2 (None when Delta = 0, a repeated root), the number
+    of irreducible factors is odd exactly when Delta is a square
+    (Stickelberger; Swan, Pacific J. Math. 12, 1962), so a non-square gives
+    (1)(2).  Otherwise the type is (1)(1)(1) or (3), and Cardano decides:
+    the roots are u + a/(3u) with u^3 = -b/2 + sqrt(-Delta/108), which lies
+    in K because -3 is a square there; they lie in K exactly when u does,
+    i.e. when u^3 is a cube.  The two values of u^3 have product (a/3)^3,
+    so either square root gives the same answer, and when one is 0 (a = 0)
+    the other, -b, is used.
+    """
+    def c(n):
+        return K.from_base(K.base.from_int(n))
+
+    disc = K.sub(K.mul(c(4), K.pow_elem(a, 3)), K.mul(c(27), K.mul(b, b)))
+    if K.is_zero(disc):
+        return None
+    if not K.is_square(disc):
+        return (1, 1, 1, 2)
+    # any square root will do: a tower's E gives one by table lookup, where
+    # K.sqrt would pick the root that matches the tuple field's
+    sqrt = K.E.sqrt if isinstance(K, TowerResidueField) else K.sqrt
+    s = sqrt(K.mul(K.neg(disc), K.inv(c(108))))
+    half_b = K.mul(b, K.inv(c(2)))
+    u3 = K.sub(s, half_b)
+    if K.is_zero(u3):
+        u3 = K.neg(b)
+    return (1, 1, 1, 1, 1, 1) if K.is_cube(u3) else (1, 3)
 
 
 def _max_finite_degree(*polys):

@@ -54,6 +54,25 @@ def test_extension_field_arithmetic():
         assert F9.mul(F9.mul(c, c), c) == a
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 97, 101])
+def test_prime_field_sqrt_is_least_root(p):
+    F = GF(p)
+    for a in range(p):
+        roots = [x for x in range(p) if x * x % p == a]
+        assert F.sqrt(a) == (min(roots) if roots else None)
+
+
+def test_digit_field_sqrt_is_least_root():
+    # 3^11 > TABLE_MAX_ORDER: digit arithmetic, whose only roots of x^2 are +-x
+    F = GF(3, 11)
+    rng = random.Random(11)
+    for _ in range(20):
+        x = rng.randrange(1, F.q)
+        a = F.mul(x, x)
+        assert F.sqrt(a) == min(x, F.neg(x))
+        assert F.sqrt(F.mul(a, F._least_nonsquare())) is None
+
+
 def test_deterministic_modulus_choice():
     # x^2 + x + 1 is the only irreducible quadratic over F_2
     assert GF(2, 2).modulus == (1, 1, 1)

@@ -20,6 +20,7 @@ from funcfields import (
     minimal_polynomial_fq,
     model_from_text,
     norm,
+    trace,
     norm_cubic,
     parse_poly,
     pole_divisor_degree,
@@ -32,6 +33,7 @@ from funcfields.models import (
     _monic_divisors,
     _quartic_irreducible,
     char_poly,
+    multiplication_matrix,
     poly_sqrt,
 )
 from funcfields.poly import FuncFieldError
@@ -408,3 +410,28 @@ def test_quartic_irreducible_pruned_matches_exhaustive(q, seed, shape):
     else:
         C = rand_poly(rng, F, rng.randrange(0, 4))
     assert _quartic_irreducible(A, B, C) == _quartic_irreducible_reference(A, B, C)
+
+
+def _trace_reference(alpha):
+    """Tr(alpha) as the diagonal sum of the multiplication matrix."""
+    rows = multiplication_matrix(alpha)
+    t = FqPoly.zero(alpha.model.field)
+    for i in range(alpha.model.degree):
+        t = t + rows[i][i]
+    return RationalFunction(t, alpha.denominator)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(7, 1), (5, 2), (3, 2), (2, 2)]), st.sampled_from([3, 4]), st.integers(0, 10 ** 9))
+def test_closed_trace_matches_matrix_diagonal(pk, n, seed):
+    # the power-sum identity holds for any A, B, C, so the model checks are skipped
+    rng = random.Random(seed)
+    F = GF(*pk)
+    coeffs = [rand_poly(rng, F, rng.randrange(-1, 4)) for _ in range(n - 1)]
+    model = CubicModel(*coeffs, _skip_checks=True) if n == 3 else QuarticModel(*coeffs, _skip_checks=True)
+    coords = [rand_poly(rng, F, rng.randrange(-1, 4)) for _ in range(n)]
+    den = rand_poly(rng, F, rng.randrange(0, 3)) if rng.random() < 0.5 else None
+    if den is not None and den.is_zero():
+        den = None
+    alpha = OrderElement(model, coords, den)
+    assert trace(alpha) == _trace_reference(alpha)
