@@ -52,23 +52,50 @@ def is_prime(n):
     return True
 
 
-def _fp_poly_mulmod(a, b, mod, p):
-    """Product of F_p coefficient tuples a, b reduced mod the monic tuple `mod`."""
-    k = len(mod) - 1
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
+# -- polynomial kernels over F_p ----------------------------------------------
+# Polynomials over the prime field F_p as little-endian lists of ints in
+# range(p).  Products are accumulated unreduced and reduced mod p once per
+# output coefficient; division makes the divisor monic once.  Inputs may
+# carry trailing zeros; outputs carry none.
+
+
+def _fp_trim(cs):
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def fp_mul(a, b, p):
+    """Product of the F_p polynomials a and b."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    for i in range(len(res) - 1, k - 1, -1):
-        c = res[i]
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return _fp_trim([c % p for c in out])
+
+
+def fp_divmod(a, b, p):
+    """(quotient, remainder) of the F_p polynomials a and b, deg remainder < deg b."""
+    b = _fp_trim(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    r = _fp_trim(list(a))
+    if len(r) <= db:
+        return [], r
+    inv = pow(b[-1], p - 2, p)
+    low = [c * inv % p for c in b[:-1]]  # the monic divisor below its leading term
+    q = [0] * (len(r) - db)
+    for pos in range(len(r) - 1 - db, -1, -1):
+        c = r[pos + db] % p
         if c:
-            res[i] = 0
-            for j in range(k):
-                res[i - k + j] = (res[i - k + j] - c * mod[j]) % p
-    while res and res[-1] == 0:
-        res.pop()
-    return tuple(res)
+            q[pos] = c * inv % p
+            for j, bj in enumerate(low, pos):
+                r[j] -= c * bj
+    return q, _fp_trim([c % p for c in r[:db]])
 
 
 def digits(n, base, length):
@@ -174,8 +201,8 @@ class FqField:
 
     # -- digit arithmetic (builds the tables; serves q > TABLE_MAX_ORDER) --
     def _digit_mul(self, a, b):
-        t = _fp_poly_mulmod(tuple(self._dec(a)), tuple(self._dec(b)), self.modulus, self.p)
-        return self._enc(list(t) + [0] * (self.k - len(t)))
+        p = self.p
+        return self._enc(fp_divmod(fp_mul(self._dec(a), self._dec(b), p), self.modulus, p)[1])
 
     def _digit_pow(self, a, e):
         r, b = 1, a

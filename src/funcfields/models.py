@@ -895,7 +895,15 @@ def minimal_polynomial_fq(alpha):
 
 
 def is_integral(alpha):
-    """True iff all minimal (equivalently characteristic) polynomial coefficients are polynomials."""
+    """True iff all minimal (equivalently characteristic) polynomial coefficients are polynomials.
+
+    The denominator is monic, so a constant one is 1 and alpha lies in
+    F_q[x][y]; y is integral (the model is monic with polynomial
+    coefficients), hence so is alpha, and no characteristic polynomial is
+    needed.
+    """
+    if alpha.denominator.degree == 0:
+        return True
     cp = char_poly(alpha)
     return all(c.is_polynomial() for c in cp)
 

@@ -11,6 +11,16 @@ is written over an abstract finite-field protocol so the same engine
 factors over F_q and over residue fields F_q[x]/(P).  Equal-degree
 splitting draws randomness from a seeded PRNG recorded in the output.
 
+FqPoly's +, -, * and divmod are the engine's gp_add, gp_sub, gp_mul and
+gp_divmod.  Over a prime field (an FqField with k = 1) an element is its
+residue mod p, so there the engine, and with it gp_mod, gp_gcd,
+gp_pow_mod, the factoring stack and FqPoly, runs on plain ints: products
+and quotients through fq.fp_mul and fq.fp_divmod (sums of products
+reduced mod p once per coefficient, the divisor made monic once), sums
+and differences reduced termwise.  Every result is the same reduced int
+that the per-term K.add/K.mul loop gives, so no output changes.
+Extension fields and residue fields keep that loop.
+
 Residue fields come in two kinds, both from residue_field(P).  When
 monic_irreducibles enumerates the places of degree d >= 2 with q^d <=
 fq.TABLE_MAX_ORDER, it walks the Frobenius orbits of E = GF(p, k d)
@@ -30,9 +40,10 @@ agree through x -> alpha on every result that leaves the field.
 import operator
 import random
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import zip_longest
 
-from .fq import GF, TABLE_MAX_ORDER, _prime_factors, digits, tonelli_shanks
+from .fq import GF, TABLE_MAX_ORDER, FqField, _prime_factors, digits, fp_divmod, fp_mul, tonelli_shanks
 
 NEG_DEG = float("-inf")
 POS_INF = float("inf")
@@ -126,39 +137,28 @@ class FqPoly:
     def sort_key(self):
         return (len(self.coeffs), self.coeffs)
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic (through the engine below, and so the F_p kernels) ------
     def __add__(self, other):
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return FqPoly(F, out)
+        return FqPoly(self.field, gp_add(self.field, self.coeffs, other.coeffs))
 
     def __neg__(self):
         F = self.field
+        if F.k == 1:
+            p = F.p
+            return FqPoly(F, [(-c) % p for c in self.coeffs])
         return FqPoly(F, [F.neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other)
+        return FqPoly(self.field, gp_sub(self.field, self.coeffs, other.coeffs))
 
     def __mul__(self, other):
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return FqPoly.zero(F)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-        return FqPoly(F, out)
+        return FqPoly(self.field, gp_mul(self.field, self.coeffs, other.coeffs))
 
     def scale(self, c):
         F = self.field
+        if F.k == 1:
+            p = F.p
+            return FqPoly(F, [c * a % p for a in self.coeffs])
         return FqPoly(F, [F.mul(c, a) for a in self.coeffs])
 
     def __pow__(self, e):
@@ -175,20 +175,8 @@ class FqPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
-        a = list(self.coeffs)
-        b = other.coeffs
-        db = len(b) - 1
-        inv = F.inv(b[-1])
-        q = [0] * max(0, len(a) - db)
-        while len(a) - 1 >= db and a:
-            c = F.mul(a[-1], inv)
-            pos = len(a) - 1 - db
-            q[pos] = c
-            for j in range(db + 1):
-                a[pos + j] = F.sub(a[pos + j], F.mul(c, b[j]))
-            while a and a[-1] == 0:
-                a.pop()
-        return FqPoly(F, q), FqPoly(F, a)
+        q, r = gp_divmod(F, self.coeffs, other.coeffs)
+        return FqPoly(F, q), FqPoly(F, r)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -317,7 +305,15 @@ def gp_trim(K, cs):
     return cs
 
 
+def _prime(K):
+    """p when K is the prime field F_p, whose elements the int kernels take; else None."""
+    return K.p if isinstance(K, FqField) and K.k == 1 else None
+
+
 def gp_add(K, a, b):
+    p = _prime(K)
+    if p:
+        return gp_trim(K, [(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)])
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -327,6 +323,9 @@ def gp_add(K, a, b):
 
 
 def gp_sub(K, a, b):
+    p = _prime(K)
+    if p:
+        return gp_trim(K, [(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
     out = list(a) + [K.zero] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
         out[i] = K.sub(out[i], c)
@@ -334,32 +333,39 @@ def gp_sub(K, a, b):
 
 
 def gp_mul(K, a, b):
+    p = _prime(K)
+    if p:
+        return fp_mul(a, b, p)
     if not a or not b:
         return []
-    out = [K.zero] * (len(a) + len(b) - 1)
+    z, add, mul = K.zero, K.add, K.mul
+    out = [z] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai != K.zero:
-            for j, bj in enumerate(b):
-                if bj != K.zero:
-                    out[i + j] = K.add(out[i + j], K.mul(ai, bj))
+        if ai != z:
+            for j, bj in enumerate(b, i):
+                if bj != z:
+                    out[j] = add(out[j], mul(ai, bj))
     return gp_trim(K, out)
 
 
 def gp_divmod(K, a, b):
+    p = _prime(K)
+    if p:
+        return fp_divmod(a, b, p)
     if not b:
         raise ZeroDivisionError
     a = list(a)
     z = K.zero
     db = len(b) - 1
-    one = K.one
+    one, sub, mul = K.one, K.sub, K.mul
     inv = one if b[-1] == one else K.inv(b[-1])
     q = [z] * max(0, len(a) - db)
     while a and len(a) - 1 >= db:
-        c = a[-1] if inv == one else K.mul(a[-1], inv)
+        c = a[-1] if inv == one else mul(a[-1], inv)
         pos = len(a) - 1 - db
         q[pos] = c
-        for j in range(db + 1):
-            a[pos + j] = K.sub(a[pos + j], K.mul(c, b[j]))
+        for j, bj in enumerate(b, pos):
+            a[j] = sub(a[j], mul(c, bj))
         while a and a[-1] == z:
             a.pop()
     return gp_trim(K, q), a
@@ -794,7 +800,6 @@ class TowerResidueField:
         self.zero, self.one = 0, 1
         self.alpha = alpha
         self._emb = emb
-        self._powers = [E.pow(alpha, i) for i in range(self.deg)]
         self._solve = None  # inverse basis matrix over F_p, built by the first lift
         self._nonsquare = None
         self.add, self.sub, self.neg = E.add, E.sub, E.neg
@@ -811,6 +816,11 @@ class TowerResidueField:
 
     def from_base(self, c):
         return self._emb[c]
+
+    @cached_property
+    def _powers(self):
+        # alpha^i for i < deg P, read only by _from_coords and _basis_inverse
+        return [self.E.pow(self.alpha, i) for i in range(self.deg)]
 
     def _from_coords(self, cs):
         add, mul, emb = self.E.add, self.E.mul, self._emb

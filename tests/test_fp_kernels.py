@@ -1,0 +1,209 @@
+"""The prime-field polynomial kernels against sympy's galoistools.
+
+fq.fp_mul and fq.fp_divmod, the engine above them (gp_pow_mod, gp_gcd,
+factorize) and FqPoly's arithmetic over GF(p), each compared with the
+matching dense F_p routine of sympy (big-endian lists there, little-endian
+here), over small and word-sized primes.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import (
+    gf_add,
+    gf_div,
+    gf_factor,
+    gf_gcd,
+    gf_mul,
+    gf_mul_ground,
+    gf_neg,
+    gf_pow_mod,
+    gf_sub,
+)
+
+from funcfields import GF, FqPoly, factorize
+from funcfields.fq import fp_divmod, fp_mul
+from funcfields.poly import ResidueField, gp_gcd, gp_pow_mod
+
+PRIMES = (2, 3, 7, 13, 65537, 2**31 - 1)
+
+
+def to_gf(a):
+    """Little-endian ints -> sympy's big-endian dense list, stripped."""
+    out = [ZZ(c) for c in reversed(a)]
+    while out and out[0] == 0:
+        out.pop(0)
+    return out
+
+
+def from_gf(f):
+    return [int(c) for c in reversed(f)]
+
+
+def trimmed(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+@st.composite
+def prime_and_polys(draw, count, max_len=9):
+    """A prime of PRIMES and `count` coefficient lists, trailing zeros allowed."""
+    p = draw(st.sampled_from(PRIMES))
+    coeff = st.one_of(st.integers(0, p - 1), st.sampled_from([0, 1, p - 1]))
+    polys = [draw(st.lists(coeff, max_size=max_len)) for _ in range(count)]
+    return (p, *polys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prime_and_polys(2))
+def test_fp_mul_matches_gf_mul(args):
+    p, a, b = args
+    assert fp_mul(a, b, p) == from_gf(gf_mul(to_gf(a), to_gf(b), p, ZZ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prime_and_polys(2))
+def test_fp_divmod_matches_gf_div(args):
+    p, a, b = args
+    if not trimmed(b):
+        with pytest.raises(ZeroDivisionError):
+            fp_divmod(a, b, p)
+        return
+    q, r = fp_divmod(a, b, p)
+    sq, sr = gf_div(to_gf(a), to_gf(b), p, ZZ)
+    assert (q, r) == (from_gf(sq), from_gf(sr))
+    assert len(r) < len(trimmed(b))
+    assert all(0 <= c < p for c in q + r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prime_and_polys(2, max_len=7), st.integers(0, 10**12))
+def test_gp_pow_mod_matches_gf_pow_mod(args, e):
+    p, a, m = args
+    m = trimmed(m)
+    if len(m) < 2:
+        return
+    got = gp_pow_mod(GF(p), trimmed(a), e, m)
+    assert got == from_gf(gf_pow_mod(to_gf(a), e, to_gf(m), p, ZZ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(prime_and_polys(3, max_len=6))
+def test_gp_gcd_matches_gf_gcd(args):
+    # a common factor c makes nontrivial gcds frequent
+    p, a, b, c = args
+    F = GF(p)
+    a, b = fp_mul(a, c, p), fp_mul(b, c, p)
+    assert gp_gcd(F, a, b) == from_gf(gf_gcd(to_gf(a), to_gf(b), p, ZZ))
+
+
+@settings(max_examples=80, deadline=None)
+@given(prime_and_polys(2, max_len=5), st.integers(1, 3))
+def test_factorize_matches_gf_factor(args, power):
+    # a repeated factor exercises the squarefree decomposition
+    p, a, b = args
+    f = fp_mul(a, fp_mul(b, b, p) if power > 1 else b, p)
+    if not f:
+        return
+    F = GF(p)
+    fact = factorize(FqPoly(F, f))
+    lc, factors = gf_factor(to_gf(f), p, ZZ)
+    assert fact.unit == int(lc)
+    got = sorted((list(g.coeffs), m) for g, m in fact)
+    want = sorted((from_gf(g), m) for g, m in factors)
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(prime_and_polys(2), st.integers(0, 2**31))
+def test_fqpoly_arithmetic_over_prime_fields(args, c):
+    p, a, b = args
+    F = GF(p)
+    fa, fb = FqPoly(F, a), FqPoly(F, b)
+    A, B = to_gf(fa.coeffs), to_gf(fb.coeffs)
+    assert list((fa + fb).coeffs) == from_gf(gf_add(A, B, p, ZZ))
+    assert list((fa - fb).coeffs) == from_gf(gf_sub(A, B, p, ZZ))
+    assert list((-fa).coeffs) == from_gf(gf_neg(A, p, ZZ))
+    assert list((fa * fb).coeffs) == from_gf(gf_mul(A, B, p, ZZ))
+    assert list(fa.scale(c % p).coeffs) == from_gf(gf_mul_ground(A, ZZ(c % p), p, ZZ))
+    if fb:
+        q, r = fa.divmod(fb)
+        sq, sr = gf_div(A, B, p, ZZ)
+        assert (list(q.coeffs), list(r.coeffs)) == (from_gf(sq), from_gf(sr))
+
+
+# -- edge cases ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_zero_and_constant_operands(p):
+    a = [1, 2 % p, p - 1]
+    assert fp_mul([], a, p) == fp_mul(a, [], p) == fp_mul([0, 0], a, p) == []
+    assert fp_mul([1], a, p) == a
+    assert fp_mul([p - 1], a, p) == [(-c) % p for c in a]
+    assert fp_divmod([], a, p) == ([], [])
+    assert fp_divmod([0, 0, 0], a, p) == ([], [])
+    with pytest.raises(ZeroDivisionError):
+        fp_divmod(a, [], p)
+    with pytest.raises(ZeroDivisionError):
+        fp_divmod(a, [0, 0], p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_division_by_a_constant(p):
+    a = [3 % p, 0, 5 % p, 1]
+    c = p - 1 if p > 2 else 1
+    q, r = fp_divmod(a, [c], p)
+    assert r == []
+    assert fp_mul(q, [c], p) == trimmed(a)
+
+
+@pytest.mark.parametrize("p", [3, 7, 13, 65537, 2**31 - 1])
+def test_non_monic_divisor(p):
+    rng = random.Random(p)
+    for _ in range(50):
+        b = [rng.randrange(p) for _ in range(3)] + [rng.randrange(2, p)]
+        a = [rng.randrange(p) for _ in range(7)] + [rng.randrange(1, p)]
+        q, r = fp_divmod(a, b, p)
+        assert (q, r) == tuple(from_gf(x) for x in gf_div(to_gf(a), to_gf(b), p, ZZ))
+        back, r = fp_mul(q, b, p), r + [0] * (len(a) - len(r))
+        assert [(x + y) % p for x, y in zip(back, r)] == a
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_dividend_of_lower_degree(p):
+    a = [1, p - 1, 0]  # trailing zero: degree 1
+    b = [0, 0, 2 % p or 1]
+    assert fp_divmod(a, b, p) == ([], [1, p - 1])
+
+
+def test_trailing_zeros_are_stripped():
+    p = 7
+    # leading terms cancel in a difference, and inputs carry trailing zeros
+    f, g = FqPoly(GF(p), [1, 2, 3]), FqPoly(GF(p), [5, 2, 3])
+    assert (f - g).coeffs == (3,)
+    assert (f + FqPoly(GF(p), [0, 5, 4])).coeffs == (1,)
+    assert fp_mul([2, 3, 0, 0], [1, 0], p) == [2, 3]
+    assert fp_divmod([1, 0, 1, 0], [0, 1, 0], p) == ([0, 1], [1])
+    assert fp_divmod([1, 2, 3], [1, 2, 3], p) == ([1], [])
+
+
+def test_tuple_residue_field_product_matches_fqpoly():
+    # the tuple field keeps its own prime-field product (with its _red rows);
+    # FqPoly multiplies and reduces through fp_mul and fp_divmod
+    rng = random.Random(5)
+    for p, d in ((7, 5), (13, 3), (65537, 2)):
+        F = GF(p)
+        while True:
+            P = FqPoly(F, [rng.randrange(p) for _ in range(d)] + [1])
+            if factorize(P).factors == ((P, 1),):
+                break
+        K = ResidueField(P)
+        for _ in range(40):
+            a, b = K.from_rand(rng), K.from_rand(rng)
+            want = (K.lift(a) * K.lift(b)) % P
+            assert K.lift(K.mul(a, b)) == want

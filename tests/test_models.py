@@ -320,6 +320,56 @@ def test_integrality_detection():
     assert not is_integral(OrderElement(m, [FqPoly.zero(F7), FqPoly.one(F7), FqPoly.zero(F7)], FqPoly.x(F7)))
 
 
+def _is_integral_by_char_poly(alpha):
+    """The definition: every characteristic-polynomial coefficient is a polynomial."""
+    return all(c.is_polynomial() for c in char_poly(alpha))
+
+
+def _integrality_models():
+    out = []
+    for F in (F7, GF(5, 2)):
+        # the last two have y^2/x integral: nonconstant denominators that
+        # are integral without being cleared
+        for A, B in (("x^2", "1"), ("x^2+1", "x^4+x+2"), ("0", "x^3+x^2")):
+            out.append(CubicModel(pp(A, F), pp(B, F)))
+        for A, B, C in (("x", "x^2+1", "x^3+2"), ("0", "0", "x^3+x^2")):
+            out.append(QuarticModel(pp(A, F), pp(B, F), pp(C, F)))
+    return out
+
+
+INTEGRALITY_MODELS = _integrality_models()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_is_integral_matches_char_poly_definition(data):
+    m = data.draw(st.sampled_from(INTEGRALITY_MODELS))
+    F = m.field
+    poly = st.lists(st.integers(0, F.q - 1), max_size=3).map(lambda cs: FqPoly(F, cs))
+    coords = [data.draw(poly) for _ in range(m.degree)]
+    kind = data.draw(st.sampled_from(["constant", "cleared", "x", "random"]))
+    if kind == "constant":
+        den = FqPoly(F, [data.draw(st.integers(1, F.q - 1))])
+    elif kind == "x":
+        den = FqPoly.x(F)
+    else:
+        den = FqPoly(F, data.draw(st.lists(st.integers(0, F.q - 1), min_size=1, max_size=2)) + [1])
+        if kind == "cleared":
+            coords = [a * den for a in coords]
+    alpha = OrderElement(m, coords, den)
+    assert is_integral(alpha) == _is_integral_by_char_poly(alpha)
+    if kind in ("constant", "cleared"):
+        assert is_integral(alpha)
+
+
+def test_is_integral_sees_nonconstant_denominators():
+    # y^2/x is integral on y^3 = -(x^3 + x^2) and y/x is not
+    m = INTEGRALITY_MODELS[2]
+    zero, one = FqPoly.zero(F7), FqPoly.one(F7)
+    assert is_integral(OrderElement(m, [zero, zero, one], FqPoly.x(F7)))
+    assert not is_integral(OrderElement(m, [zero, one, zero], FqPoly.x(F7)))
+
+
 # -- misc --------------------------------------------------------------------------
 
 
