@@ -289,10 +289,16 @@ class LPolynomial:
         return True
 
     def hasse_weil_ok(self):
-        h = self.value_at_one()
-        lo = (math.sqrt(self.q) - 1) ** (2 * self.genus)
-        hi = (math.sqrt(self.q) + 1) ** (2 * self.genus)
-        return lo * (1 - 1e-9) - 1e-9 <= h <= hi * (1 + 1e-9) + 1e-9
+        """(sqrt q - 1)^(2g) <= h <= (sqrt q + 1)^(2g), decided exactly in Z[sqrt q].
+
+        (sqrt q +- 1)^2 = (q + 1) +- 2 sqrt q, so (sqrt q +- 1)^(2g) = a +- b sqrt q
+        with integers a, b >= 0, and both bounds together say (h - a)^2 <= b^2 q.
+        """
+        q, a, b = self.q, 1, 0
+        for _ in range(self.genus):
+            a, b = a * (q + 1) + 2 * b * q, 2 * a + b * (q + 1)
+        d = self.value_at_one() - a
+        return d * d <= b * b * q
 
     def root_moduli_ok(self, tol=1e-6):
         if self.genus == 0:

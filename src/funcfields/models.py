@@ -224,7 +224,7 @@ class QuarticModel:
         self.A = A
         self.B = B
         self.C = C
-        self._disc = self._ac_disc = None
+        self._disc = self._ac_disc = self._subs = None
         if not _skip_checks:
             if self.field.p == 2:
                 raise HypothesisRefused("characteristic", "quartic models require characteristic != 2")
@@ -280,6 +280,59 @@ class QuarticModel:
         if self._ac_disc is None:
             self._ac_disc = self.A * self.A - self.C.scale(self.field.from_int(4))
         return self._ac_disc
+
+    def substitutes(self):
+        """Models of the alternative generators of the field, computed once per model.
+
+        In dispatch order, (label, QuarticModel) for y^2 - A/2, y^3 - (A/2) y
+        and 3By, or for y^3 - (A/2) y the trace line "... generates a
+        subfield" when its minimal polynomial has degree 2.  The minimal
+        polynomial of g(y) is Res_y(f(y), T - g(y)) (Cohen, GTM 138, 3.3 and
+        4.3); with S = A^2 - 4C both are closed forms, depressed as
+        T^4 - A' T^2 - B' T + C':
+          y^2 - A/2:  A' = S/2, B' = B^2, C' = (S^2 - 8AB^2)/16;
+          y^3 - (A/2) y - 3B/4:  A' = (2AS + 3B^2)/8, B' = B(2AS - B^2)/8,
+            C' = (16CS^2 - 4AB^2(3S + 32C) - 3B^4)/256.
+        B != 0 (biquadratic models have their own engine), so y = (z^2 -
+        S/4)/B for z = y^2 - A/2 and that generator has degree 4.  The
+        square test on y^3 - (A/2) y is kept, though with B != 0 it holds
+        only where B^2 = 2AS and S = -4A^2, which give f a repeated root.
+        """
+        if self._subs is not None:
+            return self._subs
+        if self.biquadratic:
+            raise InternalFault("biquadratic models have no substitute generators")
+        F = self.field
+        A, B, C = self.A, self.B, self.C
+
+        def over(f, n):
+            return f.scale(F.inv(F.from_int(n)))
+
+        def reduced(label, A2, B2, C2):
+            A2, B2, C2, _ = reduce_quartic(A2, B2, C2)
+            return label, QuarticModel(A2, B2, C2, _skip_checks=True)
+
+        S = self.ac_discriminant()
+        BB = B * B
+        out = [reduced("y^2 - A/2", over(S, 2), BB, over(S * S - (A * BB).scale(F.from_int(8)), 16))]
+        AS2 = (A * S).scale(F.from_int(2))
+        A3 = over(AS2 + BB.scale(F.from_int(3)), 8)
+        B3 = over(B * (AS2 - BB), 8)
+        C3 = over(
+            (C * S * S).scale(F.from_int(16))
+            - (A * BB * (S.scale(F.from_int(3)) + C.scale(F.from_int(32)))).scale(F.from_int(4))
+            - (BB * BB).scale(F.from_int(3)),
+            256,
+        )
+        half = FqPoly(F, (F.inv(F.from_int(2)),))
+        if _square_of_quadratic([C3, -B3, -A3, FqPoly.zero(F)], half) is not None:
+            out.append("y^3 - (A/2) y generates a subfield")
+        else:
+            out.append(reduced("y^3 - (A/2) y", A3, B3, C3))
+        lam = B.scale(F.from_int(3))
+        out.append(reduced("3By", A * lam * lam, B * lam ** 3, C * lam ** 4))
+        self._subs = out
+        return out
 
     def y(self):
         F = self.field
@@ -873,14 +926,24 @@ def minimal_polynomial(alpha):
     cp = char_poly(alpha)
     if alpha.model.degree == 3:
         return cp
-    c0, c1, c2, c3 = cp[:4]
-    half = RationalFunction(FqPoly(F, (F.inv(F.from_int(2)),)))
+    root = _square_of_quadratic(cp[:4], RationalFunction(FqPoly(F, (F.inv(F.from_int(2)),))))
+    if root is not None:
+        return [root[0], root[1], one]
+    return cp
+
+
+def _square_of_quadratic(c, half):
+    """(v, u) with T^4 + c3 T^3 + c2 T^2 + c1 T + c0 = (T^2 + u T + v)^2, else None.
+
+    c = [c0, c1, c2, c3] over any ring of odd characteristic; half is 1/2 in it.
+    """
+    c0, c1, c2, c3 = c
     u = c3 * half
     v = (c2 - u * u) * half
     uv = u * v
     if c1 == uv + uv and c0 == v * v:
-        return [v, u, one]
-    return cp
+        return v, u
+    return None
 
 
 def minimal_polynomial_fq(alpha):

@@ -29,7 +29,7 @@ from .poly import (
     gp_derivative,
 )
 from .places import InfinitePlace
-from .models import CubicModel, QuarticModel, _binom_shift, minimal_polynomial_fq, reduce_quartic
+from .models import CubicModel, minimal_polynomial_fq
 
 SELF_CHECK = False
 
@@ -576,49 +576,20 @@ def _quartic_case4(model, place, K, trace, u2, u1, u0, allow_transforms):
     return _quartic_transform(model, place, trace, "case-AC-cancel-odd", allow_transforms)
 
 
-def _quartic_transform(model, place, trace, reason, allow_transforms, kind=None):
+def _quartic_transform(model, place, trace, reason, allow_transforms):
     """Leftover cases: retry with alternative generators, else Unknown.
 
     The alternative presentations of the same field are y^2 - A/2,
-    y^3 - (A/2) y and the rescaled 3By; a dispatch of any of them at the
-    same place yields the true signature whenever it lands in a decided
-    row.  The published shift 3By - 4C is not attempted separately: after
-    the depression our models require, it coincides with the rescaling.
+    y^3 - (A/2) y and the rescaled 3By; `QuarticModel.substitutes` builds
+    them once per model from closed-form minimal polynomials, so a place
+    only dispatches them.  A dispatch of any of them at the same place
+    yields the true signature whenever it lands in a decided row.  The
+    published shift 3By - 4C is not attempted separately: after the
+    depression our models require, it coincides with the rescaling.
     """
     if not allow_transforms:
         return _unknown(place, reason, trace + ["transform already applied; giving up"])
-    F = model.field
-    A, B, C = model.A, model.B, model.C
-    half = F.inv(F.from_int(2))
-    zero, one = FqPoly.zero(F), FqPoly.one(F)
-    candidates = [
-        ("y^2 - A/2", model.element(A.scale(F.neg(half)), None, one, None)),
-        ("y^3 - (A/2) y", model.element(zero, A.scale(F.neg(half)), None, one)),
-    ]
-    attempts = []
-    for label, alpha in candidates:
-        try:
-            mp = minimal_polynomial_fq(alpha)
-            if len(mp) != 5:
-                attempts.append("%s generates a subfield" % label)
-                continue
-            coeffs = mp
-            if not coeffs[3].is_zero():
-                t = coeffs[3].scale(F.neg(F.inv(F.from_int(4))))
-                coeffs = _binom_shift(list(coeffs), t)
-                if not coeffs[3].is_zero():
-                    raise InternalFault("depression failed for the substitute generator")
-            A2, B2, C2, _ = reduce_quartic(-coeffs[2], -coeffs[1], coeffs[0])
-            attempts.append((label, QuarticModel(A2, B2, C2, _skip_checks=True)))
-        except InternalFault:
-            raise
-        except Exception as exc:
-            attempts.append("%s failed: %s" % (label, exc))
-    if not B.is_zero():
-        lam = B.scale(F.from_int(3))
-        A2, B2, C2, _ = reduce_quartic(A * lam * lam, B * lam ** 3, C * lam ** 4)
-        attempts.append(("3By", QuarticModel(A2, B2, C2, _skip_checks=True)))
-    for item in attempts:
+    for item in model.substitutes():
         if isinstance(item, str):
             trace.append(item)
             continue

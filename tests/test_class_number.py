@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from funcfields import (
     GF,
     CubicModel,
     FqPoly,
+    LPolynomial,
     QuarticModel,
     Signature,
     ZetaData,
@@ -136,6 +138,24 @@ def test_oracle_next_place_count_consistency():
     predicted = q ** n + 1 - o.L.alpha_power_sum(n)
     direct = sum(d * zd.place_count(d) for d in range(1, n + 1) if n % d == 0)
     assert predicted == direct
+
+
+@pytest.mark.parametrize(
+    "q,g", [(q, g) for q in (5, 7, 9, 25) for g in (1, 2, 3)] + [(10007, 3), (101 ** 2, 3)]
+)
+def test_hasse_weil_bounds_are_exact(q, g):
+    # exact bounds from sympy; h sits on, just inside and just outside each.
+    # At q^g near 10^12 a relative float tolerance of 1e-9 spans about 1000
+    lo = sp.expand((sp.sqrt(q) - 1) ** (2 * g))
+    hi = sp.expand((sp.sqrt(q) + 1) ** (2 * g))
+
+    def ok(h):
+        return LPolynomial(q, g, [1, h - 1] + [0] * (2 * g - 1)).hasse_weil_ok()
+
+    lo_in, hi_in = int(sp.ceiling(lo)), int(sp.floor(hi))
+    assert ok(lo_in) and ok(hi_in) and ok(lo_in + 1) and ok(hi_in - 1)
+    assert not ok(lo_in - 1) and not ok(hi_in + 1)
+    assert (lo_in == lo and hi_in == hi) == (sp.sqrt(q).is_integer)
 
 
 def test_oracle_budget_refusals():
