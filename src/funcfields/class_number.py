@@ -11,6 +11,14 @@ At desk scale the class number itself is exact: place counts up to degree g
 determine the first half of the L-polynomial, the functional equation the
 rest, and h = L(1), validated against the Hasse-Weil bounds and the
 root-modulus condition.
+
+Both need one signature per place, and nothing more of a place: the place
+counts, the power sums S_m(j) and the Euler factors depend only on how many
+places of each degree have each signature.  ZetaData computes the
+signatures once and keeps that census per degree (a Counter of shared
+Signature values) with the exact Euler factor of the degree, so after the
+place sweep a class-number computation costs one step per distinct
+signature.
 """
 
 import math
@@ -121,13 +129,25 @@ def _zeta_tuple(sig):
 
 
 class ZetaData:
-    """Signatures of all places up to a degree bound, with tuple caching."""
+    """Signatures of all places up to a degree bound, and their census per degree.
+
+    finite(d) holds one (P, SignatureResult) row per place of degree d.
+    The class numbers read the census instead: census(d) counts the places
+    of degree d per signature (shared values, Signature.shared), and the
+    places of one degree fall into a handful of classes.  place_count, S
+    and the Euler factor of estimate_h then cost one step per distinct
+    signature, and the exact Euler factor of each degree is kept, so the
+    estimates for lambda = 1, ..., g and the sides of eq. (3.10) for
+    n = 1, ..., g walk no place twice.
+    """
 
     def __init__(self, model):
         self.model = model
         self.field = model.field
         self.infinite = infinite_signature(model)
         self._finite = {}  # degree -> list of (P, SignatureResult)
+        self._census = {}  # degree -> Counter of the signatures of its places
+        self._euler = {}  # degree m -> prod over deg P = m of the local factors
 
     def finite(self, degree):
         if degree not in self._finite:
@@ -147,28 +167,58 @@ class ZetaData:
                 )
         return rows
 
+    def census(self, degree):
+        """Counter: signature -> number of places of this degree with it.
+
+        Raises UnknownSignature like require_finite while a place of the
+        degree is undecided.
+        """
+        counts = self._census.get(degree)
+        if counts is None:
+            counts = self._census[degree] = Counter(res.signature for _, res in self.require_finite(degree))
+        return counts
+
     def S(self, m, j):
         """S_m(j) = sum over deg P = m of the tuple power sums at exponent j."""
-        total = 0
-        for _, res in self.require_finite(m):
-            total += zeta_tuple_for_signature(res.signature).power_sum(j)
-        return total
+        return sum(count * _zeta_tuple(sig).power_sum(j) for sig, count in self.census(m).items())
 
     def place_count(self, m):
         """Number of places of the extension field of degree exactly m."""
-        count = 0
-        inf_sig = self.infinite.require()
-        for f in inf_sig.relative_degrees():
-            if f == m:
-                count += 1
+        count = self.infinite.require().relative_degrees().count(m)
         for d in range(1, m + 1):
             if m % d == 0:
                 f_target = m // d
-                for _, res in self.require_finite(d):
-                    for f in res.signature.relative_degrees():
-                        if f == f_target:
-                            count += 1
+                for sig, n in self.census(d).items():
+                    count += n * sig.relative_degrees().count(f_target)
         return count
+
+    def euler_factor(self, m):
+        """prod over deg P = m of the exact local factors (ZetaFactorTuple.local_factor).
+
+        With Q = q^m, a place whose signature has relative degrees
+        f_1, ..., f_r has the factor (1 - 1/Q) / prod (1 - Q^-f_i) =
+        (Q - 1) Q^(f_1 + ... + f_r - 1) / prod (Q^f_i - 1), so the product
+        over the census is a power of Q times powers of the Q^f - 1: one
+        Fraction, reduced once.
+        """
+        E = self._euler.get(m)
+        if E is None:
+            Q = self.field.q ** m
+            q_exp, exps = 0, Counter()  # f -> exponent of Q^f - 1 in the denominator
+            for sig, count in self.census(m).items():
+                fs = sig.relative_degrees()
+                q_exp += count * (sum(fs) - 1)
+                exps[1] -= count
+                for f in fs:
+                    exps[f] += count
+            num, den = Q ** q_exp, 1
+            for f, e in exps.items():
+                if e > 0:
+                    den *= (Q ** f - 1) ** e
+                elif e < 0:
+                    num *= (Q ** f - 1) ** -e
+            E = self._euler[m] = Fraction(num, den)
+        return E
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +276,7 @@ def estimate_h(model, lam, zeta=None, genus_value=None):
         den *= 1 - u ** f
     E = Fraction(q) ** g * (1 - u) / den
     for m in range(1, lam + 1):
-        # one power per distinct tuple: the places of degree m share few of them
-        counts = Counter(zeta_tuple_for_signature(res.signature) for _, res in zeta.require_finite(m))
-        for tup, count in counts.items():
-            E = E * tup.local_factor(q, m) ** count
+        E = E * zeta.euler_factor(m)
     psi = _psi_bound(q, g, n, lam)
     E_rounded = (E.numerator * 2 + E.denominator) // (2 * E.denominator)  # floor(E + 1/2)
     radius = float(E) * math.expm1(psi) + 0.5

@@ -27,6 +27,12 @@ changing them: the modulus and the base-p encoding are the same, so every
 result is the same int as with the base-p digit arithmetic, which builds
 the tables and serves the fields above the threshold.  FqField also serves
 the generic polynomial protocol of poly (zero, one, char, order, from_rand).
+
+FqField.horner evaluates a polynomial, given by coefficient encodings and
+an optional embedding of a subfield, in one call: on plain ints mod p for
+k = 1, in the log domain with Zech additions (XOR for p = 2) when there
+are tables, and by add/mul above them.  FqPoly.evaluate and every residue
+of a polynomial at a place (poly.TowerResidueField.embed) are this loop.
 """
 
 import operator
@@ -320,6 +326,62 @@ class FqField:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def horner(self, coeffs, x, emb=None):
+        """sum of emb[c_i] x^i over the little-endian encodings c_i; emb None is the identity.
+
+        emb maps the encodings of a subfield into this field (a residue
+        field's embedding of F_q).  The loop runs on plain ints mod p for
+        k = 1, where the only subfield is F_p and emb can only be the
+        identity; with tables it keeps the accumulator as a logarithm, so
+        a step is an addition of log x and a Zech lookup (XOR for p = 2);
+        above the tables it steps through add and mul.  Same ints as the
+        add/mul loop in every case.
+        """
+        if self.k == 1:
+            p, acc = self.p, 0
+            for c in reversed(coeffs):
+                acc = (acc * x + c) % p
+            return acc
+        if emb is None:
+            emb = range(self.q)
+        log = self._log
+        if log is None:
+            add, mul, acc = self.add, self.mul, 0
+            for c in reversed(coeffs):
+                acc = add(mul(acc, x), emb[c])
+            return acc
+        if not x:
+            return emb[coeffs[0]] if coeffs else 0
+        exp, lx = self._exp, log[x]
+        if self.p == 2:
+            acc = 0
+            for c in reversed(coeffs):
+                if acc:
+                    acc = exp[log[acc] + lx]
+                acc ^= emb[c]
+            return acc
+        # la is the log of the accumulator, in range(n), or None while it is 0
+        zech, n, la = self._zech, self.q - 1, None
+        for c in reversed(coeffs):
+            if la is not None:
+                la += lx
+                if la >= n:
+                    la -= n
+            e = emb[c]
+            if e:
+                if la is None:
+                    la = log[e]
+                else:
+                    # g^la + g^le = g^la (1 + g^(le - la)); a negative index wraps mod n
+                    z = zech[log[e] - la]
+                    if z is None:
+                        la = None
+                    else:
+                        la += z
+                        if la >= n:
+                            la -= n
+        return 0 if la is None else exp[la]
 
     def from_int(self, n):
         """Image of the integer n under the ring homomorphism Z -> F_q."""

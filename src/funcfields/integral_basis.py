@@ -26,7 +26,7 @@ from .poly import (
     squarefree_decomposition,
 )
 from .places import FinitePlace
-from .models import OrderElement, is_integral, laplace_det, trace as elem_trace
+from .models import OrderElement, RationalFunction, is_integral, laplace_det, order_mul_coords, trace_coords
 from .invariants import field_discriminant
 from .signature import signature_at
 
@@ -359,18 +359,24 @@ class BasisDiagnostics:
 
 
 def basis_discriminant(basis):
-    """disc(alpha_1, ..., alpha_n) = det Tr(alpha_i alpha_j), exact."""
+    """disc(alpha_1, ..., alpha_n) = det Tr(alpha_i alpha_j), exact.
+
+    With alpha_i = a_i / d_i for integral a_i, Tr(alpha_i alpha_j) =
+    Tr(a_i a_j) / (d_i d_j), so the discriminant is det Tr(a_i a_j) over
+    F_q[x], a symmetric matrix, divided once by (d_1 ... d_n)^2.
+    """
     model = basis.model
-    n = model.degree
     els = basis.elements
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            t = elem_trace(els[i] * els[j])
-            row.append(t)
-        rows.append(row)
-    return laplace_det(rows)
+    n = len(els)
+    rows = [[None] * n for _ in range(n)]
+    for i, a in enumerate(els):
+        for j in range(i, n):
+            prod = order_mul_coords(model, a.coords, els[j].coords)
+            rows[i][j] = rows[j][i] = trace_coords(model, prod)
+    den = FqPoly.one(model.field)
+    for e in els:
+        den = den * e.denominator
+    return RationalFunction(laplace_det(rows), den * den)
 
 
 def verify_basis(basis, model=None, report=None):

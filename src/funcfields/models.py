@@ -21,6 +21,7 @@ from .poly import (
     HypothesisRefused,
     InternalFault,
     factorize,
+    gp_count_roots,
     parse_poly,
     poly_gcd,
     poly_sqrt,
@@ -836,15 +837,16 @@ def trace(alpha):
     and on y^4 - A y^2 - B y + C they give Tr(1, y, y^2, y^3) =
     (4, 0, 2A, 3B); so no multiplication matrix is built.
     """
-    model = alpha.model
+    return RationalFunction(trace_coords(alpha.model, alpha.coords), alpha.denominator)
+
+
+def trace_coords(model, a):
+    """Tr(a_0 + a_1 y + ...) in F_q[x] for polynomial coordinates a (see trace)."""
     F = model.field
-    a = alpha.coords
     t = a[0].scale(F.from_int(model.degree)) + (model.A * a[2]).scale(F.from_int(2))
     if model.degree == 4:
         t = t + (model.B * a[3]).scale(F.from_int(3))
-    if alpha.denominator.degree > 0:
-        return RationalFunction(t, alpha.denominator)
-    return RationalFunction(t)
+    return t
 
 
 def laplace_det(mat):
@@ -1018,11 +1020,27 @@ def _top_degree_ties(degrees):
     return degrees.count(top) >= 2
 
 
+# degree-1 places x - c at which _cubic_irreducible looks for a certificate
+CERTIFICATE_PLACES = 8
+
+
 def _cubic_irreducible(A, B):
-    """T^3 - A T + B irreducible over F_q(x) iff it has no polynomial root."""
+    """T^3 - A T + B irreducible over F_q(x) iff it has no polynomial root.
+
+    A root r in F_q[x] reduces to a root r(c) of T^3 - A(c) T + B(c) over
+    F_q at every c, so one c where that cubic has no root in F_q proves
+    irreducibility.  The first CERTIFICATE_PLACES elements c are tried (a
+    pure cubic over a field where every element is a cube has a root at
+    every c, and tries none); without a certificate the search over
+    r = scalar * monic divisor of B decides.
+    """
     if B.is_zero():
         return False
     F = A.field
+    if not (A.is_zero() and (F.q - 1) % 3):
+        for c in range(min(F.q, CERTIFICATE_PLACES)):
+            if not gp_count_roots(F, [B.evaluate(c), F.neg(A.evaluate(c)), 0, 1]):
+                return True
     for d in _monic_divisors(B):
         t = d.degree
         if not _top_degree_ties([3 * t, A.degree + t, B.degree]):

@@ -30,7 +30,9 @@ the cache of residue_field, so a place asked for earlier gets the tower
 too.  Those places and every place of degree 1 (E = F_q, alpha = -P(0))
 get a TowerResidueField, which is E with the residue map f -> f(alpha),
 so every operation of the Kummer factor types that dominate class-number
-work is a table lookup.  The tower is fixed once per (q, d) and built only
+work is a table lookup, and a residue f(alpha) is one call of E's Horner
+kernel (fq.FqField.horner: plain ints mod p, or logarithms with Zech
+additions, so one step is a few list lookups).  The tower is fixed once per (q, d) and built only
 by enumeration; a place that no enumeration reached (a place over D of
 degree >= 2, say) or with q^d above the threshold gets the tuple
 ResidueField, whose few operations would not repay building E.  Both
@@ -40,7 +42,7 @@ agree through x -> alpha on every result that leaves the field.
 import operator
 import random
 import re
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import zip_longest
 
 from .fq import GF, TABLE_MAX_ORDER, FqField, _prime_factors, digits, fp_divmod, fp_mul, tonelli_shanks
@@ -202,11 +204,7 @@ class FqPoly:
         return FqPoly(F, [F.mul(F.from_int(i), c) for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, v):
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, v), c)
-        return acc
+        return self.field.horner(self.coeffs, v)
 
     def compose(self, other):
         """self(other(x)), by Horner over FqPoly."""
@@ -807,27 +805,15 @@ class TowerResidueField:
         self.is_nth_power, self.is_square, self.is_cube = E.is_nth_power, E.is_square, E.is_cube
 
     def embed(self, poly):
-        """Residue of an FqPoly: Horner evaluation at alpha."""
-        add, mul, emb, a = self.E.add, self.E.mul, self._emb, self.alpha
-        acc = 0
-        for c in reversed(poly.coeffs):
-            acc = add(mul(acc, a), emb[c])
-        return acc
+        """Residue of an FqPoly: Horner evaluation at alpha, one E.horner call."""
+        return self.E.horner(poly.coeffs, self.alpha, self._emb)
 
     def from_base(self, c):
         return self._emb[c]
 
-    @cached_property
-    def _powers(self):
-        # alpha^i for i < deg P, read only by _from_coords and _basis_inverse
-        return [self.E.pow(self.alpha, i) for i in range(self.deg)]
-
     def _from_coords(self, cs):
-        add, mul, emb = self.E.add, self.E.mul, self._emb
-        acc = 0
-        for c, ap in zip(cs, self._powers):
-            acc = add(acc, mul(emb[c], ap))
-        return acc
+        # sum c_i alpha^i, the image of the ResidueField tuple cs
+        return self.E.horner(cs, self.alpha, self._emb)
 
     def from_rand(self, rng):
         q = self.base.q
@@ -850,7 +836,8 @@ class TowerResidueField:
         # generator x (encoding p^j is x^j); the inverse maps E's digits to
         # the coordinates in that F_p-basis, (i, j) in column i k + j
         E, F, p = self.E, self.base, self.char
-        cols = [E._dec(E.mul(self._emb[p ** j], ap)) for ap in self._powers for j in range(F.k)]
+        powers = [E.pow(self.alpha, i) for i in range(self.deg)]
+        cols = [E._dec(E.mul(self._emb[p ** j], ap)) for ap in powers for j in range(F.k)]
         return _fp_inverse([list(r) for r in zip(*cols)], p)
 
     def lift(self, elem):

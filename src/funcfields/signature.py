@@ -40,8 +40,18 @@ ITERATION_CAP = 32
 ITERATION_DEGREE_CAP = 600
 
 
+# (pairs or flat tuple, n) -> the one Signature built for it; see Signature.shared
+_SHARED = {}
+
+
 class Signature:
-    """Sorted multiset of (ramification index e, relative degree f) pairs."""
+    """Sorted multiset of (ramification index e, relative degree f) pairs.
+
+    Signatures are values: the dispatcher takes them from `shared` and
+    `from_flat`, which build and check each (pairs, n) once and hand out
+    that instance from then on, so a class-number sweep over thousands of
+    places builds a handful of them.
+    """
 
     __slots__ = ("pairs", "n")
 
@@ -56,11 +66,29 @@ class Signature:
         self.n = n
 
     @classmethod
+    def shared(cls, pairs, n):
+        """The shared Signature of a tuple of (e, f) pairs in any order.
+
+        A key that breaks the fundamental identity raises every time, as
+        it is never stored.
+        """
+        sig = _SHARED.get((pairs, n))
+        if sig is None:
+            sig = cls(pairs, n)
+            sig = _SHARED.setdefault((sig.pairs, n), sig)
+            _SHARED[pairs, n] = sig
+        return sig
+
+    @classmethod
     def from_flat(cls, flat, n):
-        """Signature from the flat tuple notation, e.g. (1,1,2,1)."""
-        if len(flat) % 2:
-            raise ValueError("flat signature needs an even number of entries")
-        return cls(list(zip(flat[::2], flat[1::2])), n)
+        """The shared Signature of the flat tuple notation, e.g. (1,1,2,1)."""
+        flat = tuple(flat)
+        sig = _SHARED.get((flat, n))
+        if sig is None:
+            if len(flat) % 2:
+                raise ValueError("flat signature needs an even number of entries")
+            sig = _SHARED[flat, n] = cls.shared(tuple(zip(flat[::2], flat[1::2])), n)
+        return sig
 
     def flat(self):
         out = []
@@ -141,7 +169,7 @@ def kummer_signature(reduction, K, n):
     if not d or len(gp_gcd(K, f, d)) > 1:
         return None
     degs = gp_factor_degrees(K, f)
-    return Signature([(1, d_) for d_ in degs], n)
+    return Signature.shared(tuple((1, d_) for d_ in degs), n)
 
 
 def _finish(place, sig_flat_or_pairs, n, method, trace, reduction=None, K=None):
@@ -281,15 +309,21 @@ def _depressed_cubic_type(K, a, b):
         return None
     if not K.is_square(disc):
         return (1, 1, 1, 2)
-    # any square root will do: a tower's E gives one by table lookup, where
-    # K.sqrt would pick the root that matches the tuple field's
-    sqrt = K.E.sqrt if isinstance(K, TowerResidueField) else K.sqrt
-    s = sqrt(K.mul(K.neg(disc), K.inv(c(108))))
+    s = _any_sqrt(K, K.mul(K.neg(disc), K.inv(c(108))))
     half_b = K.mul(b, K.inv(c(2)))
     u3 = K.sub(s, half_b)
     if K.is_zero(u3):
         u3 = K.neg(b)
     return (1, 1, 1, 1, 1, 1) if K.is_cube(u3) else (1, 3)
+
+
+def _any_sqrt(K, a):
+    """A square root of the square a, where the choice of root does not matter.
+
+    A tower's E gives one by table lookup (FqField.sqrt), where K.sqrt would
+    pick the root that matches the tuple field's, by Tonelli-Shanks.
+    """
+    return K.E.sqrt(a) if isinstance(K, TowerResidueField) else K.sqrt(a)
 
 
 def _max_finite_degree(*polys):
@@ -654,23 +688,24 @@ def _biquadratic_signature(model, place):
             sq = K.is_square(cls)
             trace.append("ramified subfield place, even v(eta): unit class square=%s" % sq)
             level2(2, 1, 0, sq)
-        sig = Signature(pairs, 4)
+        sig = Signature.shared(tuple(pairs), 4)
         return SignatureResult(sig, "Biquadratic", trace, place=place)
 
     rho = place.residue(S, w)
     if K.is_square(rho):
-        zeta = K.sqrt(rho)
+        # both roots are dispatched and the pairs sorted, so any root will do
+        zeta = _any_sqrt(K, rho)
         branches = [zeta, K.neg(zeta)]
         trace.append("subfield splits")
         for z in branches:
             v_eta, cls = _eta_data(place, K, A, C, u2, u0, w, z, half)
             level2(1, 1, v_eta, K.is_square(cls))
-        sig = Signature(pairs, 4)
+        sig = Signature.shared(tuple(pairs), 4)
         return SignatureResult(sig, "Biquadratic", trace, place=place)
     trace.append("subfield inert")
     v_eta, (x, y) = _eta_data_inert(place, K, A, u2, w, half)
     level2(1, 2, v_eta, _inert_square(K, rho, x, y))
-    sig = Signature(pairs, 4)
+    sig = Signature.shared(tuple(pairs), 4)
     return SignatureResult(sig, "Biquadratic", trace, place=place)
 
 

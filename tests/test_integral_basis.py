@@ -15,7 +15,8 @@ from funcfields import (
     parse_poly,
     verify_basis,
 )
-from funcfields.integral_basis import IntegralBasis
+from funcfields.integral_basis import IntegralBasis, basis_discriminant
+from funcfields.models import laplace_det, trace
 from funcfields.poly import HypothesisRefused
 
 F2 = GF(2)
@@ -228,3 +229,46 @@ def test_quartic_case11_constructed():
     basis = integral_basis_quartic(m, rep)
     assert verify_basis(basis, m, rep)
     assert basis.congruences["cases"][str(pp("x"))] in ("1.1", "2.2", "1.2", "2.1")
+
+
+# -- the discriminant of a basis, over F_q[x] -----------------------------------------
+
+
+def basis_discriminant_reference(basis):
+    """det Tr(alpha_i alpha_j) over RationalFunction entries."""
+    els = basis.elements
+    return laplace_det([[trace(a * b) for b in els] for a in els])
+
+
+def _ledger_shaped(rng, p, degs, count):
+    """Models with the coefficient degrees of the benchmark's ledger: (6, 9) cubics, (2, 3, 3) quartics."""
+    F = GF(p)
+    out = []
+    while len(out) < count:
+        coeffs = [FqPoly(F, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]) for d in degs]
+        try:
+            m = CubicModel(*coeffs) if len(degs) == 2 else QuarticModel(*coeffs)
+            rep = field_discriminant(m)
+        except Exception:
+            continue
+        if rep.complete:
+            out.append((m, rep))
+    return out
+
+
+def test_basis_discriminant_matches_rational_function_determinant():
+    rng = random.Random(61)
+    cases = [(CubicModel(pp("x^2"), FqPoly.one(F7)), None)]  # the analyze and basis demo model
+    cases += rand_cubic_models(rng, F7, 3, need_index=True) + _quartic_with_index(rng)
+    for p in (7, 11, 13):
+        cases += _ledger_shaped(rng, p, (6, 9), 1) + _ledger_shaped(rng, p, (2, 3, 3), 1)
+    denominators = 0
+    for m, rep in cases:
+        build = integral_basis_cubic if m.degree == 3 else integral_basis_quartic
+        try:
+            basis = build(m, rep)
+        except HypothesisRefused:
+            continue
+        denominators += basis.index_used.degree > 0
+        assert basis_discriminant(basis) == basis_discriminant_reference(basis), m
+    assert denominators >= 4

@@ -430,18 +430,38 @@ def _quartic_irreducible_reference(A, B, C):
     return True
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([5, 7, 13]), st.integers(0, 10 ** 9), st.sampled_from(["random", "root"]))
-def test_cubic_irreducible_pruned_matches_exhaustive(q, seed, shape):
+# (p, k): the prime fields, and GF(4), GF(8), GF(9), GF(25), GF(11); "pure"
+# over GF(5), GF(8) and GF(11) (q = 2 mod 3) has a root at every degree-1
+# place, so only the divisor search can decide it
+IRREDUCIBILITY_FIELDS = [(5, 1), (7, 1), (13, 1), (2, 2), (2, 3), (3, 2), (5, 2), (11, 1)]
+
+
+@settings(max_examples=160, deadline=None)
+@given(st.sampled_from(IRREDUCIBILITY_FIELDS), st.integers(0, 10 ** 9), st.sampled_from(["random", "root", "pure"]))
+def test_cubic_irreducible_pruned_matches_exhaustive(pk, seed, shape):
     rng = random.Random(seed)
-    F = GF(q)
-    A = rand_poly(rng, F, rng.randrange(-1, 4)) if rng.random() < 0.8 else FqPoly.zero(F)
+    F = GF(*pk)
+    A = rand_poly(rng, F, rng.randrange(-1, 4)) if rng.random() < 0.8 and shape != "pure" else FqPoly.zero(F)
     if shape == "root":  # plant a root r: B = A r - r^3
         r = rand_poly(rng, F, rng.randrange(0, 3))
         B = A * r - r ** 3
     else:
         B = rand_poly(rng, F, rng.randrange(0, 5))
     assert _cubic_irreducible(A, B) == _cubic_irreducible_reference(A, B)
+
+
+def test_cubic_irreducible_certificate_skips_the_divisor_search(monkeypatch):
+    import funcfields.models as models_module
+
+    calls = []
+    monkeypatch.setattr(models_module, "_monic_divisors", lambda f: calls.append(f) or _monic_divisors(f))
+    # T^3 - T + 2 has no root in F_7, so x certifies y^3 - (x + 1) y + x + 2
+    assert _cubic_irreducible(pp("x + 1"), pp("x + 2")) and not calls
+    # a pure cubic over F_5 has a root at every place: the search decides
+    assert _cubic_irreducible(FqPoly.zero(F5), parse_poly(F5, "x^2 + x")) and calls
+    # the root x of a reducible cubic reduces to a root at every place
+    calls.clear()
+    assert not _cubic_irreducible(pp("x + 1"), pp("-x^3 + x^2 + x")) and calls
 
 
 @settings(max_examples=80, deadline=None)
