@@ -16,13 +16,11 @@ from .poly import (
     NEG_DEG,
     crt,
     count_monic_irreducibles_necklace,
-    count_roots_in_extension,
     factorize,
     is_irreducible,
     is_squarefree,
     monic_irreducibles,
     parse_poly,
-    poly_divrem,
     poly_gcd,
     residue_power_test,
 )

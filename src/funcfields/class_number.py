@@ -698,44 +698,35 @@ def _is_power_in_order(model, alpha, p, d):
 
 
 def verify_valuation_sum(model, P):
-    """For standard-form cubics: sum over P'|P of v_{P'}(y) f(P'|P) = v_P(B).
-
-    The left side is evaluated through the signature tables plus the
-    Newton-slope matching, so this genuinely cross-checks the case analysis.
-    """
-    if model.degree != 3:
-        raise ValueError("valuation-sum identity implemented for cubic models")
+    """For standard-form cubics: sum over P'|P of v_{P'}(y) f(P'|P) = v_P(B)."""
     place = P if isinstance(P, FinitePlace) else FinitePlace(P)
-    res = signature_at(model, place)
-    sig = res.require()
-    coeffs = [model.B, -model.A, FqPoly.zero(model.field), FqPoly.one(model.field)]
-    slopes = newton_slopes(coeffs, place)
-    assigns = valuation_assignments(sig, slopes)
-    if not assigns:
-        return False, "no consistent valuation assignment for signature %s" % sig
-    target = int(place.val(model.B))
-    fs = [f for _, f in sig.pairs]
-    for a in assigns:
-        if sum(f * v for f, v in zip(fs, a)) != target:
-            return False, "assignment %s sums to %s != %s" % (a, sum(f * v for f, v in zip(fs, a)), target)
-    return True, "ok"
+    return _valuation_sum(model, place, int(place.val(model.B)))
 
 
 def verify_valuation_sum_infinite(model):
     """Infinite analogue: sum v_{P'}(y) f = -deg(B) when 0 <= deg A <= deg B."""
+    return _valuation_sum(model, InfinitePlace(model.field), -int(model.B.degree))
+
+
+def _valuation_sum(model, place, target):
+    """(ok, msg): does sum over P'|place of v_{P'}(y) f(P'|place) equal target?
+
+    One check for both kinds of place.  The left side is evaluated through
+    the signature tables plus the Newton-slope matching, so this genuinely
+    cross-checks the case analysis.
+    """
     if model.degree != 3:
-        raise ValueError("cubic models only")
-    if not model.A.is_zero() and model.A.degree > model.B.degree:
+        raise ValueError("valuation-sum identity implemented for cubic models")
+    if place.is_infinite and not model.A.is_zero() and model.A.degree > model.B.degree:
         raise HypothesisRefused("degree-order", "needs deg A <= deg B")
-    place = InfinitePlace(model.field)
-    res = signature_at(model, place)
-    sig = res.require()
+    sig = signature_at(model, place).require()
     coeffs = [model.B, -model.A, FqPoly.zero(model.field), FqPoly.one(model.field)]
-    slopes = newton_slopes(coeffs, place)
-    assigns = valuation_assignments(sig, slopes)
-    target = -int(model.B.degree)
+    assigns = valuation_assignments(sig, newton_slopes(coeffs, place))
+    if not assigns:
+        return False, "no consistent valuation assignment for signature %s" % sig
     fs = [f for _, f in sig.pairs]
-    ok = bool(assigns) and all(
-        sum(f * v for f, v in zip(fs, a)) == target for a in assigns
-    )
-    return ok, ("ok" if ok else "mismatch")
+    for a in assigns:
+        total = sum(f * v for f, v in zip(fs, a))
+        if total != target:
+            return False, "assignment %s sums to %s != %s" % (a, total, target)
+    return True, "ok"

@@ -32,7 +32,8 @@ FqField.horner evaluates a polynomial, given by coefficient encodings and
 an optional embedding of a subfield, in one call: on plain ints mod p for
 k = 1, in the log domain with Zech additions (XOR for p = 2) when there
 are tables, and by add/mul above them.  FqPoly.evaluate and every residue
-of a polynomial at a place (poly.TowerResidueField.embed) are this loop.
+of a polynomial at a place whose residue field is an evaluation tower
+(poly.residue_field) are this loop.
 """
 
 import operator

@@ -126,15 +126,6 @@ class Transformation:
     shift: FqPoly
     divide: FqPoly
 
-    def is_identity(self):
-        return (
-            self.scale.degree == 0
-            and self.scale.sgn == 1
-            and self.shift.is_zero()
-            and self.divide.degree == 0
-            and self.divide.sgn == 1
-        )
-
 
 def _check_char(field, minimum, context):
     if field.p < minimum:
@@ -286,18 +277,17 @@ class QuarticModel:
         """Models of the alternative generators of the field, computed once per model.
 
         In dispatch order, (label, QuarticModel) for y^2 - A/2, y^3 - (A/2) y
-        and 3By, or for y^3 - (A/2) y the trace line "... generates a
-        subfield" when its minimal polynomial has degree 2.  The minimal
-        polynomial of g(y) is Res_y(f(y), T - g(y)) (Cohen, GTM 138, 3.3 and
-        4.3); with S = A^2 - 4C both are closed forms, depressed as
-        T^4 - A' T^2 - B' T + C':
+        and 3By.  The minimal polynomial of g(y) is Res_y(f(y), T - g(y))
+        (Cohen, GTM 138, 3.3 and 4.3); with S = A^2 - 4C both are closed
+        forms, depressed as T^4 - A' T^2 - B' T + C':
           y^2 - A/2:  A' = S/2, B' = B^2, C' = (S^2 - 8AB^2)/16;
           y^3 - (A/2) y - 3B/4:  A' = (2AS + 3B^2)/8, B' = B(2AS - B^2)/8,
             C' = (16CS^2 - 4AB^2(3S + 32C) - 3B^4)/256.
         B != 0 (biquadratic models have their own engine), so y = (z^2 -
-        S/4)/B for z = y^2 - A/2 and that generator has degree 4.  The
-        square test on y^3 - (A/2) y is kept, though with B != 0 it holds
-        only where B^2 = 2AS and S = -4A^2, which give f a repeated root.
+        S/4)/B for z = y^2 - A/2 and that generator has degree 4.  So has
+        y^3 - (A/2) y: its minimal polynomial would be a square only where
+        B^2 = 2AS and S = -4A^2, which give f a repeated root, and
+        construction refuses such an f.
         """
         if self._subs is not None:
             return self._subs
@@ -325,11 +315,7 @@ class QuarticModel:
             - (BB * BB).scale(F.from_int(3)),
             256,
         )
-        half = FqPoly(F, (F.inv(F.from_int(2)),))
-        if _square_of_quadratic([C3, -B3, -A3, FqPoly.zero(F)], half) is not None:
-            out.append("y^3 - (A/2) y generates a subfield")
-        else:
-            out.append(reduced("y^3 - (A/2) y", A3, B3, C3))
+        out.append(reduced("y^3 - (A/2) y", A3, B3, C3))
         lam = B.scale(F.from_int(3))
         out.append(reduced("3By", A * lam * lam, B * lam ** 3, C * lam ** 4))
         self._subs = out

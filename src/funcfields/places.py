@@ -12,32 +12,26 @@ the degree valuation, v(f) = -deg f.  Both expose the same interface:
 residue() is the workhorse of the signature tables: every "A-bar is a
 square mod P" test and every "sgn(A) is a square" test is the same call.
 
-Which residue field a finite place gets (poly.residue_field): a place of
-degree 1 gets F_q itself with the residue map f -> f(-P(0)); a place of
-degree d >= 2 that monic_irreducibles reached as a Frobenius orbit (all
-places of degree d once they are enumerated, when q^d <=
-fq.TABLE_MAX_ORDER) gets F_{q^d} = GF(p, k d) with the map f -> f(alpha)
-at the root alpha of P that the enumeration found.  Both compute with
-the ints of that field (plain ints mod p, or table lookups), because the
-class-number and zeta computations spend their time in one signature
-per place at exactly these places.  Every other place, such as
-a place over D of degree >= 2 met without enumeration, keeps the
-coefficient-tuple ResidueField: building F_{q^d} tables for it would cost
-more than the few residue operations it needs.  The two agree through
-x -> alpha, so results do not depend on which one a place gets.  The
-infinite place's residue field is F_q as a TowerResidueField too.
+Which residue field a finite place gets is poly.residue_field's choice:
+F_q or F_{q^d} = GF(p, k d) with the residue map f -> f(alpha), at degree 1
+and at the places that the enumeration of monic irreducibles reached as
+Frobenius orbits, because the class-number and zeta computations spend
+their time in one signature per place at exactly these places; otherwise
+coefficient tuples mod P.  Either kind gives the residue of f as
+K.embed(f), and the two agree through x -> alpha, so results do not depend
+on which kind a place gets.  The infinite place's residue field is F_q as
+the degree-1 field of the place x.
 
-On a tower place val and residue work by evaluation: P divides f exactly
-when f(alpha) = 0, because P is the minimal polynomial of alpha, so
-v_P(f) = 0 costs one Horner pass and no division, and that value is the
-residue at level 0.  Only where f(alpha) = 0 does val divide by P, once
-per unit of valuation.  On a tuple-field place val divides until the
-remainder is nonzero, as evaluation there is itself a reduction mod P.
-Either way a place remembers, per polynomial, v_P(f) and the cofactor
-f / P^v (or its residue), so a residue() after val() divides no more.
+One valuation rule serves both kinds: P divides f exactly when the residue
+of f is zero, so val embeds f and, only while that residue is zero,
+divides by P, once per unit of valuation.  On an evaluation field
+v_P(f) = 0 costs one Horner pass and no division, as P is the minimal
+polynomial of alpha; on a tuple field the embedding is one reduction mod
+P.  A place remembers, per polynomial, v_P(f) and the residue of f / P^v,
+so a residue() after val() computes nothing more.
 """
 
-from .poly import FqPoly, POS_INF, TowerResidueField, residue_field
+from .poly import FqPoly, POS_INF, residue_field
 
 
 class FinitePlace:
@@ -51,8 +45,8 @@ class FinitePlace:
         self.P = P
         self.field = P.field
         self._rf = None
-        # coefficient tuple of f -> (v_P(f), f / P^v, its residue or None);
-        # every f a place sees is over the place's own field
+        # coefficient tuple of f -> (v_P(f), residue of f / P^v); every f a
+        # place sees is over the place's own field
         self._split = {}
 
     @property
@@ -70,35 +64,27 @@ class FinitePlace:
         return self._rf
 
     def _split_off(self, f):
-        """(v, f / P^v, residue of f / P^v or None) for nonzero f, v = v_P(f)."""
+        """(v, residue of f / P^v) for nonzero f, v = v_P(f)."""
         key = f.coeffs
         hit = self._split.get(key)
         if hit is not None:
             return hit
         P, K = self.P, self.residue_field
+        zero = K.zero
         v = 0
-        if type(K) is TowerResidueField:
-            # f(alpha) = 0 exactly when P | f; the first nonzero value is the residue
+        # P | f exactly when f has residue zero; the first nonzero one is kept
+        r = K.embed(f)
+        while r == zero:
+            f = f.divmod(P)[0]
+            v += 1
             r = K.embed(f)
-            while not r:
-                f = f.divmod(P)[0]
-                v += 1
-                r = K.embed(f)
-        else:
-            r = None
-            while True:
-                q, rem = f.divmod(P)
-                if not rem.is_zero():
-                    break
-                v += 1
-                f = q
-        hit = self._split[key] = (v, f, r)
+        hit = self._split[key] = (v, r)
         return hit
 
     def val(self, f):
         """v_P(f): POS_INF for f = 0, else the exponent of P in f.
 
-        On a tower place f(alpha) != 0 gives 0 without a division; see the
+        f(alpha) != 0 on a tower place gives 0 without a division; see the
         module docstring.
         """
         if f.is_zero():
@@ -110,15 +96,10 @@ class FinitePlace:
         K = self.residue_field
         if f.is_zero():
             return K.zero
-        v, g, r = self._split_off(f)
+        v, r = self._split_off(f)
         if s > v:
             raise ValueError("residue level exceeds valuation")
-        if s < v:
-            return K.zero
-        if r is None:
-            r = K.embed(g)
-            self._split[f.coeffs] = (v, g, r)
-        return r
+        return r if s == v else K.zero
 
     def __eq__(self, other):
         return isinstance(other, FinitePlace) and self.P == other.P
@@ -152,7 +133,7 @@ class InfinitePlace:
 
     @property
     def residue_field(self):
-        """F_q as the degree-1 TowerResidueField of the place x.
+        """F_q as the degree-1 residue field of the place x.
 
         Its operations are F_q's own.  Residues at infinity come from
         residue(), never from its embed, which would evaluate at x = 0.

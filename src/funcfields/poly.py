@@ -32,11 +32,19 @@ get a TowerResidueField, which is E with the residue map f -> f(alpha),
 so every operation of the Kummer factor types that dominate class-number
 work is a table lookup, and a residue f(alpha) is one call of E's Horner
 kernel (fq.FqField.horner: plain ints mod p, or logarithms with Zech
-additions, so one step is a few list lookups).  The tower is fixed once per (q, d) and built only
-by enumeration; a place that no enumeration reached (a place over D of
-degree >= 2, say) or with q^d above the threshold gets the tuple
-ResidueField, whose few operations would not repay building E.  Both
-agree through x -> alpha on every result that leaves the field.
+additions, so one step is a few list lookups).  The tower is fixed once
+per (q, d) and built only by enumeration; a place that no enumeration
+reached (a place over D of degree >= 2, say) or with q^d above the
+threshold gets the tuple ResidueField, whose few operations would not
+repay building E.  Both agree through x -> alpha on every result that
+leaves the field.
+
+Both kinds present one protocol on top of the engine's: embed (the
+residue of an FqPoly, zero exactly when P divides it), lift, from_base,
+the power tests, sqrt and cube_root (the roots the tuple field picks),
+and any_sqrt (a square root where the choice of root does not matter).
+Places and signatures use that protocol only, so no other module names
+either class.
 """
 
 import operator
@@ -169,8 +177,9 @@ class FqPoly:
         while e:
             if e & 1:
                 r = r * b
-            b = b * b
             e >>= 1
+            if e:
+                b = b * b
         return r
 
     def divmod(self, other):
@@ -225,19 +234,11 @@ class FqPoly:
         return format_poly(self)
 
 
-def poly_divrem(f, g):
-    """Quotient and remainder with deg r < deg g."""
-    return f.divmod(g)
-
-
 def poly_gcd(f, g):
     """Monic gcd; gcd(f, 0) = monic(f), gcd(0, 0) is an error."""
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return FqPoly(f.field, gp_gcd(f.field, f.coeffs, g.coeffs))
 
 
 def poly_xgcd(f, g):
@@ -735,6 +736,9 @@ class ResidueField:
             return None
         return _tonelli_shanks(self, a)
 
+    # a square root where the choice of root does not matter
+    any_sqrt = sqrt
+
     def cube_root(self, a):
         if self.char == 3:
             return self.pow_elem(a, self.order // 3)
@@ -803,6 +807,9 @@ class TowerResidueField:
         self.add, self.sub, self.neg = E.add, E.sub, E.neg
         self.mul, self.inv, self.pow_elem = E.mul, E.inv, E.pow
         self.is_nth_power, self.is_square, self.is_cube = E.is_nth_power, E.is_square, E.is_cube
+        # a square root where the choice does not matter: E's, by table
+        # lookup, where sqrt picks the root that matches the tuple field's
+        self.any_sqrt = E.sqrt
 
     def embed(self, poly):
         """Residue of an FqPoly: Horner evaluation at alpha, one E.horner call."""
@@ -1164,20 +1171,6 @@ def _moebius(n):
     if len(set(fac)) != len(fac):
         return 0
     return -1 if len(fac) % 2 else 1
-
-
-def count_roots_in_extension(f, m):
-    """Distinct roots of f in F_{q^m}, as deg gcd(f, X^{q^m} - X)."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    if f.degree < 1:
-        return 0
-    F = f.field
-    fc = list(f.monic().coeffs)
-    x = [0, 1]
-    h = gp_pow_mod(F, x, F.q ** m, fc)
-    g = gp_gcd(F, gp_sub(F, h, x), fc)
-    return len(g) - 1 if g else 0
 
 
 def residue_power_test(a, P, n, e=1, want_witness=False):

@@ -21,7 +21,6 @@ from .poly import (
     FqPoly,
     InternalFault,
     POS_INF,
-    TowerResidueField,
     UnknownSignature,
     gp_count_roots,
     gp_factor_degrees,
@@ -197,7 +196,7 @@ def _unknown(place, reason, trace):
 # ---------------------------------------------------------------------------
 
 
-def signature_cubic(model, place, _depth=0, _iterations=0):
+def signature_cubic(model, place, _depth=0):
     """P-signature of a cubic model at a finite or infinite place.
 
     The dispatch depends only on data invariant under rescalings y -> y/Q,
@@ -229,7 +228,7 @@ def signature_cubic(model, place, _depth=0, _iterations=0):
             trace.append("3u1<2u0 with u1 odd: ramified pair forced")
             return _finish(place, (1, 1, 2, 1), 3, "DegreeCase", trace)
         if p == 2:
-            return _cubic_char2_iteration(model, place, trace, _depth, _iterations)
+            return _cubic_iteration(model, place, trace, _depth)
         r = place.residue(A, int(u1))
         red = [K.zero, K.neg(r), K.zero, K.one]  # T^3 - r T
         sq = K.is_square(r)
@@ -242,7 +241,7 @@ def signature_cubic(model, place, _depth=0, _iterations=0):
             trace.append("3u1>2u0 with u0 not divisible by 3: totally ramified")
             return _finish(place, (3, 1), 3, "DegreeCase", trace)
         if p == 3:
-            return _cubic_char3_iteration(model, place, trace, _depth, _iterations)
+            return _cubic_iteration(model, place, trace, _depth)
         b = place.residue(B, int(u0))
         red = [b, K.zero, K.zero, K.one]  # T^3 + Bbar
         cube = K.is_cube(K.neg(b))
@@ -309,7 +308,7 @@ def _depressed_cubic_type(K, a, b):
         return None
     if not K.is_square(disc):
         return (1, 1, 1, 2)
-    s = _any_sqrt(K, K.mul(K.neg(disc), K.inv(c(108))))
+    s = K.any_sqrt(K.mul(K.neg(disc), K.inv(c(108))))
     half_b = K.mul(b, K.inv(c(2)))
     u3 = K.sub(s, half_b)
     if K.is_zero(u3):
@@ -317,92 +316,55 @@ def _depressed_cubic_type(K, a, b):
     return (1, 1, 1, 1, 1, 1) if K.is_cube(u3) else (1, 3)
 
 
-def _any_sqrt(K, a):
-    """A square root of the square a, where the choice of root does not matter.
-
-    A tower's E gives one by table lookup (FqField.sqrt), where K.sqrt would
-    pick the root that matches the tuple field's, by Tonelli-Shanks.
-    """
-    return K.E.sqrt(a) if isinstance(K, TowerResidueField) else K.sqrt(a)
-
-
 def _max_finite_degree(*polys):
     degs = [int(f.degree) for f in polys if not f.is_zero()]
     return max(degs) if degs else 0
 
 
-def _iter_method(p):
-    return "Char2Iteration" if p == 2 else "Char3Iteration"
+def _cubic_iteration(model, place, trace, depth):
+    """Inconclusive case in characteristic p = 2 or 3: iterate on a p-th power split.
 
-
-def _cubic_char2_iteration(model, place, trace, depth, iterations):
-    """Inconclusive char-2 case: A = A0^2 + A1, pass to the reciprocal model."""
+    The split coefficient f (A for p = 2, B for p = 3) becomes
+    f = f0^p + f1, where f0 is the p-th root of the part of f that is a
+    p-th power: at infinity the part in degrees divisible by p, at a finite
+    place the residue of f.  The p-th root is the inverse Frobenius
+    c -> c^(Q/p) of a field of order Q.  For p = 2 the next model is the
+    reciprocal one, for p = 3 the shift by the cube root of 2; both are
+    dispatched again at the same place.
+    """
     F = model.field
+    p = F.p
     A, B = model.A, model.B
     if depth >= ITERATION_CAP:
-        return _unknown(place, "char2-iteration-cap", trace + ["iteration cap %d reached" % ITERATION_CAP])
+        return _unknown(place, "char%d-iteration-cap" % p, trace + ["iteration cap %d reached" % ITERATION_CAP])
     if _max_finite_degree(A, B) > ITERATION_DEGREE_CAP:
-        return _unknown(place, "char2-iteration-degree-cap",
+        return _unknown(place, "char%d-iteration-degree-cap" % p,
                         trace + ["iterates exceeded degree %d" % ITERATION_DEGREE_CAP])
+    name, f = ("A", A) if p == 2 else ("B", B)
     if place.is_infinite:
-        # split off even-degree part, whose square root is polynomial
-        even = [F.sqrt(c) for c in A.coeffs[::2]]
-        A0 = FqPoly(F, even)
+        f0 = FqPoly(F, [F.pow(c, F.q // p) for c in f.coeffs[::p]])
     else:
         K = place.residue_field
-        r = place.residue(A, 0)
-        A0 = K.lift(K.sqrt(r))
-    if A0.is_zero():
-        return _unknown(place, "char2-iteration-stagnated", trace + ["decomposition has no square part"])
-    A1 = A - A0 * A0
-    tail = A1 * A0 + B
+        f0 = K.lift(K.pow_elem(place.residue(f, 0), K.order // p))
+    if f0.is_zero():
+        return _unknown(place, "char%d-iteration-stagnated" % p,
+                        trace + ["decomposition has no %s part" % ("square" if p == 2 else "cube")])
+    f1 = f - f0 ** p
+    if p == 2:
+        # reciprocal model: A' = A1 A + A0 B, B' = (A1 A0 + B) B
+        tail = f1 * f0 + B
+        A, B = f1 * A + f0 * B, tail * B
+    else:
+        # shift: B' = B1 - c A B0 with c^3 = 2
+        tail = B = f1 - (A * f0).scale(F.cube_root(F.from_int(2)))
     if tail.is_zero():
-        raise InternalFault("char-2 iteration hit a reducible presentation")
-    Anew = A1 * A1 + A0 * A0 * A1 + A0 * B
-    Bnew = tail * B
-    trace.append("char-2 decomposition A = A0^2 + A1 with deg A0 = %s; iterate" % A0.degree)
-    nxt = CubicModel(Anew, Bnew, _skip_checks=True)
-    sub = signature_cubic(nxt, place, depth + 1, iterations + 1)
-    out = SignatureResult(
-        sub.signature,
-        _iter_method(2) if sub.known else sub.method,
-        trace + sub.trace,
-        unknown_reason=sub.unknown_reason,
-        kummer_reduction=sub.kummer_reduction,
-        place=place,
-    )
-    return out
-
-
-def _cubic_char3_iteration(model, place, trace, depth, iterations):
-    """Inconclusive char-3 case: B = B0^3 + B1, shift by the cube root of 2."""
-    F = model.field
-    A, B = model.A, model.B
-    if depth >= ITERATION_CAP:
-        return _unknown(place, "char3-iteration-cap", trace + ["iteration cap %d reached" % ITERATION_CAP])
-    if _max_finite_degree(A, B) > ITERATION_DEGREE_CAP:
-        return _unknown(place, "char3-iteration-degree-cap",
-                        trace + ["iterates exceeded degree %d" % ITERATION_DEGREE_CAP])
-    if place.is_infinite:
-        cubes = [F.cube_root(c) for c in B.coeffs[::3]]
-        B0 = FqPoly(F, cubes)
-    else:
-        K = place.residue_field
-        r = place.residue(B, 0)
-        B0 = K.lift(K.cube_root(r))
-    if B0.is_zero():
-        return _unknown(place, "char3-iteration-stagnated", trace + ["decomposition has no cube part"])
-    B1 = B - B0 ** 3
-    c = F.cube_root(F.from_int(2))
-    Bnew = B1 - (A * B0).scale(c)
-    if Bnew.is_zero():
-        raise InternalFault("char-3 iteration hit a reducible presentation")
-    trace.append("char-3 decomposition B = B0^3 + B1 with deg B0 = %s; iterate" % B0.degree)
-    nxt = CubicModel(A, Bnew, _skip_checks=True)
-    sub = signature_cubic(nxt, place, depth + 1, iterations + 1)
+        raise InternalFault("char-%d iteration hit a reducible presentation" % p)
+    trace.append("char-{p} decomposition {f} = {f}0^{p} + {f}1 with deg {f}0 = {d}; iterate"
+                 .format(p=p, f=name, d=f0.degree))
+    sub = signature_cubic(CubicModel(A, B, _skip_checks=True), place, depth + 1)
     return SignatureResult(
         sub.signature,
-        _iter_method(3) if sub.known else sub.method,
+        "Char%dIteration" % p if sub.known else sub.method,
         trace + sub.trace,
         unknown_reason=sub.unknown_reason,
         kummer_reduction=sub.kummer_reduction,
@@ -623,11 +585,7 @@ def _quartic_transform(model, place, trace, reason, allow_transforms):
     """
     if not allow_transforms:
         return _unknown(place, reason, trace + ["transform already applied; giving up"])
-    for item in model.substitutes():
-        if isinstance(item, str):
-            trace.append(item)
-            continue
-        label, nxt = item
+    for label, nxt in model.substitutes():
         sub = signature_quartic(nxt, place, allow_transforms=False)
         if sub.known:
             trace.append("resolved through the substitute generator %s" % label)
@@ -694,7 +652,7 @@ def _biquadratic_signature(model, place):
     rho = place.residue(S, w)
     if K.is_square(rho):
         # both roots are dispatched and the pairs sorted, so any root will do
-        zeta = _any_sqrt(K, rho)
+        zeta = K.any_sqrt(rho)
         branches = [zeta, K.neg(zeta)]
         trace.append("subfield splits")
         for z in branches:

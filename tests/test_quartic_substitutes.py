@@ -166,18 +166,6 @@ def test_cubic_generator_with_b_squared_2as():
     assert _key(subs) == _key(reference_substitutes(model))
 
 
-def test_cubic_generator_of_the_quadratic_subfield():
-    # irreducible models never get here (see the resultant test above); the
-    # reducible f = (y - x)^2 (y^2 + 2xy + 5x^2) exercises the square test
-    F = GF(7)
-    x = FqPoly.x(F)
-    c = F.from_int
-    model = QuarticModel((x * x).scale(c(-2)), (x ** 3).scale(c(8)), (x ** 4).scale(c(5)), _skip_checks=True)
-    subs = model.substitutes()
-    assert subs[1] == "y^3 - (A/2) y generates a subfield"
-    assert _key(subs) == _key(reference_substitutes(model))
-
-
 # -- the signatures ------------------------------------------------------------
 
 SIGNATURE_MODELS = [

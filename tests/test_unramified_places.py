@@ -5,17 +5,19 @@
 - signature_at at every place up to degree 3 of the demo cubic and of one
   non-pure cubic per field of characteristic >= 5 of the class-number
   corpus, against kummer_signature on the place's reduction.
-- FinitePlace.val and residue by evaluation at alpha against a divmod
-  reference kept here.
+- FinitePlace.val and residue, one loop over both residue-field kinds,
+  against a divmod reference kept here; only poly names the two kinds.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import funcfields
 import funcfields.signature as signature_module
-from funcfields import GF, CubicModel, FinitePlace, FqPoly, kummer_signature, monic_irreducibles, parse_poly
+from funcfields import GF, CubicModel, FinitePlace, FqPoly, is_irreducible, kummer_signature, monic_irreducibles, parse_poly
 from funcfields.poly import POS_INF, ResidueField, TowerResidueField, gp_factor_degrees, residue_field
 from funcfields.signature import _depressed_cubic_type, signature_at
 
@@ -158,8 +160,10 @@ def _places():
         F = GF(*pk)
         for d in range(1, top + 1):
             out["GF(%d^%d) deg %d" % (pk + (d,))] = (monic_irreducibles(F, d), TowerResidueField)
-    # 13^5 > fq.TABLE_MAX_ORDER: no tower, the tuple field
+    # 13^5 and 25^4 > fq.TABLE_MAX_ORDER: no tower, the tuple field, over a
+    # prime base and over an extension base
     out["GF(13) deg 5, tuple"] = ([parse_poly(GF(13), "x^5 + 8*x + 1")], ResidueField)
+    out["GF(5^2) deg 4, tuple"] = ([parse_poly(GF(5, 2), "x^4 + 6*x + 1")], ResidueField)
     return out
 
 
@@ -194,6 +198,19 @@ def test_val_and_residue_match_division(name, seed, residue_first):
     assert place.val(f) == v
     with pytest.raises(ValueError):
         place.residue(f, v + 1)
+
+
+def test_tuple_places_are_irreducible():
+    for name, (candidates, kind) in PLACES.items():
+        if kind is ResidueField:
+            assert all(is_irreducible(P) for P in candidates), name
+
+
+def test_only_poly_names_the_residue_field_classes():
+    # places and signatures reach both kinds through the shared protocol
+    src = Path(funcfields.__file__).resolve().parent
+    naming = sorted(m.name for m in src.glob("*.py") if "ResidueField" in m.read_text())
+    assert naming == ["poly.py"]
 
 
 def test_val_of_zero_is_infinite():
