@@ -308,6 +308,64 @@ def _psi_bound(q, g, n, lam):
 # ---------------------------------------------------------------------------
 
 
+def _zp_primitive(a):
+    """a with trailing zeros dropped, divided by the gcd of its coefficients."""
+    while a and a[-1] == 0:
+        a.pop()
+    d = math.gcd(*a)
+    return [x // d for x in a] if d > 1 else a
+
+
+def _zp_derivative(a):
+    return _zp_primitive([i * a[i] for i in range(1, len(a))])
+
+
+def _zp_prem(a, b):
+    """A positive multiple of the remainder of a by b in Q[s], made primitive.
+
+    Little-endian int lists, b trimmed and nonzero.  Each step scales by
+    |lead b|, never by a negative number, so signs stay those of the remainder.
+    """
+    r, m, lb = list(a), len(b), b[-1]
+    e, lb = (1, lb) if lb > 0 else (-1, -lb)
+    for i in range(len(a) - m, -1, -1):
+        t = e * r.pop()
+        r = [lb * x for x in r]
+        for j in range(m - 1):
+            r[i + j] -= t * b[j]
+    return _zp_primitive(r)
+
+
+def _zp_exact_quotient(a, b):
+    """a / b for int lists where b divides a in Z[s]."""
+    r, m = list(a), len(b)
+    quot = [0] * (len(a) - m + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = f = r[i + m - 1] // b[-1]
+        for j in range(m):
+            r[i + j] -= f * b[j]
+    return quot
+
+
+def _sign_at_2sqrt(p, e, q):
+    """Sign of p(2 e sqrt q), e = +1 or -1, taken exactly as a + b sqrt q."""
+    a = b = 0
+    for k, c in enumerate(p):
+        if k % 2:
+            b += e * 2 * c * (4 * q) ** (k // 2)
+        else:
+            a += c * (4 * q) ** (k // 2)
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa * ((a * a > b * b * q) - (a * a < b * b * q))
+
+
+def _variations(signs):
+    nz = [s for s in signs if s]
+    return sum(x != y for x, y in zip(nz, nz[1:]))
+
+
 @dataclass
 class LPolynomial:
     q: int
@@ -347,14 +405,40 @@ class LPolynomial:
         d = self.value_at_one() - a
         return d * d <= b * b * q
 
-    def root_moduli_ok(self, tol=1e-6):
-        if self.genus == 0:
-            return True
-        import numpy as np
+    def root_moduli_ok(self):
+        """Every reciprocal root of L has modulus sqrt(q), decided exactly.
 
-        roots = np.roots(list(reversed(self.coeffs)))
-        target = 1.0 / math.sqrt(self.q)  # roots of L are reciprocals of the alphas
-        return bool(all(abs(abs(r) - target) <= tol * target for r in roots))
+        With the functional equation, t^(2g) L(1/t) = t^g h(t + q/t) for the
+        monic h = c_g + sum_k c_(g-k) D_k(s) in Z[s], where D_0 = 2, D_1 = s,
+        D_(k+1) = s D_k - q D_(k-1) (so D_k(t + q/t) = t^k + (q/t)^k).  A root
+        alpha has |alpha| = sqrt q exactly when s = alpha + q/alpha is real
+        with s^2 <= 4q, so the test is that the squarefree part of h has all
+        its roots in [-2 sqrt q, 2 sqrt q], ends included: a Sturm count with
+        the end signs taken in Z[sqrt q] (Kedlaya, "Search techniques for
+        root-unitary polynomials", Contemp. Math. 463, 2008).
+        """
+        q, g, c = self.q, self.genus, self.coeffs
+        h = [c[g]] + [0] * g
+        prev, cur = [2], [0, 1]
+        for k in range(1, g + 1):
+            for i, d in enumerate(cur):
+                h[i] += c[g - k] * d
+            nxt = [0] + cur
+            for i, d in enumerate(prev):
+                nxt[i] -= q * d
+            prev, cur = cur, nxt
+        # h is monic, so its primitive gcd with h' divides it in Z[s] (Gauss)
+        a, b = h, _zp_derivative(h)
+        while b:
+            a, b = b, _zp_prem(a, b)
+        sf = _zp_exact_quotient(h, a)
+        chain = [sf, _zp_derivative(sf)]
+        while len(chain[-1]) > 1:
+            chain.append([-x for x in _zp_prem(chain[-2], chain[-1])])
+        lo = [_sign_at_2sqrt(p, -1, q) for p in chain]
+        hi = [_sign_at_2sqrt(p, 1, q) for p in chain]
+        inside = _variations(lo) - _variations(hi) + (lo[0] == 0)
+        return inside == len(sf) - 1
 
     def to_json(self):
         return {"q": self.q, "genus": self.genus, "coeffs": self.coeffs}
@@ -564,6 +648,8 @@ def search_h_divisor(model, p, max_coord_degree=1, skip_constants=True):
     p divides all infinite valuations, alpha is not itself a p-th power, and
     gcd(a0, a1) = gcd(a0, a2) = 1 for the minimal polynomial coefficients.
     """
+    if not is_prime(p):
+        raise ValueError("p = %d is not a prime" % p)
     B = pure_cubic_rhs(model)
     if B is None:
         raise HypothesisRefused("purely-cubic", "divisor search needs y^3 = B(x)")

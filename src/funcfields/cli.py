@@ -43,8 +43,12 @@ EXIT_FAULT = 5
 
 def _model_from_args(args):
     if getattr(args, "model_file", None):
-        with open(args.model_file) as fh:
-            return model_from_text(fh.read().strip())
+        try:
+            with open(args.model_file) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise SystemExit2("cannot read --model-file: %s" % exc)
+        return model_from_text(text.strip())
     F = _field_from_args(args)
     if getattr(args, "pure_B", None):
         B = parse_poly(F, args.pure_B)

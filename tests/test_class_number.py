@@ -1,10 +1,14 @@
 """Zeta tuples, estimates with intervals, the exact oracle, certificates."""
 
+import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from funcfields import (
     GF,
@@ -28,6 +32,7 @@ from funcfields import (
     verify_valuation_sum_infinite,
     zeta_tuple_for_signature,
 )
+from funcfields.cli import EXIT_OK, run
 from funcfields.poly import HypothesisRefused, InternalFault, UnknownSignature
 from funcfields.units import construct_rank1, regulator
 
@@ -156,6 +161,82 @@ def test_hasse_weil_bounds_are_exact(q, g):
     assert ok(lo_in) and ok(hi_in) and ok(lo_in + 1) and ok(hi_in - 1)
     assert not ok(lo_in - 1) and not ok(hi_in + 1)
     assert (lo_in == lo and hi_in == hi) == (sp.sqrt(q).is_integer)
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _product(factors):
+    out = [1]
+    for f in factors:
+        out = _mul(out, f)
+    return out
+
+
+@pytest.mark.parametrize(
+    "B, q, factor, h",
+    [("x^5+x+1", 5, [1, 0, 5], 1296), ("x^4+1", 11, [1, 0, 11], 1728)],
+)
+def test_repeated_l_roots_are_not_faults(capsys, B, q, factor, h):
+    # L = (1 + q t^2)^g: every reciprocal root is repeated g times
+    F = GF(q)
+    o = exact_h(pure_cubic(parse_poly(F, B), F))
+    g = o.L.genus
+    assert o.L.coeffs == _product([factor] * g) and o.h == h
+    assert o.L.root_moduli_ok()
+    assert run(["hexact", "--pure-B", B, "--q", str(q)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("h = %d\n" % h)
+
+
+def test_repeated_weil_factor_over_gf49():
+    # y^3 = x^4 + 2x^3 + 4x^2 + 3x: over GF(7), L = (1 + 5t + 7t^2)(1 - 5t + 7t^2)^2,
+    # so over GF(49) L = (1 - 11t + 49t^2)^3 by L_49(t^2) = L_7(t) L_7(-t).
+    # exact_h over GF(49) takes about a minute, so only the L-polynomial is checked there.
+    o = exact_h(pure_cubic(pp("x^4 + 2*x^3 + 4*x^2 + 3*x")))
+    assert o.L.coeffs == _product([[1, 5, 7], [1, -5, 7], [1, -5, 7]])
+    L49 = _product([[1, -11, 49]] * 3)
+    square = _mul(o.L.coeffs, [c * (-1) ** i for i, c in enumerate(o.L.coeffs)])
+    assert square == [c for c49 in L49 for c in (c49, 0)][:-1]
+    assert LPolynomial(49, 3, L49).root_moduli_ok()
+    assert LPolynomial(49, 3, L49).value_at_one() == 59319
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_weil_products_are_accepted_exactly_when_every_factor_is_weil(data):
+    # L = prod (1 - a t + q t^2) has all reciprocal roots of modulus sqrt(q) exactly
+    # when every a^2 <= 4q; square q puts a = +-2 sqrt(q) (a double root) on the edge
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 25, 49, 121, 10007]))
+    r = math.isqrt(4 * q)
+    a_strategy = st.one_of(st.integers(-r - 2, r + 2), st.sampled_from([-r - 1, -r, r, r + 1]))
+    a_values = data.draw(st.lists(a_strategy, max_size=5))
+    a_values += data.draw(st.lists(st.sampled_from(a_values), max_size=3)) if a_values else []
+    L = LPolynomial(q, len(a_values), _product([[1, -a, q] for a in a_values]))
+    assert L.functional_equation_ok()
+    assert L.root_moduli_ok() == all(a * a <= 4 * q for a in a_values)
+
+
+def test_exact_paths_run_without_numpy():
+    # numpy blocked: exact_h and hexact still decide, and nothing imports it
+    code = """
+import sys
+sys.modules["numpy"] = None
+from funcfields import GF, CubicModel, FqPoly, exact_h, parse_poly
+from funcfields.cli import run
+F = GF(5)
+assert exact_h(CubicModel(FqPoly.zero(F), -parse_poly(F, "x^5+x+1"))).h == 1296
+assert run(["hexact", "--pure-B", "x^2+x", "--q", "7"]) == 0
+assert sys.modules["numpy"] is None
+assert not [m for m in sys.modules if m.startswith("numpy.")]
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("h = 9\n")
 
 
 def test_oracle_budget_refusals():

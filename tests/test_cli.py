@@ -1,8 +1,13 @@
 """Command line interface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from funcfields import GF
 from funcfields import cli
@@ -148,6 +153,23 @@ def test_model_file_input(tmp_path, capsys):
     assert "genus = 1" in out
 
 
+def test_missing_model_file_is_usage_error(tmp_path, capsys):
+    code, out, err = _capture(capsys, ["analyze", "--model-file", str(tmp_path / "absent.txt")])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: cannot read --model-file")
+
+
+@pytest.mark.parametrize("p", ["0", "1", "-3", "4"])
+def test_search_divisor_refuses_a_non_prime(capsys, p):
+    code, out, err = _capture(
+        capsys, ["search-divisor", "--pure-B", "x^2+x", "--q", "7", "--p", p, "--budget", "0"]
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: p = %s is not a prime\n" % p
+
+
 def test_model_file_without_field_is_usage_error(tmp_path, capsys):
     path = tmp_path / "model.txt"
     path.write_text("cubic A=x^2 B=1\n")
@@ -202,3 +224,89 @@ def test_q_as_prime_power_matches_p_k_form(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert "p^k" in err
+
+
+# -- fuzz: every argv ends in a documented exit code ---------------------------
+
+SUBCOMMANDS = ("analyze", "places", "basis", "units", "hbound", "hexact", "certify", "search-divisor")
+FIELDS = ("2", "3", "4", "5", "7", "8", "9", "11", "13", "2^2", "3^2")
+NOT_FIELDS = ("6", "1", "0", "-3", "abc", "", "7^0")
+# Garbage has no digits, so it never asks for a huge degree
+GARBAGE = st.text(alphabet="x^+-*() =abq.", max_size=7)
+# hypothesis favours the low end of integers(), so rare events are drawn this way
+RARELY = st.sampled_from((False,) * 19 + (True,))
+DOCUMENTED_EXITS = {EXIT_OK, EXIT_USAGE, EXIT_REFUSED, EXIT_UNKNOWN, EXIT_FAULT}
+
+
+@st.composite
+def poly_text(draw, top=6):
+    if draw(RARELY):
+        return draw(GARBAGE)
+    d = draw(st.integers(0, top))
+    coeffs = draw(st.lists(st.integers(0, 12), min_size=d + 1, max_size=d + 1))
+    coeffs[d] = coeffs[d] or 1
+    terms = ["%d*x^%d" % (c, e) for e, c in enumerate(coeffs) if c]
+    return "+".join(reversed(terms)) or "0"
+
+
+@st.composite
+def cli_argv(draw, model_file):
+    """A subcommand with its flags; models of degree <= 6 over q <= 13.
+
+    Work stays small: hexact gets --max-genus <= 3, hbound --lambda <= 2,
+    places --max-deg <= 2, and search-divisor a coordinate budget of 1 only
+    over GF(2) and GF(3).  units --construct thm247 gets deg A <= 1, since its
+    search for intermediate units is exhaustive in q^(2 deg A).
+    """
+    # valid choices come several times over, so most runs get past argument parsing
+    sub = draw(st.sampled_from(SUBCOMMANDS * 3 + ("bogus",)))
+    q = draw(st.sampled_from(FIELDS * 3 + NOT_FIELDS + (None,)))
+    argv = [sub] + ([] if q is None else ["--q", q])
+    if sub == "units":
+        construct = draw(st.sampled_from(("thm245", "thm246", "thm247") * 3 + ("thm999",)))
+        argv += ["--construct", construct, "--A", draw(poly_text(1 if construct == "thm247" else 6)),
+                 "--a", draw(poly_text()), "--kappa", str(draw(st.integers(-2, 13)))]
+    else:
+        kind = draw(st.sampled_from(("cubic", "quartic", "pure", "file") * 3 + ("missing-file", "none", "all")))
+        if kind == "cubic":
+            argv += ["--cubic", "--A", draw(poly_text()), "--B", draw(poly_text())]
+        elif kind == "quartic":
+            argv += ["--quartic", "--A", draw(poly_text()), "--B", draw(poly_text()), "--C", draw(poly_text())]
+        elif kind == "pure":
+            argv += ["--pure-B", draw(poly_text())]
+        elif kind == "all":
+            argv += ["--cubic", "--quartic", "--pure-B", draw(poly_text())]
+        elif kind == "file":
+            head = draw(st.sampled_from(("cubic", "quartic") * 3 + ("", "sextic")))
+            fq = draw(st.sampled_from(FIELDS * 3 + NOT_FIELDS))
+            polys = [draw(poly_text()).replace(" ", "") for _ in range(3)]
+            with open(model_file, "w") as fh:
+                fh.write("%s q=%s A=%s B=%s C=%s" % (head, fq, *polys))
+            argv += ["--model-file", model_file]
+        elif kind == "missing-file":
+            argv += ["--model-file", model_file + ".absent"]
+        if sub == "places":
+            argv += ["--max-deg", str(draw(st.sampled_from((1, 2) * 3 + (0, -1))))]
+        elif sub == "hbound":
+            argv += ["--lambda", str(draw(st.sampled_from((1, 2) * 3 + (0, -1))))]
+        elif sub == "hexact":
+            argv += ["--max-genus", str(draw(st.sampled_from((1, 2, 3) * 2 + (0, -1))))]
+        elif sub == "search-divisor":
+            top = 1 if q in ("2", "3") else 0
+            p = draw(st.sampled_from((2, 3, 5, 7) * 2 + (-1, 0, 1, 4)))
+            argv += ["--p", str(p), "--budget", str(draw(st.integers(-1, top)))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(("json", "table") * 3 + ("xml",)))]
+    if draw(RARELY):
+        argv += ["--seed", "1"]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_fuzzed_argv_ends_in_a_documented_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = data.draw(cli_argv(os.path.join(tmp, "model.txt")))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+    assert code in DOCUMENTED_EXITS, argv

@@ -8,6 +8,8 @@ defects and the discriminant degree ledger must all be unchanged.
 
 import random
 
+import pytest
+
 from funcfields import (
     GF,
     CubicModel,
@@ -162,3 +164,63 @@ def test_rank1_family_h_consistent_with_regulator():
     h = exact_h(model).h
     hp = h_prime(h, cert.regulator_R, 1)
     assert hp >= 1 and hp * cert.regulator_R == h
+
+
+# -- base change: L_{q^2}(t^2) = L_q(t) L_q(-t) -------------------------------------
+
+# Coefficient lists (constant term first) of A, B for cubics y^3 - A y + B and
+# A, B, C for quartics.  The integers below p encode the same elements of F_p
+# in GF(p) and in GF(p, 2), so each model is read once over each field.
+# The demo models over GF(7) come first, then the prime-field models of the
+# benchmark's seed-1 zeta corpus (perfbench/workloads.py) with (p^2)^g <= 2^16
+# whose places up to degree g are decided over both fields.
+BASE_CHANGE_MODELS = [
+    (7, ((0, 0, 1), (1,))),  # y^3 - x^2 y + 1
+    (7, ((), (0, 6, 6))),  # y^3 = x^2 + x
+    (7, ((0, 1), (1,), (0, 0, 1))),  # y^4 - x y^2 - y + x^2
+    (7, ((0, 1), (0, 1), (0, 1))),  # y^4 - x y^2 - x y + x, genus 0
+    (7, ((0, 0, 1), (6,))),  # y^3 - x^2 y - 1, the rank-2 unit family with A = x
+    (7, ((), (6, 5, 1, 2))),
+    (7, ((), (6, 2, 2))),
+    (7, ((4, 1), (4, 3, 4))),
+    (7, ((3, 3), (0, 0, 5))),
+    (7, ((2, 3), (), (2, 0, 1, 4))),
+    (7, ((1, 5, 1), (), (2, 2))),
+    (7, ((5, 6, 2), (), (0, 2, 6, 3, 2))),
+    (11, ((), (7, 4, 9))),
+    (11, ((), (9, 7, 6))),
+    (11, ((8, 4, 1), (8, 7, 2))),
+    (11, ((2,), (), (1, 8, 2, 7))),
+    (11, ((7,), (), (4, 1, 3, 5))),
+    (11, ((2, 6, 10), (), (2, 10, 9))),
+    (11, ((2, 4), (), (9, 4, 2, 3, 4))),
+    (13, ((), (3, 3, 6))),
+    (13, ((), (5, 12, 7))),
+    (13, ((8, 11), (5, 3, 10))),
+    (13, ((0, 2, 3), (1, 11, 4, 6))),
+    (13, ((7, 1), (), (8, 8, 1))),
+    (13, ((6, 1), (), (8, 8, 1))),
+    (13, ((8,), (), (0, 4, 7))),
+    (13, ((11,), (), (7, 7, 9, 7, 9))),
+    (13, ((4, 7), (), (0, 0, 11, 1, 2))),
+    (13, ((9,), (), (0, 0, 0, 6, 11))),
+]
+
+
+@pytest.mark.parametrize("p, coeffs", BASE_CHANGE_MODELS)
+def test_base_change_to_the_quadratic_extension(p, coeffs):
+    # Stichtenoth, Algebraic Function Fields and Codes, ch. 5: the constant field
+    # extension of degree 2 has L_{q^2}(t^2) = L_q(t) L_q(-t).  Over GF(p, 2) the
+    # places, residue towers and case branches are all different ones.
+    L = {}
+    for F in (GF(p), GF(p, 2)):
+        polys = [FqPoly(F, cs) for cs in coeffs]
+        model = CubicModel(*polys) if len(polys) == 2 else QuarticModel(*polys)
+        L[F.q] = exact_h(model).L.coeffs
+    Lq = L[p]
+    square = [0] * (2 * len(Lq) - 1)
+    for i, a in enumerate(Lq):
+        for j, b in enumerate(Lq):
+            square[i + j] += a * b * (-1) ** j
+    assert square[1::2] == [0] * (len(Lq) - 1)
+    assert square[::2] == L[p * p]
