@@ -12,15 +12,18 @@ the degree valuation, v(f) = -deg f.  Both expose the same interface:
 residue() is the workhorse of the signature tables: every "A-bar is a
 square mod P" test and every "sgn(A) is a square" test is the same call.
 
-Which residue field a finite place gets is poly.residue_field's choice:
-F_q or F_{q^d} = GF(p, k d) with the residue map f -> f(alpha), at degree 1
-and at the places that the enumeration of monic irreducibles reached as
-Frobenius orbits, because the class-number and zeta computations spend
-their time in one signature per place at exactly these places; otherwise
-coefficient tuples mod P.  Either kind gives the residue of f as
-K.embed(f), and the two agree through x -> alpha, so results do not depend
-on which kind a place gets.  The infinite place's residue field is F_q as
-the degree-1 field of the place x.
+A finite place's residue field is F_q or F_{q^d} = GF(p, k d) with the
+residue map f -> f(alpha), at degree 1 and at the places that the
+enumeration of monic irreducibles reached as Frobenius orbits, because
+the class-number and zeta computations spend their time in one signature
+per place at exactly these places; otherwise coefficient tuples mod P.
+The sweep over the places of one degree (ZetaData.finite) takes its towers
+from the enumeration (poly.tower_fields) and hands each place its field;
+every other place asks poly.residue_field(P), a cache keyed by P, on first
+use.  Either kind gives the residue of f as K.embed(f), and the two agree
+through x -> alpha, so results do not depend on which kind a place gets.
+The infinite place's residue field is F_q as the degree-1 field of the
+place x.
 
 One valuation rule serves both kinds: P divides f exactly when the residue
 of f is zero, so val embeds f and, only while that residue is zero,
@@ -39,12 +42,13 @@ class FinitePlace:
 
     __slots__ = ("P", "field", "_rf", "_split")
 
-    def __init__(self, P):
+    def __init__(self, P, residue_field=None):
+        """residue_field, when given, is k(P) (from poly.tower_fields); else residue_field(P) on first use."""
         if P.sgn != 1:
             P = P.monic()
         self.P = P
         self.field = P.field
-        self._rf = None
+        self._rf = residue_field
         # coefficient tuple of f -> (v_P(f), residue of f / P^v); every f a
         # place sees is over the place's own field
         self._split = {}
@@ -69,7 +73,7 @@ class FinitePlace:
         hit = self._split.get(key)
         if hit is not None:
             return hit
-        P, K = self.P, self.residue_field
+        P, K = self.P, self._rf or self.residue_field
         zero = K.zero
         v = 0
         # P | f exactly when f has residue zero; the first nonzero one is kept
@@ -93,13 +97,12 @@ class FinitePlace:
 
     def residue(self, f, s):
         """Residue of f / P^s; requires s <= val(f)."""
-        K = self.residue_field
         if f.is_zero():
-            return K.zero
+            return self.residue_field.zero
         v, r = self._split_off(f)
         if s > v:
             raise ValueError("residue level exceeds valuation")
-        return r if s == v else K.zero
+        return r if s == v else self.residue_field.zero
 
     def __eq__(self, other):
         return isinstance(other, FinitePlace) and self.P == other.P

@@ -17,11 +17,15 @@ residue mod p, so there the engine, and with it gp_mod, gp_gcd,
 gp_pow_mod, the factoring stack and FqPoly, runs on plain ints: products
 and quotients through fq.fp_mul and fq.fp_divmod (sums of products
 reduced mod p once per coefficient, the divisor made monic once), sums
-and differences reduced termwise.  Every result is the same reduced int
-that the per-term K.add/K.mul loop gives, so no output changes.
-Extension fields and residue fields keep that loop.
+and differences reduced termwise; so does a degree-1 tower over F_p.
+Over a table-backed F_{p^k}, and over a tower whose E is one, products
+and quotients run on E's log/exp tables (_log_mul, _log_divmod): one log
+per coefficient, then per term a sum of logs and an XOR (p = 2) or a Zech
+addition.  Every result is the same reduced int that the per-term
+K.add/K.mul loop gives, so no output changes.  Tuple residue fields and
+fields above the tables keep that loop.
 
-Residue fields come in two kinds, both from residue_field(P).  When
+Residue fields come in two kinds.  When
 monic_irreducibles enumerates the places of degree d >= 2 with q^d <=
 fq.TABLE_MAX_ORDER, it walks the Frobenius orbits of E = GF(p, k d)
 instead of testing every monic candidate, and records the tower: an
@@ -37,7 +41,10 @@ per (q, d) and built only by enumeration; a place that no enumeration
 reached (a place over D of degree >= 2, say) or with q^d above the
 threshold gets the tuple ResidueField, whose few operations would not
 repay building E.  Both agree through x -> alpha on every result that
-leaves the field.
+leaves the field.  The sweep over the places of one degree gets its
+TowerResidueFields from tower_fields(F, d), which reads the tower once
+and copies one field per place; residue_field(P), cached by P, serves
+every other caller.
 
 Both kinds present one protocol on top of the engine's: embed (the
 residue of an FqPoly, zero exactly when P divides it), lift, from_base,
@@ -53,7 +60,7 @@ import re
 from functools import lru_cache
 from itertools import zip_longest
 
-from .fq import GF, TABLE_MAX_ORDER, FqField, _prime_factors, digits, fp_divmod, fp_mul, tonelli_shanks
+from .fq import GF, TABLE_MAX_ORDER, FqField, _fp_trim, _prime_factors, digits, fp_divmod, fp_mul, tonelli_shanks
 
 NEG_DEG = float("-inf")
 POS_INF = float("inf")
@@ -305,8 +312,9 @@ def gp_trim(K, cs):
 
 
 def _prime(K):
-    """p when K is the prime field F_p, whose elements the int kernels take; else None."""
-    return K.p if isinstance(K, FqField) and K.k == 1 else None
+    """p when K's elements are ints mod p (F_p, or a degree-1 tower over it); else None."""
+    E = K if type(K) is FqField else K.E
+    return E.p if E is not None and E.k == 1 else None
 
 
 def gp_add(K, a, b):
@@ -332,9 +340,12 @@ def gp_sub(K, a, b):
 
 
 def gp_mul(K, a, b):
-    p = _prime(K)
-    if p:
-        return fp_mul(a, b, p)
+    E = K if type(K) is FqField else K.E
+    if E is not None:
+        if E.k == 1:
+            return fp_mul(a, b, E.p)
+        if E._log is not None:
+            return _log_mul(E, a, b)
     if not a or not b:
         return []
     z, add, mul = K.zero, K.add, K.mul
@@ -348,9 +359,12 @@ def gp_mul(K, a, b):
 
 
 def gp_divmod(K, a, b):
-    p = _prime(K)
-    if p:
-        return fp_divmod(a, b, p)
+    E = K if type(K) is FqField else K.E
+    if E is not None:
+        if E.k == 1:
+            return fp_divmod(a, b, E.p)
+        if E._log is not None:
+            return _log_divmod(E, a, b)
     if not b:
         raise ZeroDivisionError
     a = list(a)
@@ -368,6 +382,103 @@ def gp_divmod(K, a, b):
         while a and a[-1] == z:
             a.pop()
     return gp_trim(K, q), a
+
+
+def _log_mul(E, a, b):
+    """a * b over a table-backed F_{p^k}: one log per coefficient, then per term
+    a sum of logs and an XOR (p = 2) or a Zech addition into the output's logs."""
+    if not a or not b:
+        return []
+    log, exp = E._log, E._exp
+    lb = [(j, log[c]) for j, c in enumerate(b) if c]
+    if E.p == 2:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                la = log[c]
+                for j, m in lb:
+                    out[i + j] ^= exp[la + m]
+        return _fp_trim(out)
+    # odd p: the output as logs, None for 0; g^s + g^t = g^(s + zech[t - s])
+    zech, n = E._zech, E.q - 1
+    out = [None] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            la = log[c]
+            for j, m in lb:
+                t = la + m
+                if t >= n:
+                    t -= n
+                s = out[i + j]
+                if s is None:
+                    out[i + j] = t
+                else:
+                    z = zech[t - s]
+                    if z is None:
+                        out[i + j] = None
+                    else:
+                        s += z
+                        out[i + j] = s - n if s >= n else s
+    return _fp_trim([0 if s is None else exp[s] for s in out])
+
+
+def _log_divmod(E, a, b):
+    """(quotient, remainder) over a table-backed F_{p^k}, deg remainder < deg b.
+
+    The divisor's coefficients below the top are kept as the logs of -b_j,
+    with -1 = g^((q - 1)/2) folded in (1 for p = 2), so a step costs one
+    log and, per term, a sum of logs and an XOR or a Zech addition; for odd
+    p the remainder stays in the log domain throughout.
+    """
+    b = _fp_trim(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    r = _fp_trim(list(a))
+    if len(r) <= db:
+        return [], r
+    log, exp, n = E._log, E._exp, E.q - 1
+    lead = log[b[-1]]
+    inv = n - lead if lead else 0  # log of 1 / lead(b)
+    minus = n // 2 if E.p != 2 else 0  # log of -1
+    low = [(j, (log[c] + minus) % n) for j, c in enumerate(b[:-1]) if c]
+    q = [0] * (len(r) - db)
+    if E.p == 2:
+        for pos in range(len(r) - 1 - db, -1, -1):
+            c = r[pos + db]
+            if c:
+                t = log[c] + inv
+                if t >= n:
+                    t -= n
+                q[pos] = exp[t]
+                for j, m in low:
+                    r[pos + j] ^= exp[t + m]
+        return q, _fp_trim(r[:db])
+    zech = E._zech
+    r = [log[c] for c in r]  # log[0] is None
+    for pos in range(len(r) - 1 - db, -1, -1):
+        lt = r[pos + db]
+        if lt is not None:
+            t = lt + inv
+            if t >= n:
+                t -= n
+            q[pos] = exp[t]
+            for j, m in low:
+                u = t + m
+                if u >= n:
+                    u -= n
+                k = pos + j
+                s = r[k]
+                if s is None:
+                    r[k] = u
+                else:
+                    z = zech[u - s]
+                    if z is None:
+                        r[k] = None
+                    else:
+                        s += z
+                        r[k] = s - n if s >= n else s
+    return q, _fp_trim([0 if s is None else exp[s] for s in r[:db]])
 
 
 def gp_mod(K, a, b):
@@ -580,6 +691,8 @@ def gp_irreducible(K, f):
 
 class ResidueField:
     """The field F_q[x]/(P) for monic irreducible P, protocol-compatible."""
+
+    E = None  # its elements are tuples, so the engine runs its per-term loop
 
     def __init__(self, P):
         self.P = P
@@ -811,6 +924,18 @@ class TowerResidueField:
         # lookup, where sqrt picks the root that matches the tuple field's
         self.any_sqrt = E.sqrt
 
+    def sibling(self, P, alpha):
+        """k(P) for another place P of the same tower, with its root alpha.
+
+        A copy of this field's attributes (E's operations, bound once per
+        tower) with its own P and alpha, so a sweep over the places of one
+        degree builds the field once.
+        """
+        K = object.__new__(TowerResidueField)
+        K.__dict__.update(self.__dict__)
+        K.P, K.alpha, K._solve, K._nonsquare = P, alpha, None, None
+        return K
+
     def embed(self, poly):
         """Residue of an FqPoly: Horner evaluation at alpha, one E.horner call."""
         return self.E.horner(poly.coeffs, self.alpha, self._emb)
@@ -930,6 +1055,29 @@ def residue_field(P):
 # bound once, so it still clears the cache when a profiler rebinds the
 # module name residue_field to a wrapper
 _clear_residue_fields = residue_field.cache_clear
+
+
+def tower_fields(F, d):
+    """[(P, k(P))] over monic_irreducibles(F, d), from the tower the enumeration recorded.
+
+    E = F_q with alpha = -P(0) for d = 1; otherwise E, its embedding of F_q
+    and the roots come from _TOWERS, read once.  Every field is a sibling of
+    the first, and no place is hashed or looked up through residue_field's
+    cache.  Where (F, d) has no tower (q^d above fq.TABLE_MAX_ORDER) k(P)
+    is None, and the place asks residue_field for its field.
+    """
+    places = monic_irreducibles(F, d)
+    if d == 1:
+        E, emb = F, range(F.q)
+        alphas = [F.neg(P.coeffs[0]) for P in places]
+    else:
+        tower = _TOWERS.get((F, d))
+        if tower is None:
+            return [(P, None) for P in places]
+        E, emb, roots = tower
+        alphas = [roots[P.coeffs] for P in places]
+    first = TowerResidueField(places[0], E, emb, alphas[0])
+    return [(P, first.sibling(P, alpha)) for P, alpha in zip(places, alphas)]
 
 
 # ---------------------------------------------------------------------------

@@ -120,17 +120,34 @@ class Signature:
 
 
 class SignatureResult:
-    """Signature or Unknown, with the resolution method and a derivation log."""
+    """Signature or Unknown, with the resolution method and a derivation log.
 
-    __slots__ = ("signature", "method", "trace", "unknown_reason", "kummer_reduction", "place")
+    The log (trace) is formatted on first read.  The dispatchers store the
+    line that describes the place as (format, args, place), the place's
+    describe() taking the last %s, and the iteration and transform steps
+    carry such entries over unformatted, so a class-number sweep that never
+    reads a trace never formats a place.  Every read sees the same text.
+    """
+
+    __slots__ = ("signature", "method", "_trace", "unknown_reason", "kummer_reduction", "place")
 
     def __init__(self, signature, method, trace, unknown_reason=None, kummer_reduction=None, place=None):
         self.signature = signature
         self.method = method
-        self.trace = list(trace)
+        self._trace = list(trace)  # lines, and (format, args, place) entries not yet formatted
         self.unknown_reason = unknown_reason
         self.kummer_reduction = kummer_reduction  # (protocol field, coeff list) or None
         self.place = place
+
+    @property
+    def trace(self):
+        """The derivation log as a list of lines."""
+        t = self._trace
+        for i, line in enumerate(t):
+            if type(line) is tuple:
+                fmt, args, place = line
+                t[i] = fmt % (args + (place.describe(),))
+        return t
 
     @property
     def known(self):
@@ -218,7 +235,7 @@ def signature_cubic(model, place, _depth=0):
             u1, u0 = u1 - 2, u0 - 3
         model = CubicModel(A, B, _skip_checks=True)
     K = place.residue_field
-    trace = ["u(A)=%s u(B)=%s at %s" % (u1, u0, place.describe())]
+    trace = [("u(A)=%s u(B)=%s at %s", (u1, u0), place)]
 
     three_u1 = 3 * u1 if u1 is not POS_INF else POS_INF
     two_u0 = 2 * u0
@@ -365,7 +382,7 @@ def _cubic_iteration(model, place, trace, depth):
     return SignatureResult(
         sub.signature,
         "Char%dIteration" % p if sub.known else sub.method,
-        trace + sub.trace,
+        trace + sub._trace,
         unknown_reason=sub.unknown_reason,
         kummer_reduction=sub.kummer_reduction,
         place=place,
@@ -386,7 +403,7 @@ def signature_quartic(model, place, allow_transforms=True):
     A, B, C = model.A, model.B, model.C
     K = place.residue_field
     u2, u1, u0 = place.val(A), place.val(B), place.val(C)
-    trace = ["u(A)=%s u(B)=%s u(C)=%s at %s" % (u2, u1, u0, place.describe())]
+    trace = [("u(A)=%s u(B)=%s u(C)=%s at %s", (u2, u1, u0), place)]
 
     alpha = Fraction(int(u2), 2) if u2 is not POS_INF else POS_INF
     beta = Fraction(int(u1), 3)
@@ -589,7 +606,7 @@ def _quartic_transform(model, place, trace, reason, allow_transforms):
         sub = signature_quartic(nxt, place, allow_transforms=False)
         if sub.known:
             trace.append("resolved through the substitute generator %s" % label)
-            return SignatureResult(sub.signature, sub.method, trace + sub.trace,
+            return SignatureResult(sub.signature, sub.method, trace + sub._trace,
                                    kummer_reduction=sub.kummer_reduction, place=place)
         trace.append("substitute %s still undecided" % label)
     return _unknown(place, reason, trace)
@@ -613,7 +630,7 @@ def _biquadratic_signature(model, place):
     if S.is_zero():
         raise InternalFault("biquadratic model with square defining quadratic")
     u2, u0, w = place.val(A), place.val(C), place.val(S)
-    trace = ["biquadratic: u(A)=%s u(C)=%s u(A^2-4C)=%s at %s" % (u2, u0, w, place.describe())]
+    trace = [("biquadratic: u(A)=%s u(C)=%s u(A^2-4C)=%s at %s", (u2, u0, w), place)]
     w = int(w)
     two = K.from_base(F.from_int(2))
     half = K.inv(two)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +107,18 @@ def test_search_divisor(capsys):
     )
     assert code == EXIT_OK
     assert "witness" in out
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["units", "--q", "7", "--A", "10*x^4+6*x", "--a", "x", "--construct", "thm247"], "10380877164 candidates"),
+    (["search-divisor", "--q", "11", "--pure-B", "10*x^5+2*x^3+8", "--p", "5", "--budget", "1"], "1771561 triples"),
+])
+def test_exhaustive_searches_over_budget_are_refused_at_once(capsys, argv, count):
+    t0 = time.perf_counter()
+    code, out, err = _capture(capsys, argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_REFUSED and out == ""
+    assert "search-budget" in err and count in err
 
 
 def test_units_construction(capsys):
@@ -255,8 +268,10 @@ def cli_argv(draw, model_file):
 
     Work stays small: hexact gets --max-genus <= 3, hbound --lambda <= 2,
     places --max-deg <= 2, and search-divisor a coordinate budget of 1 only
-    over GF(2) and GF(3).  units --construct thm247 gets deg A <= 1, since its
-    search for intermediate units is exhaustive in q^(2 deg A).
+    over GF(2) and GF(3).  units --construct thm247 gets deg A <= 4: its
+    search for intermediate units, exhaustive in q^(2 deg A), refuses more
+    than units.UNIT_SEARCH_BUDGET candidates (the largest it accepts here,
+    deg A = 2 over GF(7), takes about 5 s).
     """
     # valid choices come several times over, so most runs get past argument parsing
     sub = draw(st.sampled_from(SUBCOMMANDS * 3 + ("bogus",)))
@@ -264,7 +279,7 @@ def cli_argv(draw, model_file):
     argv = [sub] + ([] if q is None else ["--q", q])
     if sub == "units":
         construct = draw(st.sampled_from(("thm245", "thm246", "thm247") * 3 + ("thm999",)))
-        argv += ["--construct", construct, "--A", draw(poly_text(1 if construct == "thm247" else 6)),
+        argv += ["--construct", construct, "--A", draw(poly_text(4 if construct == "thm247" else 6)),
                  "--a", draw(poly_text()), "--kappa", str(draw(st.integers(-2, 13)))]
     else:
         kind = draw(st.sampled_from(("cubic", "quartic", "pure", "file") * 3 + ("missing-file", "none", "all")))

@@ -6,6 +6,9 @@
   result that leaves the field: lifts, roots, power tests, the element
   order, gp_roots and Kummer factor types.
 - signature_at on tower places against signature_at on ResidueField places.
+- The rows of ZetaData.finite, whose places get their towers from the
+  enumeration, against signature_at through residue_field, and the traces
+  of a sweep formatted only when read.
 - The norm test of the biquadratic engine against a power-based square test
   in k(P)(sqrt(rho)).
 """
@@ -28,6 +31,7 @@ from funcfields import (
     parse_poly,
     signature_at,
 )
+from funcfields.class_number import ZetaData
 from funcfields.poly import ResidueField, TowerResidueField, gp_irreducible, gp_roots, residue_field
 from funcfields.signature import _inert_square
 
@@ -192,6 +196,59 @@ def test_signature_at_agrees_with_tuple_residue_fields(monkeypatch):
         tuple_ = [_result_key(signature_at(model, FinitePlace(P))) for P in places]
         monkeypatch.undo()
         assert tower == tuple_
+
+
+def test_sweep_rows_equal_signature_at_through_residue_field(monkeypatch):
+    # ZetaData.finite takes every place's field from the tower the
+    # enumeration recorded; residue_field, asked place by place, must agree
+    for model in _models():
+        F = model.field
+        if model.degree == 4 and not model.biquadratic:
+            model.substitutes()  # built once per model, at places of its own
+        for d in range(1, (3 if F.q < 25 else 2) + 1):
+            zeta = ZetaData(model)
+            monkeypatch.setattr(places_module, "residue_field", None)  # the sweep must not ask it
+            rows = zeta.finite(d)
+            monkeypatch.undo()
+            residue_field.cache_clear()
+            places = monic_irreducibles(F, d)
+            assert [P for P, _ in rows] == list(places)
+            assert [_result_key(res) for _, res in rows] == [
+                _result_key(signature_at(model, FinitePlace(P))) for P in places
+            ]
+
+
+def test_sweep_without_a_tower_asks_residue_field(monkeypatch):
+    # as above q^d > fq.TABLE_MAX_ORDER: no tower, so tuple fields
+    model = _models()[0]
+    monkeypatch.setattr(poly_module, "_TOWERS", {})
+    residue_field.cache_clear()
+    try:
+        assert all(K is None for _, K in poly_module.tower_fields(model.field, 2))
+        rows = ZetaData(model).finite(2)
+        assert type(rows[0][1].place.residue_field) is ResidueField
+        assert [_result_key(res) for _, res in rows] == [
+            _result_key(signature_at(model, FinitePlace(P))) for P in monic_irreducibles(model.field, 2)
+        ]
+    finally:
+        residue_field.cache_clear()
+
+
+def test_sweep_formats_traces_only_when_read(monkeypatch):
+    calls = []
+    format_poly = poly_module.format_poly
+    monkeypatch.setattr(poly_module, "format_poly", lambda f: calls.append(f) or format_poly(f))
+    for model in _models():
+        F = model.field
+        zeta = ZetaData(model)
+        rows = [res for d in range(1, (3 if F.q < 25 else 2) + 1) for _, res in zeta.finite(d)]
+        assert calls == []
+        first = [list(res.trace) for res in rows]
+        assert calls  # one call per place line, iterations and substitutes included
+        n = len(calls)
+        assert [res.trace for res in rows] == first and len(calls) == n
+        assert all(isinstance(line, str) for t in first for line in t)
+        del calls[:]
 
 
 def _quad_ext_is_square(K, rho, x, y):
