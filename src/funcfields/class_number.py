@@ -661,6 +661,8 @@ def search_h_divisor(model, p, max_coord_degree=1, skip_constants=True):
     """
     if not is_prime(p):
         raise ValueError("p = %d is not a prime" % p)
+    if max_coord_degree < 0:
+        raise ValueError("the coordinate degree bound %d is negative" % max_coord_degree)
     B = pure_cubic_rhs(model)
     if B is None:
         raise HypothesisRefused("purely-cubic", "divisor search needs y^3 = B(x)")

@@ -173,6 +173,16 @@ def test_missing_model_file_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: cannot read --model-file")
 
 
+@pytest.mark.parametrize("budget", ["-1", "-2"])
+def test_search_divisor_refuses_a_negative_budget(capsys, budget):
+    code, out, err = _capture(
+        capsys, ["search-divisor", "--pure-B", "x^2+x", "--q", "7", "--p", "3", "--budget", budget]
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: the coordinate degree bound %s is negative\n" % budget
+
+
 @pytest.mark.parametrize("p", ["0", "1", "-3", "4"])
 def test_search_divisor_refuses_a_non_prime(capsys, p):
     code, out, err = _capture(
@@ -309,7 +319,7 @@ def cli_argv(draw, model_file):
         elif sub == "search-divisor":
             top = 1 if q in ("2", "3") else 0
             p = draw(st.sampled_from((2, 3, 5, 7) * 2 + (-1, 0, 1, 4)))
-            argv += ["--p", str(p), "--budget", str(draw(st.integers(-1, top)))]
+            argv += ["--p", str(p), "--budget", str(draw(st.integers(-3, top)))]
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(("json", "table") * 3 + ("xml",)))]
     if draw(RARELY):

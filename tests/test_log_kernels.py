@@ -80,7 +80,7 @@ def polys(draw, K, count, max_len=8):
 
 
 @pytest.mark.parametrize("K", [c[0] for c in FIELD_CASES], ids=[c[1] for c in FIELD_CASES])
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_mul_and_divmod_match_the_per_term_loop(K, data):
     a, b = data.draw(polys(K, 2))
@@ -140,8 +140,10 @@ def test_gcd_and_pow_mod_match_the_per_term_loop(K, monkeypatch):
             c = [rng.randrange(K.order), 1]
             a, b = gp_mul(K, a, c), gp_mul(K, b, c)
         e = rng.choice([0, 1, 2, K.order, K.order ** 2 - 1, rng.randrange(1, 10 ** 6)])
-        fast = (gp_gcd(K, a, b), gp_gcd(K, a, []), gp_pow_mod(K, a, e, m))
-        assert fast == _with_oracle(monkeypatch, lambda: (gp_gcd(K, a, b), gp_gcd(K, a, []), gp_pow_mod(K, a, e, m)))
+        def results():
+            return gp_gcd(K, a, b), gp_gcd(K, a, []), gp_pow_mod(K, a, e, m)
+
+        assert results() == _with_oracle(monkeypatch, results)
 
 
 @pytest.mark.parametrize("pk", FIELDS, ids=["GF(%d^%d)" % pk for pk in FIELDS])
@@ -151,6 +153,6 @@ def test_factorize_matches_the_per_term_loop(pk, monkeypatch):
     for _ in range(6):
         parts = [FqPoly(F, [rng.randrange(F.q) for _ in range(rng.randrange(1, 4))] + [1]) for _ in range(3)]
         f = parts[0] * parts[1] ** 2 * parts[2]
-        fast = factorize(f, seed=5).factors
-        assert fast == _with_oracle(monkeypatch, lambda: factorize(f, seed=5).factors)
-        assert factorize(f, seed=5).value(F) == f
+        fact = factorize(f, seed=5)
+        assert fact.factors == _with_oracle(monkeypatch, lambda: factorize(f, seed=5).factors)
+        assert fact.value(F) == f
