@@ -657,7 +657,8 @@ def search_h_divisor(model, p, max_coord_degree=1, skip_constants=True):
     p divides all infinite valuations, alpha is not itself a p-th power, and
     gcd(a0, a1) = gcd(a0, a2) = 1 for the minimal polynomial coefficients.
     It walks the q^(3(d+1)) triples of coordinate degree <= d; a search of
-    more than DIVISOR_SEARCH_BUDGET triples is refused before it starts.
+    more than DIVISOR_SEARCH_BUDGET triples is refused before it starts, and
+    so is the p-th root search of step 4 for a candidate.
     """
     if not is_prime(p):
         raise ValueError("p = %d is not a prime" % p)
@@ -750,7 +751,8 @@ def _is_power_in_order(model, alpha, p, d):
     reduces to a p-th power of the residue field, so one non-residue value
     settles the question.  Only if every sampled residue is a p-th power
     does the bounded coordinate search run (with a valuation-based bound,
-    tight for totally ramified infinity).
+    tight for totally ramified infinity), refused like search_h_divisor's
+    above DIVISOR_SEARCH_BUDGET triples.
     """
     F = model.field
     for deg in (1, 2):
@@ -782,6 +784,11 @@ def _is_power_in_order(model, alpha, p, d):
     else:
         bound = max(0, -(-d // p))
     size = F.q ** (bound + 1)
+    if size ** 3 > DIVISOR_SEARCH_BUDGET:
+        raise HypothesisRefused(
+            "search-budget",
+            "the p-th root search has %d triples, above the budget of %d" % (size ** 3, DIVISOR_SEARCH_BUDGET),
+        )
     for ci in range(size):
         c = FqPoly(F, digits(ci, F.q, bound + 1))
         for bi in range(size):

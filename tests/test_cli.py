@@ -112,6 +112,10 @@ def test_search_divisor(capsys):
 @pytest.mark.parametrize("argv, count", [
     (["units", "--q", "7", "--A", "10*x^4+6*x", "--a", "x", "--construct", "thm247"], "10380877164 candidates"),
     (["search-divisor", "--q", "11", "--pure-B", "10*x^5+2*x^3+8", "--p", "5", "--budget", "1"], "1771561 triples"),
+    # 512 triples, but in characteristic 2 every residue is a square, so a
+    # candidate goes on to the p-th root search: 8^6 triples
+    (["search-divisor", "--q", "8", "--pure-B", "9*x^4+6*x^3+11*x^2+2*x+2", "--p", "2", "--budget", "0"],
+     "262144 triples"),
 ])
 def test_exhaustive_searches_over_budget_are_refused_at_once(capsys, argv, count):
     t0 = time.perf_counter()
@@ -262,10 +266,10 @@ DOCUMENTED_EXITS = {EXIT_OK, EXIT_USAGE, EXIT_REFUSED, EXIT_UNKNOWN, EXIT_FAULT}
 
 
 @st.composite
-def poly_text(draw, top=6):
+def poly_text(draw, degrees=st.integers(0, 6)):
     if draw(RARELY):
         return draw(GARBAGE)
-    d = draw(st.integers(0, top))
+    d = draw(degrees)
     coeffs = draw(st.lists(st.integers(0, 12), min_size=d + 1, max_size=d + 1))
     coeffs[d] = coeffs[d] or 1
     terms = ["%d*x^%d" % (c, e) for e, c in enumerate(coeffs) if c]
@@ -278,10 +282,12 @@ def cli_argv(draw, model_file):
 
     Work stays small: hexact gets --max-genus <= 3, hbound --lambda <= 2,
     places --max-deg <= 2, and search-divisor a coordinate budget of 1 only
-    over GF(2) and GF(3).  units --construct thm247 gets deg A <= 4: its
-    search for intermediate units, exhaustive in q^(2 deg A), refuses more
-    than units.UNIT_SEARCH_BUDGET candidates (the largest it accepts here,
-    deg A = 2 over GF(7), takes about 5 s).
+    over GF(2) and GF(3).  units --construct thm247 gets deg A in {0, 1,
+    3, 4}: its search for intermediate units, exhaustive in q^(2 deg A),
+    refuses more than units.UNIT_SEARCH_BUDGET candidates, which leaves
+    deg A >= 3 refused at once for q <= 13, while deg A = 2 over GF(7) is
+    accepted and takes about 5 s (tests/test_units.py runs deg A = 2 over
+    GF(5)).
     """
     # valid choices come several times over, so most runs get past argument parsing
     sub = draw(st.sampled_from(SUBCOMMANDS * 3 + ("bogus",)))
@@ -289,7 +295,8 @@ def cli_argv(draw, model_file):
     argv = [sub] + ([] if q is None else ["--q", q])
     if sub == "units":
         construct = draw(st.sampled_from(("thm245", "thm246", "thm247") * 3 + ("thm999",)))
-        argv += ["--construct", construct, "--A", draw(poly_text(4 if construct == "thm247" else 6)),
+        degrees = st.sampled_from((0, 1, 3, 4)) if construct == "thm247" else st.integers(0, 6)
+        argv += ["--construct", construct, "--A", draw(poly_text(degrees)),
                  "--a", draw(poly_text()), "--kappa", str(draw(st.integers(-2, 13)))]
     else:
         kind = draw(st.sampled_from(("cubic", "quartic", "pure", "file") * 3 + ("missing-file", "none", "all")))
