@@ -432,11 +432,10 @@ class FqField:
             # the roots are r and -r
             r = tonelli_shanks(a, self.q, 1, self.mul, self.pow, self._least_nonsquare)
             return min(r, self.neg(r))
-        # small-field search, ascending for determinism
-        for x in range(1, self.q):
-            if self.pow(x, n) == a:
-                return x
-        return None  # pragma: no cover
+        # the least root of T^n - a: gp_roots returns the roots ascending
+        from .poly import gp_roots
+
+        return gp_roots(self, [self.neg(a)] + [0] * (n - 1) + [1])[0]
 
     def _least_nonsquare(self):
         if self._nonsquare is None:

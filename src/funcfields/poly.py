@@ -22,8 +22,8 @@ Over a table-backed F_{p^k}, and over a tower whose E is one, products
 and quotients run on E's log/exp tables (_log_mul, _log_divmod): one log
 per coefficient, then per term a sum of logs and an XOR (p = 2) or a Zech
 addition.  Every result is the same reduced int that the per-term
-K.add/K.mul loop gives, so no output changes.  Tuple residue fields and
-fields above the tables keep that loop.
+K.add/K.mul loop gives, so no output changes.  Polynomials over a tuple
+residue field, and over a field above the tables, keep that loop.
 
 Residue fields come in two kinds.  When
 monic_irreducibles enumerates the places of degree d >= 2 with q^d <=
@@ -40,11 +40,13 @@ additions, so one step is a few list lookups).  The tower is fixed once
 per (q, d) and built only by enumeration; a place that no enumeration
 reached (a place over D of degree >= 2, say) or with q^d above the
 threshold gets the tuple ResidueField, whose few operations would not
-repay building E.  Both agree through x -> alpha on every result that
-leaves the field.  The sweep over the places of one degree gets its
-TowerResidueFields from tower_fields(F, d), which reads the tower once
-and copies one field per place; residue_field(P), cached by P, serves
-every other caller.
+repay building E.  Its residues are the coefficient tuples of the lifts
+(FqPoly.coeffs of f mod P), and its arithmetic is the engine's over F_q
+modulo P, so it has no product or Euclid of its own.  Both agree through
+x -> alpha on every result that leaves the field.  The sweep over the
+places of one degree gets its TowerResidueFields from tower_fields(F, d),
+which reads the tower once and copies one field per place;
+residue_field(P), cached by P, serves every other caller.
 
 Both kinds present one protocol on top of the engine's: embed (the
 residue of an FqPoly, zero exactly when P divides it), lift, from_base,
@@ -248,28 +250,9 @@ def poly_gcd(f, g):
     return FqPoly(f.field, gp_gcd(f.field, f.coeffs, g.coeffs))
 
 
-def poly_xgcd(f, g):
-    """(d, u, v) with d = u*f + v*g monic."""
-    F = f.field
-    r0, r1 = f, g
-    s0, s1 = FqPoly.one(F), FqPoly.zero(F)
-    t0, t1 = FqPoly.zero(F), FqPoly.one(F)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        raise ValueError("xgcd(0, 0) is undefined")
-    c = F.inv(r0.sgn)
-    return r0.scale(c), s0.scale(c), t0.scale(c)
-
-
 def poly_inverse_mod(f, m):
-    d, u, _ = poly_xgcd(f, m)
-    if d.degree != 0:
-        raise ValueError("%s is not invertible modulo %s" % (f, m))
-    return u % m
+    """The inverse of f modulo m, of degree < deg m; ValueError when gcd(f, m) != 1."""
+    return FqPoly(f.field, gp_inverse_mod(f.field, f.coeffs, m.coeffs))
 
 
 def crt(residues, moduli):
@@ -501,14 +484,31 @@ def gp_gcd(K, a, b):
     return gp_monic(K, a) if a else []
 
 
+def gp_inverse_mod(K, a, m):
+    """The inverse of a modulo m, of degree < deg m, by the extended Euclidean
+    algorithm; ValueError when a and m are not coprime."""
+    # r_i = s_i a (mod m) along the remainder sequence of m and a mod m
+    r0, r1 = list(m), gp_mod(K, a, m)
+    s0, s1 = [], [K.one]
+    while r1:
+        q, r = gp_divmod(K, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, gp_sub(K, s0, gp_mul(K, q, s1))
+    if len(r0) != 1:
+        raise ValueError("not invertible modulo a polynomial of degree %d" % (len(m) - 1))
+    inv = K.inv(r0[0])
+    return [K.mul(inv, c) for c in s0]
+
+
 def gp_pow_mod(K, base, e, mod):
-    r = [K.one]
-    b = gp_mod(K, list(base), mod)
-    while e:
-        if e & 1:
+    """base^e mod `mod`, by left-to-right square-and-multiply."""
+    if not e:
+        return [K.one]
+    b = r = gp_mod(K, list(base), mod)
+    for bit in bin(e)[3:]:
+        r = gp_mod(K, gp_mul(K, r, r), mod)
+        if bit == "1":
             r = gp_mod(K, gp_mul(K, r, b), mod)
-        b = gp_mod(K, gp_mul(K, b, b), mod)
-        e >>= 1
     return r
 
 def gp_derivative(K, a):
@@ -683,16 +683,23 @@ def gp_irreducible(K, f):
 
 # ---------------------------------------------------------------------------
 # Residue fields k(P) = F_q[x]/(P) as field-protocol objects.  ResidueField
-# holds little-endian coefficient tuples of fixed length deg P and serves
-# every P; TowerResidueField (below) serves the places that enumeration
-# reached as Frobenius orbits, and the places of degree 1.
+# holds the coefficient tuples of the lifts and serves every P;
+# TowerResidueField (below) serves the places that enumeration reached as
+# Frobenius orbits, and the places of degree 1.
 # ---------------------------------------------------------------------------
 
 
 class ResidueField:
-    """The field F_q[x]/(P) for monic irreducible P, protocol-compatible."""
+    """The field F_q[x]/(P) for monic irreducible P, protocol-compatible.
 
-    E = None  # its elements are tuples, so the engine runs its per-term loop
+    A residue is the coefficient tuple of its lift, the remainder mod P with
+    no trailing zeros (FqPoly.coeffs), so () is 0 and (1,) is 1.  Sums are
+    gp_add and gp_sub over F_q, products and powers gp_mul and gp_pow_mod
+    modulo P, inverses gp_inverse_mod, so they run on the F_p or log-table
+    kernels wherever F_q's polynomials do.
+    """
+
+    E = None  # its elements are tuples, so polynomials over it take the per-term loop
 
     def __init__(self, P):
         self.P = P
@@ -700,120 +707,46 @@ class ResidueField:
         self.deg = len(P.coeffs) - 1
         self.char = self.base.p
         self.order = self.base.q ** self.deg
-        self._invs = {}
         self._nonsquare = None
-        self._prime_base = self.base.k == 1
-        self.zero = (0,) * self.deg
-        one = [0] * self.deg
-        if self.deg:
-            one[0] = 1
-        self.one = tuple(one)
-        # reduction table: x^(deg+i) mod P for i in range(deg-1)
-        F = self.base
-        red = []
-        cur = [F.neg(c) for c in P.coeffs[:-1]]  # x^deg == -(P - x^deg)
-        red.append(tuple(cur))
-        for _ in range(self.deg - 2):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for j in range(self.deg):
-                    nxt[j] = F.add(nxt[j], F.mul(top, red[0][j]))
-            cur = nxt
-            red.append(tuple(cur))
-        self._red = red
+        self.zero, self.one = (), (1,)
 
     def embed(self, poly):
         """Reduce an FqPoly mod P into a residue element."""
-        r = poly % self.P
-        cs = list(r.coeffs) + [0] * (self.deg - len(r.coeffs))
-        return tuple(cs)
+        return (poly % self.P).coeffs
 
     def lift(self, elem):
         """Canonical lift (degree < deg P)."""
         return FqPoly(self.base, elem)
 
     def from_base(self, c):
-        out = [0] * self.deg
-        out[0] = c
-        return tuple(out)
+        return (c,) if c else ()
 
     def from_rand(self, rng):
-        return tuple(rng.randrange(self.base.q) for _ in range(self.deg))
+        return tuple(_fp_trim([rng.randrange(self.base.q) for _ in range(self.deg)]))
 
     def add(self, a, b):
-        if self._prime_base:
-            p = self.char
-            return tuple((x + y) % p for x, y in zip(a, b))
-        F = self.base
-        return tuple(F.add(x, y) for x, y in zip(a, b))
+        return tuple(gp_add(self.base, a, b))
 
     def sub(self, a, b):
-        if self._prime_base:
-            p = self.char
-            return tuple((x - y) % p for x, y in zip(a, b))
-        F = self.base
-        return tuple(F.sub(x, y) for x, y in zip(a, b))
+        return tuple(gp_sub(self.base, a, b))
 
     def neg(self, a):
-        if self._prime_base:
-            p = self.char
-            return tuple((-x) % p for x in a)
-        F = self.base
-        return tuple(F.neg(x) for x in a)
+        return tuple(gp_sub(self.base, (), a))
 
     def mul(self, a, b):
-        d = self.deg
-        if self._prime_base:
-            # plain ints mod p: defer the reductions to the very end
-            p = self.char
-            if d == 1:
-                return (a[0] * b[0] % p,)
-            prod = [0] * (2 * d - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        prod[i + j] += ai * bj
-            out = prod[:d]
-            for i in range(d - 1):
-                c = prod[d + i] % p
-                if c:
-                    row = self._red[i]
-                    for j in range(d):
-                        out[j] += c * row[j]
-            return tuple(v % p for v in out)
         F = self.base
-        if d == 1:
-            return (F.mul(a[0], b[0]),)
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] = F.add(prod[i + j], F.mul(ai, bj))
-        out = prod[:d]
-        for i, c in enumerate(prod[d:]):
-            if c:
-                row = self._red[i]
-                for j in range(d):
-                    out[j] = F.add(out[j], F.mul(c, row[j]))
-        return tuple(out)
+        return tuple(gp_mod(F, gp_mul(F, a, b), self.P.coeffs))
+
+    def pow_elem(self, a, e):
+        return tuple(gp_pow_mod(self.base, a, e, self.P.coeffs))
 
     def inv(self, a):
-        if a == self.one:
-            return a
-        cached = self._invs.get(a)
-        if cached is not None:
-            return cached
-        if all(c == 0 for c in a):
+        if not a:
             raise ZeroDivisionError("inverse of zero residue")
-        _, u, _ = poly_xgcd(self.lift(a), self.P)
-        out = self.embed(u)
-        self._invs[a] = out
-        return out
+        return tuple(gp_inverse_mod(self.base, a, self.P.coeffs))
 
     def is_zero(self, a):
-        return all(c == 0 for c in a)
+        return not a
 
     # -- residue tests -----------------------------------------------------
     def is_nth_power(self, a, n):
@@ -831,16 +764,6 @@ class ResidueField:
 
     def is_cube(self, a):
         return self.is_nth_power(a, 3)
-
-    def pow_elem(self, a, e):
-        r = self.one
-        b = a
-        while e:
-            if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return r
 
     def sqrt(self, a):
         if self.char == 2:
@@ -873,7 +796,7 @@ class ResidueField:
     def iter_elements(self):
         q, d = self.base.q, self.deg
         for idx in range(self.order):
-            yield tuple(digits(idx, q, d))
+            yield tuple(_fp_trim(digits(idx, q, d)))
 
 
 def _first_nonsquare(K):
@@ -901,9 +824,10 @@ class TowerResidueField:
     E itself and its elements are E's ints: add, mul, inv, pow_elem and the
     power tests are E's table operations.  x^i mod P corresponds to
     alpha^i, so iter_elements, from_rand, lift and sort_key follow the
-    coefficient vectors of ResidueField(P), and every result that leaves
-    the field (a lift, a root order, the first element with a property) is
-    the image of the one ResidueField(P) gives.
+    coefficient tuples of ResidueField(P) (padded to length d here, which
+    orders them as the trimmed tuples are ordered), and every result that
+    leaves the field (a lift, a root order, the first element with a
+    property) is the image of the one ResidueField(P) gives.
     """
 
     def __init__(self, P, E, emb, alpha):

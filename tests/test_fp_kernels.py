@@ -1,9 +1,10 @@
 """The prime-field polynomial kernels against sympy's galoistools.
 
 fq.fp_mul and fq.fp_divmod, the engine above them (gp_pow_mod, gp_gcd,
-factorize) and FqPoly's arithmetic over GF(p), each compared with the
-matching dense F_p routine of sympy (big-endian lists there, little-endian
-here), over small and word-sized primes.
+gp_inverse_mod, factorize), FqPoly's arithmetic and the tuple residue field
+over GF(p), each compared with the matching dense F_p routine of sympy
+(big-endian lists there, little-endian here), over small and word-sized
+primes.
 """
 
 import random
@@ -16,16 +17,18 @@ from sympy.polys.galoistools import (
     gf_div,
     gf_factor,
     gf_gcd,
+    gf_gcdex,
     gf_mul,
     gf_mul_ground,
     gf_neg,
     gf_pow_mod,
+    gf_rem,
     gf_sub,
 )
 
 from funcfields import GF, FqPoly, factorize
 from funcfields.fq import fp_divmod, fp_mul
-from funcfields.poly import ResidueField, gp_gcd, gp_pow_mod
+from funcfields.poly import ResidueField, gp_gcd, gp_inverse_mod, gp_pow_mod, poly_inverse_mod
 
 PRIMES = (2, 3, 7, 13, 65537, 2**31 - 1)
 
@@ -192,9 +195,9 @@ def test_trailing_zeros_are_stripped():
     assert fp_divmod([1, 2, 3], [1, 2, 3], p) == ([1], [])
 
 
-def test_tuple_residue_field_product_matches_fqpoly():
-    # the tuple field keeps its own prime-field product (with its _red rows);
-    # FqPoly multiplies and reduces through fp_mul and fp_divmod
+def test_tuple_residue_field_matches_galoistools():
+    # the tuple field runs on the engine (gp_mul, gp_mod, gp_inverse_mod), so
+    # its products and inverses are checked against sympy's dense F_p[x]/(P)
     rng = random.Random(5)
     for p, d in ((7, 5), (13, 3), (65537, 2)):
         F = GF(p)
@@ -202,8 +205,35 @@ def test_tuple_residue_field_product_matches_fqpoly():
             P = FqPoly(F, [rng.randrange(p) for _ in range(d)] + [1])
             if factorize(P).factors == ((P, 1),):
                 break
-        K = ResidueField(P)
+        K, mod = ResidueField(P), to_gf(P.coeffs)
         for _ in range(40):
             a, b = K.from_rand(rng), K.from_rand(rng)
-            want = (K.lift(a) * K.lift(b)) % P
-            assert K.lift(K.mul(a, b)) == want
+            want = gf_rem(gf_mul(to_gf(a), to_gf(b), p, ZZ), mod, p, ZZ)
+            assert list(K.mul(a, b)) == from_gf(want)
+            if a:
+                s, _, g = gf_gcdex(to_gf(a), mod, p, ZZ)
+                assert g == [1]
+                assert list(K.inv(a)) == from_gf(gf_rem(s, mod, p, ZZ))
+
+
+@pytest.mark.parametrize("p", [2, 7, 13, 65537])
+def test_inverse_mod_matches_gf_gcdex(p):
+    rng = random.Random(p)
+    F = GF(p)
+    for _ in range(60):
+        m = FqPoly(F, [rng.randrange(p) for _ in range(rng.randrange(1, 6))] + [rng.randrange(1, p)])
+        a = FqPoly(F, [rng.randrange(p) for _ in range(rng.randrange(0, 8))])
+        s, _, g = gf_gcdex(to_gf(a.coeffs), to_gf(m.coeffs), p, ZZ)
+        if g == [1]:
+            want = from_gf(gf_rem(s, to_gf(m.coeffs), p, ZZ))
+            assert gp_inverse_mod(F, a.coeffs, m.coeffs) == want
+            assert list(poly_inverse_mod(a, m).coeffs) == want
+        else:
+            # a non-unit modulo m: a shares a factor with m, or is 0
+            with pytest.raises(ValueError):
+                gp_inverse_mod(F, a.coeffs, m.coeffs)
+            with pytest.raises(ValueError):
+                poly_inverse_mod(a, m)
+    f = FqPoly(F, [1, 1])
+    with pytest.raises(ValueError):
+        poly_inverse_mod(f * f, f * FqPoly(F, [2, 0, 1]))

@@ -71,6 +71,21 @@ def test_digit_field_sqrt_is_least_root():
         assert F.sqrt(F.mul(a, F._least_nonsquare())) is None
 
 
+def test_digit_field_cube_root_is_least_root():
+    # 7^6 > TABLE_MAX_ORDER: digit arithmetic, with three cube roots of unity
+    # (q = 1 mod 3); the ascending scan of the field is the reference
+    F = GF(7, 6)
+    assert F._log is None and (F.q - 1) % 3 == 0
+    non_cube = next(z for z in range(2, F.q) if not F.is_cube(z))
+    w = F.pow(non_cube, (F.q - 1) // 3)  # a primitive cube root of unity
+    rng = random.Random(7)
+    for y in [rng.randrange(2, 3000) for _ in range(3)]:
+        # the roots of (w y)^3 are y, w y and w^2 y, so the scan stops by y
+        a = F.pow(F.mul(w, y), 3)
+        assert F.cube_root(a) == next(x for x in range(1, F.q) if F.pow(x, 3) == a)
+    assert F.cube_root(F.mul(F.pow(rng.randrange(1, F.q), 3), non_cube)) is None
+
+
 def test_deterministic_modulus_choice():
     # x^2 + x + 1 is the only irreducible quadratic over F_2
     assert GF(2, 2).modulus == (1, 1, 1)
