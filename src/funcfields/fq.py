@@ -86,15 +86,20 @@ def fp_mul(a, b, p):
 
 def fp_divmod(a, b, p):
     """(quotient, remainder) of the F_p polynomials a and b, deg remainder < deg b."""
-    b = _fp_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+    if not b or not b[-1]:
+        b = _fp_trim(list(b))
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
     db = len(b) - 1
     r = _fp_trim(list(a))
     if len(r) <= db:
         return [], r
-    inv = pow(b[-1], p - 2, p)
-    low = [c * inv % p for c in b[:-1]]  # the monic divisor below its leading term
+    # the monic divisor below its leading term
+    if b[-1] == 1:
+        inv, low = 1, b[:-1]
+    else:
+        inv = pow(b[-1], p - 2, p)
+        low = [c * inv % p for c in b[:-1]]
     q = [0] * (len(r) - db)
     for pos in range(len(r) - 1 - db, -1, -1):
         c = r[pos + db] % p
