@@ -650,7 +650,7 @@ class DivisorWitness:
         }
 
 
-def search_h_divisor(model, p, max_coord_degree=1, skip_constants=True):
+def search_h_divisor(model, p, max_coord_degree=1):
     """Search alpha = a + by + cy^2 certifying p | h; NotFound is None.
 
     Steps: norm is a p-th power (up to a unit), minimal polynomial computed,
@@ -683,7 +683,7 @@ def search_h_divisor(model, p, max_coord_degree=1, skip_constants=True):
         c = FqPoly(F, digits(c_idx, q, d + 1))
         for b_idx in range(size):
             bb = FqPoly(F, digits(b_idx, q, d + 1))
-            if skip_constants and bb.is_zero() and c.is_zero():
+            if bb.is_zero() and c.is_zero():
                 continue  # alpha in F_q[x] never passes the gcd step
             for a_idx in range(size):
                 a = FqPoly(F, digits(a_idx, q, d + 1))

@@ -1,12 +1,13 @@
 """Integral bases of the maximal order.
 
 Cubic: {1, y + W, (y^2 + U y + V)/I}, with U, V solved from per-modulus
-congruences and glued by CRT; the three congruence families are the
-characteristic >= 5, 2 and 3 variants.  Quartic: {1, y, y^2,
-(y^3 + U y^2 + V y + W)/I} for squarefree I, with (U, V, W) chosen per
-place from the case table and verified against the full congruence system
-mod I^2 afterwards.  verify_basis re-checks integrality, the discriminant
-match and the change-of-basis degree from scratch.
+congruences and glued by CRT; the two congruence families are the
+characteristic >= 5 one and the wild one shared by characteristics 2 and
+3.  Quartic: {1, y, y^2, (y^3 + U y^2 + V y + W)/I} for squarefree I, with
+(U, V, W) chosen per place from the case table and verified against the
+full congruence system mod I^2 afterwards.  verify_basis re-checks
+integrality, the discriminant match and the change-of-basis degree from
+scratch.
 """
 
 from dataclasses import dataclass
@@ -23,12 +24,11 @@ from .poly import (
     poly_gcd,
     poly_inverse_mod,
     poly_sqrt,
-    squarefree_decomposition,
+    residue_power_test,
 )
 from .places import FinitePlace
 from .models import OrderElement, RationalFunction, is_integral, laplace_det, order_mul_coords, trace_coords
-from .invariants import field_discriminant
-from .signature import signature_at
+from .invariants import field_discriminant, wild_cubic_terms
 
 
 @dataclass
@@ -52,20 +52,16 @@ def integral_basis_cubic(model, report=None):
         report = field_discriminant(model)
     report.require_complete()
     I = report.index
-    A, B = model.A, model.B
     zero = FqPoly.zero(F)
     one = FqPoly.one(F)
     W = zero  # admissible for every W; fixed for determinism
     if I.degree == 0:
         basis = [model.element(one), model.element(W, one), model.element(zero, zero, one)]
         return IntegralBasis(model, basis, one, {})
-    p = F.p
-    if p >= 5:
+    if F.p >= 5:
         U, V, cong = _cubic_uv_generic(model, I)
-    elif p == 2:
-        U, V, cong = _cubic_uv_char2(model, report)
     else:
-        U, V, cong = _cubic_uv_char3(model, report)
+        U, V, cong = _cubic_uv_wild(model, report)
     beta = OrderElement(model, [V, U, one], I)
     basis = [model.element(one), model.element(W, one), beta]
     return IntegralBasis(model, basis, I, cong)
@@ -102,82 +98,40 @@ def _cubic_uv_generic(model, I):
     return U, V, cong
 
 
-def _cubic_uv_char2(model, report):
-    """U^2 = A mod (I/G)^2, U = 0 mod G, V = 0 mod I (Theorem hypotheses checked)."""
+def _cubic_uv_wild(model, report):
+    """U^p = c mod (I/G)^2, U = 0 mod G with G = gcd(I, c); V = 0 (p = 2) or U^2 mod I (p = 3).
+
+    (c, wild signature) are those of wild_cubic_terms.  Every place with
+    v_P(D) > (5 - p) v_P(c) must carry the wild signature (Theorem hypotheses).
+    """
     F = model.field
-    A, B = model.A, model.B
+    p = F.p
     I = report.index
-    if not all(m <= 2 for m, _ in squarefree_decomposition(B)):
-        raise HypothesisRefused("B-cubefree", "characteristic 2 basis needs B cubefree")
-    # every P with 3 v_P(A) < 2 v_P(B) must have signature (1,1,2,1)
-    for P, mP in _with_condition_char2(model):
-        sig = signature_at(model, FinitePlace(P)).require()
-        if sig.flat() != (1, 1, 2, 1):
-            raise HypothesisRefused(
-                "signature-(1,1,2,1)", "place %s has signature %s" % (P, sig)
-            )
+    _, c, wild = wild_cubic_terms(model)
+    for row in report.rows:
+        if row.vD > (5 - p) * FinitePlace(row.P).val(c):
+            sig = row.signature.require()
+            if sig.flat() != wild:
+                raise HypothesisRefused(
+                    "signature-%s" % str(wild).replace(" ", ""), "place %s has signature %s" % (row.P, sig)
+                )
     if not is_squarefree(I):
         raise InternalFault("index must be squarefree under the stated hypotheses")
-    G = poly_gcd(I, A) if not A.is_zero() else I.monic()
+    G = poly_gcd(I, c)
     IG = I.exact_div(G)
     parts_r, parts_m = [], []
     for P, _ in _factor(IG):
-        K = FinitePlace(P).residue_field
-        r = K.embed(A)
-        w0 = K.lift(K.sqrt(r))
-        ok = ((A - w0 * w0) % (P * P)).is_zero()
+        ok, w0 = residue_power_test(c, P, p, 2, want_witness=True)
         if not ok:
-            raise InternalFault("A must be a square mod P^2 whenever P | I/G")
+            raise InternalFault("c must be a p-th power mod P^2 whenever P | I/G")
         parts_r.append(w0)
         parts_m.append(P)
     for P, _ in _factor(G):
         parts_r.append(FqPoly.zero(F))
         parts_m.append(P)
     U = crt(parts_r, parts_m) if parts_r else FqPoly.zero(F)
-    V = FqPoly.zero(F)
-    return U, V, {"U^2 = A mod (I/G)^2": (U, IG * IG)}
-
-
-def _with_condition_char2(model):
-    out = []
-    for P, m in _factor(model.B):
-        vA = FinitePlace(P).val(model.A)
-        if 3 * vA < 2 * m:
-            out.append((P, m))
-    return out
-
-
-def _cubic_uv_char3(model, report):
-    """U^3 + B = 0 mod (I/G)^2, U = 0 mod G, V = U^2 mod I."""
-    F = model.field
-    A, B = model.A, model.B
-    I = report.index
-    if A.is_zero() or not all(m <= 2 for m, _ in squarefree_decomposition(A)):
-        raise HypothesisRefused("A-cubefree-nonzero", "characteristic 3 basis needs A != 0 cubefree")
-    for P, mP in _factor(A):
-        vB = FinitePlace(P).val(B)
-        if 3 * mP > 2 * vB:
-            sig = signature_at(model, FinitePlace(P)).require()
-            if sig.flat() != (3, 1):
-                raise HypothesisRefused("signature-(3,1)", "place %s has signature %s" % (P, sig))
-    if not is_squarefree(I):
-        raise InternalFault("index must be squarefree under the stated hypotheses")
-    G = poly_gcd(I, B) if not B.is_zero() else I.monic()
-    IG = I.exact_div(G)
-    parts_r, parts_m = [], []
-    for P, _ in _factor(IG):
-        K = FinitePlace(P).residue_field
-        w0 = K.lift(K.cube_root(K.embed(-B)))
-        if not ((w0 ** 3 + B) % (P * P)).is_zero():
-            raise InternalFault("-B must be a cube mod P^2 whenever P | I/G")
-        parts_r.append(w0)
-        parts_m.append(P)
-    for P, _ in _factor(G):
-        parts_r.append(FqPoly.zero(F))
-        parts_m.append(P)
-    U = crt(parts_r, parts_m) if parts_r else FqPoly.zero(F)
-    V = (U * U) % I
-    return U, V, {"U^3 + B = 0 mod (I/G)^2": (U, IG * IG)}
+    V = FqPoly.zero(F) if p == 2 else (U * U) % I
+    return U, V, {"U^p = c mod (I/G)^2": (U, IG * IG)}
 
 
 def _factor(f):
@@ -429,16 +383,12 @@ def _cubic_congruence_residues(model, U, V, mod):
     """
     A, B = model.A, model.B
     F = model.field
-    p = F.p
-    I = poly_sqrt_of_square(mod)
-    if p == 2:
-        eq1 = (U * U + A) % I
-        eq2 = (U * (U * U + A) + B) % mod
-        return {"U^2+A=0 mod I": eq1, "U(U^2+A)+B=0 mod I^2": eq2}
-    if p == 3:
-        eq1 = A % I
+    if F.p < 5:
+        # f = T^3 - A T + B: f'(U) = 0 mod I and f(U) = 0 mod I^2
+        three = FqPoly.const(F, F.from_int(3))
+        eq1 = (three * U * U - A) % poly_sqrt_of_square(mod)
         eq2 = (U ** 3 - A * U + B) % mod
-        return {"A=0 mod I": eq1, "U^3-AU+B=0 mod I^2": eq2}
+        return {"f'(U)=0 mod I": eq1, "f(U)=0 mod I^2": eq2}
     two = FqPoly.const(F, F.from_int(2))
     eq1 = (V * V - two * B * U) % mod
     eq2 = (two * U * (A + V) - B) % mod

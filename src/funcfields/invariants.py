@@ -2,8 +2,8 @@
 
 The model discriminant D and the field discriminant Delta are tied by
 D = I^2 Delta with I = ind(y).  For tame places (always, in characteristic
-at least 5) v_P(Delta) is the ramification defect of the P-signature; the
-characteristic 2 and 3 cases use the wild-place case tables instead, and
+at least 5) v_P(Delta) is the ramification defect of the P-signature; wild
+cubic places in characteristic 2 and 3 use one case table instead, and
 the quartic leftover cases fall back to parity rules on v_P(D).
 """
 
@@ -25,94 +25,82 @@ from .places import FinitePlace
 from .signature import infinite_signature, signature_at
 
 
-def disc_valuation_cubic(model, P):
-    """v_P(Delta) for a cubic model; P a monic irreducible or FinitePlace."""
+def disc_valuation_cubic(model, P, sig_result=None):
+    """v_P(Delta) for a cubic model; P a monic irreducible or FinitePlace.
+
+    At a tame place (every place, in characteristic at least 5) this is the
+    ramification defect of the P-signature; wild places in characteristic 2
+    and 3 follow the one case table of _disc_val_cubic_wild.  `sig_result`
+    is the P-signature when the caller already has it.
+    """
     place = P if isinstance(P, FinitePlace) else FinitePlace(P)
-    p = model.field.p
-    if p >= 5:
-        return _disc_val_cubic_generic(model, place)
-    if p == 2:
-        return _disc_val_cubic_char2(model, place)[0]
-    return _disc_val_cubic_char3(model, place)[0]
+    wild = model.field.p < 5
+    if wild:
+        _check_wild_hypotheses(model)
+    if sig_result is None:
+        sig_result = signature_at(model, place)
+    if wild:
+        return _disc_val_cubic_wild(model, place, sig_result)[0]
+    return sig_result.require().ramification_defect()
 
 
-def _disc_val_cubic_generic(model, place):
-    A, B = model.A, model.B
-    m1 = int(place.val(A)) if not A.is_zero() else None
-    m0 = int(place.val(B))
-    if m1 is None:
-        m1_ge = True  # v(0) dominates everything
-    else:
-        m1_ge = m1 >= m0
-    if m0 >= 1 and m1_ge:
-        return 2
-    vD = int(place.val(model.discriminant()))
-    if vD % 2:
-        return 1
-    if m0 == 0 or (m1 is not None and m1 == 0):
-        return 0
-    # v_P(D) even with both coefficients divisible by P but v(A) < v(B):
-    # then v(A) = 1 by standard form and v(D) = 3, odd -- unreachable.
-    raise InternalFault("cubic discriminant case analysis fell through")
+def wild_cubic_terms(model):
+    """(W, c, wild signature) for a cubic in characteristic p in {2, 3}.
+
+    D = W^p: W = B and c = A for p = 2, W = A and c = -B for p = 3.  The
+    basis theorems suppose the wild signature at every place with
+    v_P(D) > (5 - p) v_P(c), that is 3 v_P(A) < 2 v_P(B) for p = 2 and
+    3 v_P(A) > 2 v_P(B) for p = 3.
+    """
+    if model.field.p == 2:
+        return model.B, model.A, (1, 1, 2, 1)
+    return model.A, -model.B, (3, 1)
 
 
-def _disc_val_cubic_char2(model, place):
-    """(v_P(Delta), v_P(I)) in characteristic 2 (Lemma 2.3.4 logic); B cubefree."""
-    A, B = model.A, model.B
-    if not _is_cubefree(B):
-        raise HypothesisRefused("B-cubefree", "characteristic 2 discriminant needs B cubefree")
-    m0 = int(place.val(B))
-    if m0 == 0:
-        return 0, 0
-    vD = 2 * m0
-    m1 = place.val(A)
-    sig_res = signature_at(model, place)
-    sig = sig_res.require()
-    if sig.is_tame(2):
-        vd = sig.ramification_defect()
-        return vd, (vD - vd) // 2
-    # wild: the (1,1,2,1) shape; index per the case table
-    if sig.flat() != (1, 1, 2, 1):
-        raise InternalFault("unexpected wild signature %s in characteristic 2" % sig)
-    if m0 == 1:
-        vI = 0
-    elif m1 == 0:
-        vI = 1 if residue_power_test(A, place.P, 2, 2) else 0
-    else:
-        vI = 1
-    return vD - 2 * vI, vI
-
-
-def _disc_val_cubic_char3(model, place):
-    """(v_P(Delta), v_P(I)) in characteristic 3 (Lemma 2.3.6 logic); A nonzero cubefree."""
-    A, B = model.A, model.B
-    if A.is_zero():
+def _check_wild_hypotheses(model):
+    """Characteristic 2 needs B cubefree; characteristic 3 needs A nonzero and cubefree."""
+    if model.field.p == 2:
+        if not _is_cubefree(model.B):
+            raise HypothesisRefused("B-cubefree", "characteristic 2 discriminant needs B cubefree")
+        return
+    if model.A.is_zero():
         raise HypothesisRefused("A-nonzero", "characteristic 3 needs A != 0 (else D = 0)")
-    if not _is_cubefree(A):
+    if not _is_cubefree(model.A):
         raise HypothesisRefused("A-cubefree", "characteristic 3 discriminant needs A cubefree")
-    m1 = int(place.val(A))
-    if m1 == 0:
-        return 0, 0
-    vD = 3 * m1
-    m0 = place.val(B)
-    sig_res = signature_at(model, place)
-    sig = sig_res.require()
-    if sig.is_tame(3):
-        vd = sig.ramification_defect()
-        return vd, (vD - vd) // 2
-    if sig.flat() != (3, 1):
-        raise InternalFault("unexpected wild signature %s in characteristic 3" % sig)
-    if m1 == 1:
-        vI = 0
-    elif m0 == 0:
-        vI = 1 if residue_power_test(-B, place.P, 3, 2) else 0
-    else:
-        vI = 1 if int(m0) == 2 else 0
-    return vD - 2 * vI, vI
 
 
 def _is_cubefree(f):
     return all(mult <= 2 for mult, _ in squarefree_decomposition(f))
+
+
+def _disc_val_cubic_wild(model, place, sig_result):
+    """(v_P(Delta), v_P(I)) in characteristic p in {2, 3} (Lemmas 2.3.4, 2.3.6).
+
+    v_P(D) = p m with m = v_P(W) <= 2, W being cubefree.  A tame place gives
+    the defect.  At a wild one v_P(I) = 0 when m = 1; when m = 2 and P does
+    not divide c, v_P(I) = 1 exactly when c is a p-th power mod P^2, and
+    otherwise v_P(I) = 1 for p = 2 and [v_P(B) = 2] for p = 3.
+    """
+    p = model.field.p
+    W, c, wild = wild_cubic_terms(model)
+    m = int(place.val(W))
+    if m == 0:
+        return 0, 0
+    vD = p * m
+    sig = sig_result.require()
+    if sig.is_tame(p):
+        vd = sig.ramification_defect()
+        return vd, (vD - vd) // 2
+    if sig.flat() != wild:
+        raise InternalFault("unexpected wild signature %s in characteristic %d" % (sig, p))
+    vc = place.val(c)
+    if m == 1:
+        vI = 0
+    elif vc == 0:
+        vI = 1 if residue_power_test(c, place.P, p, 2) else 0
+    else:
+        vI = 1 if p == 2 or vc == 2 else 0
+    return vD - 2 * vI, vI
 
 
 def disc_valuation_quartic(model, P, sig_result=None):
@@ -260,36 +248,23 @@ def field_discriminant(model):
     """Delta and I = ind(y) from the per-place case analysis; may be partial."""
     F = model.field
     p = F.p
-    if model.degree == 3 and p == 2 and not _is_cubefree(model.B):
-        raise HypothesisRefused("B-cubefree", "characteristic 2 discriminant needs B cubefree")
-    if model.degree == 3 and p == 3:
-        if model.A.is_zero():
-            raise HypothesisRefused("A-nonzero", "characteristic 3 needs A != 0 (else D = 0)")
-        if not _is_cubefree(model.A):
-            raise HypothesisRefused("A-cubefree", "characteristic 3 discriminant needs A cubefree")
+    wild = model.degree == 3 and p < 5
+    if wild:
+        _check_wild_hypotheses(model)
     D = model.discriminant()
     rows = []
     unknown = []
     Delta = FqPoly.one(F)
     index = FqPoly.one(F)
-    for P, mult in factorize(D):
+    for P, vD in factorize(D):
         place = FinitePlace(P)
-        vD = mult
         try:
-            if model.degree == 3:
-                if p >= 5:
-                    vDelta = _disc_val_cubic_generic(model, place)
-                    vI = (vD - vDelta) // 2
-                    sig_res = None
-                elif p == 2:
-                    vDelta, vI = _disc_val_cubic_char2(model, place)
-                    sig_res = None
-                else:
-                    vDelta, vI = _disc_val_cubic_char3(model, place)
-                    sig_res = None
+            sig_res = signature_at(model, place)
+            if wild:
+                vDelta, vI = _disc_val_cubic_wild(model, place, sig_res)
             else:
-                sig_res = signature_at(model, place)
-                vDelta = disc_valuation_quartic(model, place, sig_res)
+                valuation = disc_valuation_cubic if model.degree == 3 else disc_valuation_quartic
+                vDelta = valuation(model, place, sig_res)
                 vI = (vD - vDelta) // 2
         except (UnknownSignature, HypothesisRefused):
             unknown.append(P)
@@ -298,8 +273,6 @@ def field_discriminant(model):
             raise InternalFault(
                 "v_P(D) = %d but 2 v_P(I) + v_P(Delta) = %d at P = %s" % (vD, 2 * vI + vDelta, P)
             )
-        if sig_res is None:
-            sig_res = signature_at(model, place)
         rows.append(PlaceRow(P, vD, vI, vDelta, sig_res,
                              tame=bool(sig_res.known and sig_res.signature.is_tame(p))))
         Delta = Delta * P ** vDelta

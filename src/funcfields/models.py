@@ -442,27 +442,19 @@ def _standard_form_divisor_quartic(A, B, C):
 
 
 def reduce_cubic(A, B):
-    """Apply Q-reduction until standard form; returns (A', B', Q_total)."""
-    total = FqPoly.one(A.field)
-    while True:
-        q = _standard_form_divisor_cubic(A, B)
-        if q.degree < 1:
-            return A, B, total
-        A = A.exact_div(q ** 2)
-        B = B.exact_div(q ** 3)
-        total = total * q
+    """Divide out the standard-form divisor Q; returns (A / Q^2, B / Q^3, Q).
+
+    One division reaches standard form: P^e with e = min(v_P(A) // 2,
+    v_P(B) // 3) divides Q exactly, so the quotients leave e = 0 at every P.
+    """
+    q = _standard_form_divisor_cubic(A, B)
+    return A.exact_div(q ** 2), B.exact_div(q ** 3), q
 
 
 def reduce_quartic(A, B, C):
-    total = FqPoly.one(A.field)
-    while True:
-        q = _standard_form_divisor_quartic(A, B, C)
-        if q.degree < 1:
-            return A, B, C, total
-        A = A.exact_div(q ** 2)
-        B = B.exact_div(q ** 3)
-        C = C.exact_div(q ** 4)
-        total = total * q
+    """reduce_cubic for quartics: returns (A / Q^2, B / Q^3, C / Q^4, Q)."""
+    q = _standard_form_divisor_quartic(A, B, C)
+    return A.exact_div(q ** 2), B.exact_div(q ** 3), C.exact_div(q ** 4), q
 
 
 def cubic_standard_form(S, U, V, W):

@@ -109,15 +109,15 @@ def test_char2_theorem_basis():
     assert verify_basis(basis, m, rep)
 
 
-def test_char2_basis_with_index():
-    # find a char-2 model with nonconstant index and verify the solved basis
-    rng = random.Random(41)
+def _wild_bases_with_index(F, seed, max_degree):
+    """Verify the solved basis of up to two models over F with nonconstant index; return how many."""
+    rng = random.Random(seed)
     tried = 0
     found = 0
     while found < 2 and tried < 4000:
         tried += 1
-        A = FqPoly(F2, [rng.randrange(2) for _ in range(rng.randrange(1, 6))])
-        B = FqPoly(F2, [rng.randrange(2) for _ in range(rng.randrange(1, 6))])
+        A = FqPoly(F, [rng.randrange(F.q) for _ in range(rng.randrange(1, max_degree))])
+        B = FqPoly(F, [rng.randrange(F.q) for _ in range(rng.randrange(1, 6))])
         try:
             m = CubicModel(A, B)
             rep = field_discriminant(m)
@@ -132,32 +132,18 @@ def test_char2_basis_with_index():
         diag = verify_basis(basis, m, rep)
         assert diag, (m, diag)
         found += 1
-    assert found
+    return found
+
+
+def test_char2_basis_with_index():
+    # find char-2 models with nonconstant index and verify the solved bases
+    for F in (F2, GF(2, 2), GF(2, 3)):
+        assert _wild_bases_with_index(F, 41, 6), F
 
 
 def test_char3_theorem_basis():
-    rng = random.Random(43)
-    found = 0
-    tried = 0
-    while found < 2 and tried < 4000:
-        tried += 1
-        A = FqPoly(F3, [rng.randrange(3) for _ in range(rng.randrange(1, 5))])
-        B = FqPoly(F3, [rng.randrange(3) for _ in range(rng.randrange(1, 6))])
-        try:
-            m = CubicModel(A, B)
-            rep = field_discriminant(m)
-        except Exception:
-            continue
-        if not rep.complete or rep.index.degree < 1:
-            continue
-        try:
-            basis = integral_basis_cubic(m, rep)
-        except HypothesisRefused:
-            continue
-        diag = verify_basis(basis, m, rep)
-        assert diag, (m, diag)
-        found += 1
-    assert found
+    for F in (F3, GF(3, 2)):
+        assert _wild_bases_with_index(F, 43, 5), F
 
 
 # -- quartic ------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import funcfields.invariants as invariants_module
 from funcfields import (
     GF,
     CubicModel,
@@ -18,12 +19,14 @@ from funcfields import (
     parse_poly,
     unit_rank,
 )
-from funcfields.poly import HypothesisRefused, UnknownSignature
+from funcfields.poly import FuncFieldError, HypothesisRefused, InternalFault, UnknownSignature, factorize
 from funcfields.units import construct_rank2
 
 F3 = GF(3)
 F5 = GF(5)
 F7 = GF(7)
+CHAR2_FIELDS = (GF(2), GF(2, 2), GF(2, 3))
+CHAR3_FIELDS = (F3, GF(3, 2))
 
 
 def pp(s, F=F7):
@@ -67,6 +70,56 @@ def test_cubic_disc_valuation_even_vD_unramified():
                 hits += 1
 
 
+def _cubic_case_table(model, place):
+    """v_P(Delta) for p >= 5 from v_P(A), v_P(B) and the parity of v_P(D).
+
+    A case table independent of the signature: the reference the library's
+    defect rule is compared against.
+    """
+    A, B = model.A, model.B
+    m1 = None if A.is_zero() else int(place.val(A))
+    m0 = int(place.val(B))
+    if m0 >= 1 and (m1 is None or m1 >= m0):
+        return 2
+    if int(place.val(model.discriminant())) % 2:
+        return 1
+    if m0 == 0 or m1 == 0:
+        return 0
+    # v_P(D) even with P | A, P | B and v(A) < v(B): standard form makes
+    # v(A) = 1 and then v(D) = 3, so this is unreachable
+    raise InternalFault("cubic discriminant case analysis fell through")
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2)])
+def test_cubic_defect_rule_matches_case_table(p, k):
+    F = GF(p, k)
+    rng = random.Random(p * 10 + k)
+    L = FqPoly.x(F)
+    values = []
+    models = 0
+    while models < 40:
+        # a shared factor x^a, x^b makes P | A, P | B common enough to reach every row
+        A = FqPoly(F, [rng.randrange(F.q) for _ in range(rng.randrange(1, 5))]) * L ** rng.randrange(3)
+        B = FqPoly(F, [rng.randrange(F.q) for _ in range(rng.randrange(1, 6))]) * L ** rng.randrange(3)
+        if models % 4 == 3:
+            # T^3 - 3t^2 T + 2t^3 = (T - t)^2 (T + 2t); x^2 added to B keeps x
+            # out of A and B and gives v_x(D) = 2, the even unramified row
+            t = FqPoly(F, [1, rng.randrange(F.q)])
+            A = (t * t).scale(F.from_int(3))
+            B = (t ** 3).scale(F.from_int(2)) + L * L * FqPoly.const(F, rng.randrange(1, F.q))
+        try:
+            m = CubicModel(A, B)
+        except FuncFieldError:
+            continue
+        models += 1
+        for P, _ in factorize(m.discriminant()):
+            place = FinitePlace(P)
+            expected = _cubic_case_table(m, place)
+            assert disc_valuation_cubic(m, place) == expected, (m, P)
+            values.append(expected)
+    assert set(values) == {0, 1, 2}
+
+
 def test_field_discriminant_squarefree_D():
     m = CubicModel(pp("x^2"), FqPoly.one(F7))
     rep = field_discriminant(m)
@@ -101,49 +154,74 @@ def test_prop_241_shape_gives_constant_index():
 
 
 def test_char2_discriminant_cases():
-    F2 = GF(2)
-    X = parse_poly(F2, "x")
-    # case 1: 3 v(A) > 2 v(B), v(B) = 1 -> v(Delta) = 2, v(I) = 0
-    m = CubicModel(parse_poly(F2, "x"), parse_poly(F2, "x"))
-    rep = field_discriminant(m)
-    assert rep.complete
-    row = [r for r in rep.rows if r.P == X][0]
-    assert row.vDelta == 2 and row.vI == 0
-    # v(B) = 2 in case 1 gives v(I) = 1 (the relation B^2 = I^2 Delta forces it)
-    m2 = CubicModel(parse_poly(F2, "x^3 + x^2"), parse_poly(F2, "x^2"))
-    rep2 = field_discriminant(m2)
-    assert rep2.complete
-    row2 = [r for r in rep2.rows if r.P == X][0]
-    assert (row2.vD, row2.vI, row2.vDelta) == (4, 1, 2)
+    for F in CHAR2_FIELDS:
+        X = parse_poly(F, "x")
+        # case 1: 3 v(A) > 2 v(B), v(B) = 1 -> v(Delta) = 2, v(I) = 0
+        m = CubicModel(parse_poly(F, "x"), parse_poly(F, "x"))
+        rep = field_discriminant(m)
+        assert rep.complete
+        row = [r for r in rep.rows if r.P == X][0]
+        assert row.vDelta == 2 and row.vI == 0
+        # v(B) = 2 in case 1 gives v(I) = 1 (the relation B^2 = I^2 Delta forces it)
+        m2 = CubicModel(parse_poly(F, "x^3 + x^2"), parse_poly(F, "x^2"))
+        rep2 = field_discriminant(m2)
+        assert rep2.complete
+        row2 = [r for r in rep2.rows if r.P == X][0]
+        assert (row2.vD, row2.vI, row2.vDelta) == (4, 1, 2)
 
 
 def test_char2_case22_square_test():
-    F2 = GF(2)
     # v_x(B) = 2, v_x(A) = 0: v(I) = 1 iff A is a square mod x^2; squares mod
-    # x^2 over F_2 are exactly the constants 0, 1, so A = x^2 + x + 1 gives v(I) = 0
-    m = CubicModel(parse_poly(F2, "x^2 + x + 1"), parse_poly(F2, "x^2"))
-    rep = field_discriminant(m)
-    assert rep.complete
-    row = [r for r in rep.rows if r.P == parse_poly(F2, "x")][0]
-    assert 2 * row.vI + row.vDelta == row.vD == 4
-    assert row.vI == 0
+    # x^2 in characteristic 2 are the constants, so A = x^2 + x + 1 gives
+    # v(I) = 0 and A = x^3 + x^2 + 1 gives v(I) = 1
+    for F in CHAR2_FIELDS:
+        for A, vI in (("x^2 + x + 1", 0), ("x^3 + x^2 + 1", 1)):
+            rep = field_discriminant(CubicModel(parse_poly(F, A), parse_poly(F, "x^2")))
+            assert rep.complete
+            row = [r for r in rep.rows if r.P == parse_poly(F, "x")][0]
+            assert not row.tame
+            assert (row.vD, row.vI, row.vDelta) == (4, vI, 4 - 2 * vI)
 
 
 def test_char3_discriminant_requires_A_cubefree():
-    m = CubicModel(parse_poly(F3, "x"), parse_poly(F3, "x^3 + 2*x + 1"))
-    rep = field_discriminant(m)
-    assert rep.complete
-    with pytest.raises(HypothesisRefused):
-        field_discriminant(CubicModel(FqPoly.zero(F3), parse_poly(F3, "x^2 + 1"), _skip_checks=True))
+    for F in CHAR3_FIELDS:
+        m = CubicModel(parse_poly(F, "x"), parse_poly(F, "x^3 + 2*x + 1"))
+        rep = field_discriminant(m)
+        assert rep.complete
+        with pytest.raises(HypothesisRefused, match="A-nonzero"):
+            field_discriminant(CubicModel(FqPoly.zero(F), parse_poly(F, "x^2 + 1"), _skip_checks=True))
+        with pytest.raises(HypothesisRefused, match="A-cubefree"):
+            field_discriminant(CubicModel(parse_poly(F, "x^3"), parse_poly(F, "x + 1"), _skip_checks=True))
 
 
 def test_char3_case_22_cube_test():
-    # v_P(A) = 2, v_P(B) = 0 at P = x: v(I) = 1 iff B a cube mod P^2
-    m = CubicModel(parse_poly(F3, "x^2"), parse_poly(F3, "x^3 + 2*x + 1"))
+    # v_P(A) = 2, v_P(B) = 0 at P = x: v(I) = 1 iff -B is a cube mod P^2, and
+    # cubes mod x^2 in characteristic 3 are the constants
+    for F in CHAR3_FIELDS:
+        for B, vI in (("x^3 + 2*x + 1", 0), ("x^2 + 1", 1)):
+            rep = field_discriminant(CubicModel(parse_poly(F, "x^2"), parse_poly(F, B)))
+            assert rep.complete
+            (row,) = rep.rows
+            assert not row.tame
+            assert (row.vD, row.vI, row.vDelta) == (6, vI, 6 - 2 * vI)
+
+
+@pytest.mark.parametrize("p, A, B", [(2, "x^2 + x + 1", "x^3 + x^2"), (3, "x^2 + x", "x^3 + 2*x + 1")])
+def test_field_discriminant_one_signature_per_place(monkeypatch, p, A, B):
+    # each has a wild and a tame place over D
+    F = GF(p)
+    m = CubicModel(parse_poly(F, A), parse_poly(F, B))
+    real = invariants_module.signature_at
+    calls = []
+
+    def counted(model, place):
+        calls.append(place.P)
+        return real(model, place)
+
+    monkeypatch.setattr(invariants_module, "signature_at", counted)
     rep = field_discriminant(m)
-    assert rep.complete
-    for row in rep.rows:
-        assert row.vD == 2 * row.vI + row.vDelta
+    assert sorted(r.tame for r in rep.rows) == [False, True]
+    assert sorted(map(str, calls)) == sorted(str(P) for P, _ in factorize(m.discriminant()))
 
 
 # -- quartic discriminant valuations ------------------------------------------------
