@@ -15,9 +15,7 @@ from .poly import (
     UnknownSignature,
     NEG_DEG,
     crt,
-    count_monic_irreducibles_necklace,
     factorize,
-    is_irreducible,
     is_squarefree,
     monic_irreducibles,
     parse_poly,
@@ -38,10 +36,8 @@ from .models import (
     model_from_text,
     norm,
     norm_cubic,
-    pole_divisor_degree,
     quartic_disc,
     quartic_standard_form,
-    trace,
 )
 from .signature import (
     Signature,
@@ -72,7 +68,6 @@ from .units import (
     UnitCertificate,
     construct_rank1,
     construct_rank2,
-    is_unit,
     max_value,
     regulator,
 )
@@ -87,10 +82,7 @@ from .class_number import (
     eq_310_sides,
     estimate_h,
     exact_h,
-    h_prime,
     search_h_divisor,
-    verify_valuation_sum,
-    verify_valuation_sum_infinite,
     zeta_tuple_for_signature,
 )
 

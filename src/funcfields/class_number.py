@@ -43,23 +43,13 @@ from .poly import (
 )
 from .places import FinitePlace, InfinitePlace
 from .models import closed_norm_cubic, norm, minimal_polynomial_fq
-from .signature import (
-    element_valuations,
-    infinite_signature,
-    newton_slopes,
-    signature_at,
-    valuation_assignments,
-)
+from .signature import element_valuations, infinite_signature, signature_at
 from .invariants import genus
 
 
 # ---------------------------------------------------------------------------
 # symbolic zeta tuples
 # ---------------------------------------------------------------------------
-
-def _root_name(exp):
-    return {0: "1", 3: "w4", 4: "w3", 6: "-1", 8: "w3^2", 9: "w4^3"}.get(exp, "z^%d" % exp)
-
 
 @dataclass(frozen=True)
 class ZetaFactorTuple:
@@ -89,21 +79,6 @@ class ZetaFactorTuple:
     def power_sum(self, n):
         """Exact integer value of z_1^n + ... + z_{n-1}^n."""
         return sum(f for f in self.degrees if n % f == 0) - 1
-
-    def symbols(self):
-        return tuple("0" if e is None else _root_name(e) for e in self.entries)
-
-    def local_factor(self, q, m):
-        """Exact rational q^{(n-1)m} / prod (q^m - z_i) = prod 1/(1 - z_i q^-m)."""
-        u = Fraction(1, q ** m)
-        num = 1 - u
-        den = Fraction(1)
-        for f in self.degrees:
-            den *= 1 - u ** f
-        return num / den
-
-    def __repr__(self):
-        return "(" + ", ".join(self.symbols()) + ")"
 
 
 def zeta_tuple_for_signature(sig):
@@ -196,7 +171,7 @@ class ZetaData:
         return count
 
     def euler_factor(self, m):
-        """prod over deg P = m of the exact local factors (ZetaFactorTuple.local_factor).
+        """prod over deg P = m of the exact local factors prod 1/(1 - z_i q^-m).
 
         With Q = q^m, a place whose signature has relative degrees
         f_1, ..., f_r has the factor (1 - 1/Q) / prod (1 - Q^-f_i) =
@@ -443,9 +418,6 @@ class LPolynomial:
         inside = _variations(lo) - _variations(hi) + (lo[0] == 0)
         return inside == len(sf) - 1
 
-    def to_json(self):
-        return {"q": self.q, "genus": self.genus, "coeffs": self.coeffs}
-
 
 @dataclass
 class ExactClassNumber:
@@ -506,14 +478,6 @@ def exact_h(model, zeta=None, genus_value=None, max_genus=8, place_budget=10 ** 
     if not L.root_moduli_ok():
         raise InternalFault("reciprocal roots of L do not have modulus sqrt(q)")
     return ExactClassNumber(model=model, L=L, h=h, place_counts=b[1:])
-
-
-def h_prime(h, R, f):
-    """Ideal class number h' = h f / R; integrality asserted."""
-    val = Fraction(h) * Fraction(f) / Fraction(R)
-    if val.denominator != 1:
-        raise InternalFault("h' = h f / R is not integral: %s" % val)
-    return int(val)
 
 
 def eq_310_sides(model, n, zeta=None, oracle=None):
@@ -658,7 +622,8 @@ def search_h_divisor(model, p, max_coord_degree=1):
     gcd(a0, a1) = gcd(a0, a2) = 1 for the minimal polynomial coefficients.
     It walks the q^(3(d+1)) triples of coordinate degree <= d; a search of
     more than DIVISOR_SEARCH_BUDGET triples is refused before it starts, and
-    so is the p-th root search of step 4 for a candidate.
+    so are the p-th root searches of step 4 once their triples, summed over
+    the candidates, would pass the same budget.
     """
     if not is_prime(p):
         raise ValueError("p = %d is not a prime" % p)
@@ -679,6 +644,7 @@ def search_h_divisor(model, p, max_coord_degree=1):
     inf = infinite_signature(model)
     inf_sig = inf.require()
     single_infinite = inf_sig.place_count == 1
+    spent = [0]  # triples the p-th root searches of step 4 have taken so far
     for c_idx in range(size):
         c = FqPoly(F, digits(c_idx, q, d + 1))
         for b_idx in range(size):
@@ -693,7 +659,7 @@ def search_h_divisor(model, p, max_coord_degree=1):
                 if not _is_pth_power_up_to_unit(nrm, p):
                     continue
                 alpha = model.element(a, bb, c)
-                witness = _check_witness(model, alpha, nrm, p, inf, single_infinite, d)
+                witness = _check_witness(model, alpha, nrm, p, inf, single_infinite, d, spent)
                 if witness is not None:
                     return witness
     return None
@@ -714,7 +680,7 @@ def _is_pth_power_up_to_unit(f, p):
     return all(m % p == 0 for _, m in factorize(f))
 
 
-def _check_witness(model, alpha, nrm, p, inf, single_infinite, d):
+def _check_witness(model, alpha, nrm, p, inf, single_infinite, d, spent):
     checks = {"norm-pth-power": True}
     mp = minimal_polynomial_fq(alpha)
     if len(mp) - 1 != model.degree:
@@ -729,7 +695,7 @@ def _check_witness(model, alpha, nrm, p, inf, single_infinite, d):
             return None
         checks["infinite-valuations"] = True
     # step 4: alpha is not a p-th power in the field
-    if _is_power_in_order(model, alpha, p, d):
+    if _is_power_in_order(model, alpha, p, d, spent):
         return None
     checks["not-a-pth-power"] = True
     # step 5: gcd(a0, a1) = gcd(a0, a2) = 1
@@ -744,15 +710,16 @@ def _check_witness(model, alpha, nrm, p, inf, single_infinite, d):
     return DivisorWitness(prime=p, element=alpha, norm=nrm, min_poly=[list(c.coeffs) for c in mp], checks=checks)
 
 
-def _is_power_in_order(model, alpha, p, d):
+def _is_power_in_order(model, alpha, p, d, spent):
     """Decide whether alpha = beta^p for integral beta.
 
     First, a sound disproof: at any unramified finite place, a p-th power
     reduces to a p-th power of the residue field, so one non-residue value
     settles the question.  Only if every sampled residue is a p-th power
     does the bounded coordinate search run (with a valuation-based bound,
-    tight for totally ramified infinity), refused like search_h_divisor's
-    above DIVISOR_SEARCH_BUDGET triples.
+    tight for totally ramified infinity).  Its triples are added to spent[0],
+    the running total of one search_h_divisor call, and the search is
+    refused when that total would pass DIVISOR_SEARCH_BUDGET.
     """
     F = model.field
     for deg in (1, 2):
@@ -784,11 +751,13 @@ def _is_power_in_order(model, alpha, p, d):
     else:
         bound = max(0, -(-d // p))
     size = F.q ** (bound + 1)
-    if size ** 3 > DIVISOR_SEARCH_BUDGET:
+    if spent[0] + size ** 3 > DIVISOR_SEARCH_BUDGET:
         raise HypothesisRefused(
             "search-budget",
-            "the p-th root search has %d triples, above the budget of %d" % (size ** 3, DIVISOR_SEARCH_BUDGET),
+            "the p-th root searches come to %d triples, above the budget of %d"
+            % (spent[0] + size ** 3, DIVISOR_SEARCH_BUDGET),
         )
+    spent[0] += size ** 3
     for ci in range(size):
         c = FqPoly(F, digits(ci, F.q, bound + 1))
         for bi in range(size):
@@ -801,43 +770,3 @@ def _is_power_in_order(model, alpha, p, d):
                 if (beta ** p).coords == alpha.coords:
                     return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# valuation-sum identity (cross-module property)
-# ---------------------------------------------------------------------------
-
-
-def verify_valuation_sum(model, P):
-    """For standard-form cubics: sum over P'|P of v_{P'}(y) f(P'|P) = v_P(B)."""
-    place = P if isinstance(P, FinitePlace) else FinitePlace(P)
-    return _valuation_sum(model, place, int(place.val(model.B)))
-
-
-def verify_valuation_sum_infinite(model):
-    """Infinite analogue: sum v_{P'}(y) f = -deg(B) when 0 <= deg A <= deg B."""
-    return _valuation_sum(model, InfinitePlace(model.field), -int(model.B.degree))
-
-
-def _valuation_sum(model, place, target):
-    """(ok, msg): does sum over P'|place of v_{P'}(y) f(P'|place) equal target?
-
-    One check for both kinds of place.  The left side is evaluated through
-    the signature tables plus the Newton-slope matching, so this genuinely
-    cross-checks the case analysis.
-    """
-    if model.degree != 3:
-        raise ValueError("valuation-sum identity implemented for cubic models")
-    if place.is_infinite and not model.A.is_zero() and model.A.degree > model.B.degree:
-        raise HypothesisRefused("degree-order", "needs deg A <= deg B")
-    sig = signature_at(model, place).require()
-    coeffs = [model.B, -model.A, FqPoly.zero(model.field), FqPoly.one(model.field)]
-    assigns = valuation_assignments(sig, newton_slopes(coeffs, place))
-    if not assigns:
-        return False, "no consistent valuation assignment for signature %s" % sig
-    fs = [f for _, f in sig.pairs]
-    for a in assigns:
-        total = sum(f * v for f, v in zip(fs, a))
-        if total != target:
-            return False, "assignment %s sums to %s != %s" % (a, total, target)
-    return True, "ok"

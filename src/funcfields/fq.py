@@ -403,9 +403,6 @@ class FqField:
         """Uniform random element drawn from the random.Random instance rng."""
         return rng.randrange(self.q)
 
-    def elements(self):
-        return range(self.q)
-
     # -- power residues ----------------------------------------------------
     def is_nth_power(self, a, n):
         if a == 0:
@@ -472,11 +469,6 @@ class FqField:
 
     def __hash__(self):
         return hash((self.p, self.k))
-
-    def __repr__(self):
-        if self.k == 1:
-            return "FqField(%d)" % self.p
-        return "FqField(%d, %d)" % (self.p, self.k)
 
     def describe(self):
         return "%d" % self.p if self.k == 1 else "%d^%d" % (self.p, self.k)

@@ -53,15 +53,8 @@ class RationalFunction:
         self.den = den
 
     @classmethod
-    def zero(cls, field):
-        return cls(FqPoly.zero(field))
-
-    @classmethod
     def one(cls, field):
         return cls(FqPoly.one(field))
-
-    def is_zero(self):
-        return self.num.is_zero()
 
     def is_polynomial(self):
         return self.den.degree == 0
@@ -71,47 +64,10 @@ class RationalFunction:
             raise ValueError("%s is not a polynomial" % self)
         return self.num
 
-    def __add__(self, other):
-        other = _coerce_rf(other, self.num.field)
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        other = _coerce_rf(other, self.num.field)
-        return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __mul__(self, other):
-        other = _coerce_rf(other, self.num.field)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        other = _coerce_rf(other, self.num.field)
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __repr__(self):
         if self.is_polynomial():
             return str(self.num)
         return "(%s)/(%s)" % (self.num, self.den)
-
-
-def _coerce_rf(v, field):
-    if isinstance(v, RationalFunction):
-        return v
-    if isinstance(v, FqPoly):
-        return RationalFunction(v)
-    raise TypeError(v)
 
 
 @dataclass(frozen=True)
@@ -161,11 +117,6 @@ class CubicModel:
     def n0(self):
         return self.B.degree
 
-    def defining_coeffs(self):
-        """Coefficients [c0, c1, c2] of T^3 + c2 T^2 + c1 T + c0."""
-        F = self.field
-        return [self.B, -self.A, FqPoly.zero(F)]
-
     def discriminant(self):
         """cubic_disc(self), computed once per model."""
         if self._disc is None:
@@ -186,9 +137,6 @@ class CubicModel:
 
     def __hash__(self):
         return hash(("cubic", self.A, self.B))
-
-    def __repr__(self):
-        return "CubicModel(q=%s, A=%s, B=%s)" % (self.field.describe(), self.A, self.B)
 
     def to_json(self):
         return {
@@ -346,14 +294,6 @@ class QuarticModel:
 
     def __hash__(self):
         return hash(("quartic", self.A, self.B, self.C))
-
-    def __repr__(self):
-        return "QuarticModel(q=%s, A=%s, B=%s, C=%s)" % (
-            self.field.describe(),
-            self.A,
-            self.B,
-            self.C,
-        )
 
     def to_json(self):
         return {
@@ -633,17 +573,6 @@ class OrderElement:
     def is_constant(self):
         return all(a.is_zero() for a in self.coords[1:])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrderElement)
-            and self.model == other.model
-            and self.coords == other.coords
-            and self.denominator == other.denominator
-        )
-
-    def __hash__(self):
-        return hash((self.model, self.coords, self.denominator))
-
     def __add__(self, other):
         _same_model(self, other)
         if self.denominator == other.denominator:
@@ -658,12 +587,6 @@ class OrderElement:
             [a * other.denominator + b * self.denominator for a, b in zip(self.coords, other.coords)],
             d,
         )
-
-    def __neg__(self):
-        return OrderElement(self.model, [-a for a in self.coords], self.denominator)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         _same_model(self, other)
@@ -808,18 +731,13 @@ def closed_norm_cubic(model, a, b, c):
     return val - A * t2
 
 
-def trace(alpha):
-    """Tr(alpha) to F_q(x), from the power sums of y.
+def trace_coords(model, a):
+    """Tr(a_0 + a_1 y + ...) in F_q[x] for polynomial coordinates a.
 
     Newton's identities on y^3 - A y + B give Tr(1, y, y^2) = (3, 0, 2A),
     and on y^4 - A y^2 - B y + C they give Tr(1, y, y^2, y^3) =
     (4, 0, 2A, 3B); so no multiplication matrix is built.
     """
-    return RationalFunction(trace_coords(alpha.model, alpha.coords), alpha.denominator)
-
-
-def trace_coords(model, a):
-    """Tr(a_0 + a_1 y + ...) in F_q[x] for polynomial coordinates a (see trace)."""
     F = model.field
     t = a[0].scale(F.from_int(model.degree)) + (model.A * a[2]).scale(F.from_int(2))
     if model.degree == 4:
@@ -830,8 +748,8 @@ def trace_coords(model, a):
 def laplace_det(mat):
     """Determinant of a small square matrix by Laplace expansion along the first row.
 
-    The entries need only + - *, so the one routine serves int, FqPoly and
-    RationalFunction matrices.
+    The entries need only + - *, so the one routine serves int and FqPoly
+    matrices.
     """
     if len(mat) == 1:
         return mat[0][0]
@@ -848,21 +766,19 @@ def char_poly(alpha):
     Returned little-endian as RationalFunction coefficients [c0..c_{n-1}, 1]
     of T^n + c_{n-1} T^(n-1) + ... + c0.
     """
-    model = alpha.model
-    F = model.field
-    n = model.degree
-    rows = multiplication_matrix(alpha)  # integral part
-    # char poly of M/d = det(T I - M/d): compute for M then substitute T -> dT, divide by d^n
-    coeffs = _char_poly_int(rows, F)  # for the numerator matrix
-    d = alpha.denominator
-    if d.degree == 0:
-        return [RationalFunction(c) for c in coeffs[:-1]] + [RationalFunction.one(F)]
-    out = []
-    for i, c in enumerate(coeffs[:-1]):
-        # coefficient of T^i picks up d^i / d^n = 1/d^(n-i)
-        out.append(RationalFunction(c, d ** (n - i)))
-    out.append(RationalFunction.one(F))
-    return out
+    F = alpha.model.field
+    return _over_denominator(_char_poly_int(multiplication_matrix(alpha), F), alpha.denominator)
+
+
+def _over_denominator(coeffs, d):
+    """d^-n c(d T) as RationalFunction coefficients, for monic c of degree n over F_q[x].
+
+    It is the characteristic polynomial of M/d when c is that of M: the
+    coefficient of T^i picks up d^i / d^n = 1/d^(n-i).
+    """
+    n = len(coeffs) - 1
+    out = [RationalFunction(c, d ** (n - i) if d.degree else d) for i, c in enumerate(coeffs[:-1])]
+    return out + [RationalFunction.one(d.field)]
 
 
 def _char_poly_int(rows, F):
@@ -894,36 +810,26 @@ def minimal_polynomial(alpha):
     multiplication by alpha is mp^[L : F_q(x)(alpha)] (Lang, Algebra, on
     norm and trace).  An alpha in F_q(x) gets T - alpha.  A cubic alpha
     outside F_q(x) generates L, so mp = cp.  A quartic one generates a
-    field of degree 2 or 4, so cp = mp^2 or cp = mp: with cp = T^4 + c3 T^3
-    + c2 T^2 + c1 T + c0, u = c3/2 and v = (c2 - u^2)/2, cp = (T^2 + u T +
-    v)^2 exactly when c1 = 2uv and c0 = v^2 (quartic models have odd
-    characteristic, so 1/2 exists).
+    field of degree 2 or 4, so cp = mp^2 or cp = mp.  With alpha = M/d for
+    the numerator M, cp(T) = d^-4 c(d T) for the characteristic polynomial
+    c = T^4 + c3 T^3 + c2 T^2 + c1 T + c0 of M, which has F_q[x]
+    coefficients; cp is a square exactly when c is.  With u = c3/2 and
+    v = (c2 - u^2)/2, c = (T^2 + u T + v)^2 exactly when c1 = 2uv and
+    c0 = v^2 (quartic models have odd characteristic, so 1/2 exists), and
+    then mp = T^2 + (u/d) T + v/d^2.
     """
     F = alpha.model.field
-    one = RationalFunction.one(F)
     if alpha.is_constant():
-        return [-RationalFunction(alpha.coords[0], alpha.denominator), one]
-    cp = char_poly(alpha)
-    if alpha.model.degree == 3:
-        return cp
-    root = _square_of_quadratic(cp[:4], RationalFunction(FqPoly(F, (F.inv(F.from_int(2)),))))
-    if root is not None:
-        return [root[0], root[1], one]
-    return cp
-
-
-def _square_of_quadratic(c, half):
-    """(v, u) with T^4 + c3 T^3 + c2 T^2 + c1 T + c0 = (T^2 + u T + v)^2, else None.
-
-    c = [c0, c1, c2, c3] over any ring of odd characteristic; half is 1/2 in it.
-    """
-    c0, c1, c2, c3 = c
-    u = c3 * half
-    v = (c2 - u * u) * half
-    uv = u * v
-    if c1 == uv + uv and c0 == v * v:
-        return v, u
-    return None
+        return [RationalFunction(-alpha.coords[0], alpha.denominator), RationalFunction.one(F)]
+    c = _char_poly_int(multiplication_matrix(alpha), F)
+    if alpha.model.degree == 4:
+        half = F.inv(F.from_int(2))
+        u = c[3].scale(half)
+        v = (c[2] - u * u).scale(half)
+        uv = u * v
+        if c[1] == uv + uv and c[0] == v * v:
+            c = [v, u, c[4]]
+    return _over_denominator(c, alpha.denominator)
 
 
 def minimal_polynomial_fq(alpha):
@@ -949,13 +855,6 @@ def is_integral(alpha):
         return True
     cp = char_poly(alpha)
     return all(c.is_polynomial() for c in cp)
-
-
-def pole_divisor_degree(model):
-    """deg div(y)_- = max of the coefficient degrees (Cor 2.1.2 / Prop 3.1.1)."""
-    degs = [model.n1, model.n0] if model.degree == 3 else [model.n2, model.n1, model.n0]
-    degs = [d for d in degs if d != float("-inf")]
-    return int(max(degs))
 
 
 # ---------------------------------------------------------------------------

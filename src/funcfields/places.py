@@ -4,7 +4,6 @@ A finite place is a monic irreducible polynomial P; the infinite place is
 the degree valuation, v(f) = -deg f.  Both expose the same interface:
 
     val(f)             -- normalized valuation (POS_INF for f = 0)
-    degree             -- residue field degree over F_q
     residue_field      -- a field-protocol object k(P)
     residue(f, s)      -- image of f / pi^s in k(P), for any s <= val(f);
                           zero when s < val(f), the unit residue at s = val(f)
@@ -55,6 +54,7 @@ class FinitePlace:
 
     @property
     def degree(self):
+        """deg P; the traced benchmark run (perfbench/tracing.py) groups signatures by it."""
         return len(self.P.coeffs) - 1
 
     @property
@@ -104,15 +104,6 @@ class FinitePlace:
             raise ValueError("residue level exceeds valuation")
         return r if s == v else self.residue_field.zero
 
-    def __eq__(self, other):
-        return isinstance(other, FinitePlace) and self.P == other.P
-
-    def __hash__(self):
-        return hash(("fin", self.P))
-
-    def __repr__(self):
-        return "FinitePlace(%s)" % (self.P,)
-
     def describe(self):
         return str(self.P)
 
@@ -125,10 +116,6 @@ class InfinitePlace:
     def __init__(self, field):
         self.field = field
         self._rf = None
-
-    @property
-    def degree(self):
-        return 1
 
     @property
     def is_infinite(self):
@@ -157,15 +144,6 @@ class InfinitePlace:
         if -s < f.degree:
             raise ValueError("residue level exceeds valuation")
         return f.coeff(-s)
-
-    def __eq__(self, other):
-        return isinstance(other, InfinitePlace) and self.field == other.field
-
-    def __hash__(self):
-        return hash(("inf", self.field))
-
-    def __repr__(self):
-        return "InfinitePlace(%s)" % self.field.describe()
 
     def describe(self):
         return "infinity"

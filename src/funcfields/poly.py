@@ -137,9 +137,6 @@ class FqPoly:
     def is_constant(self):
         return len(self.coeffs) <= 1
 
-    def constant(self):
-        return self.coeffs[0] if self.coeffs else 0
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -198,9 +195,6 @@ class FqPoly:
         q, r = gp_divmod(F, self.coeffs, other.coeffs)
         return FqPoly(F, q), FqPoly(F, r)
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def __mod__(self, other):
         return self.divmod(other)[1]
 
@@ -236,9 +230,6 @@ class FqPoly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     # -- formatting ----------------------------------------------------------
-    def __repr__(self):
-        return "FqPoly(%s, %s)" % (self.field.describe(), format_poly(self))
-
     def __str__(self):
         return format_poly(self)
 
@@ -1019,18 +1010,8 @@ class Factorization:
         self.factors = tuple(sorted(factors, key=lambda fm: fm[0].sort_key()))
         self.seed = seed
 
-    def value(self, field):
-        out = FqPoly(field, (self.unit,))
-        for f, m in self.factors:
-            out = out * f ** m
-        return out
-
     def __iter__(self):
         return iter(self.factors)
-
-    def __repr__(self):
-        parts = " * ".join("(%s)^%d" % (f, m) for f, m in self.factors)
-        return "Factorization(%s, %s)" % (self.unit, parts or "1")
 
 
 def squarefree_decomposition(f):
@@ -1086,12 +1067,6 @@ def factorize(f, seed=0):
                 factors.append((FqPoly(F, piece), mult))
     fact = Factorization(unit, factors, seed)
     return fact
-
-
-def is_irreducible(f):
-    if f.degree < 1:
-        raise ValueError("irreducibility undefined for constants")
-    return gp_irreducible(f.field, list(f.monic().coeffs))
 
 
 def is_squarefree(f):
@@ -1225,24 +1200,6 @@ def _base_embedding(F, E):
             acc = E.add(acc, E.mul(digit, bp))
         emb.append(acc)
     return emb
-
-
-def count_monic_irreducibles_necklace(q, m):
-    """(1/m) sum_{d|m} mu(d) q^(m/d)."""
-    total = 0
-    for d in range(1, m + 1):
-        if m % d == 0:
-            total += _moebius(d) * q ** (m // d)
-    return total // m
-
-
-def _moebius(n):
-    if n == 1:
-        return 1
-    fac = _prime_factors(n)
-    if len(set(fac)) != len(fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
 
 
 def residue_power_test(a, P, n, e=1, want_witness=False):

@@ -167,11 +167,6 @@ class SignatureResult:
             "trace": self.trace,
         }
 
-    def __repr__(self):
-        if self.signature is None:
-            return "SignatureResult(Unknown: %s)" % self.unknown_reason
-        return "SignatureResult(%s via %s)" % (self.signature, self.method)
-
 
 def kummer_signature(reduction, K, n):
     """Signature from a reduction polynomial over the residue field K.
@@ -413,9 +408,6 @@ def signature_quartic(model, place, allow_transforms=True):
 
     def res(f, u):
         return place.residue(f, int(u))
-
-    def two():
-        return K.from_base(F.from_int(2))
 
     if at == (True, False, False):
         return _quartic_case1(model, place, K, trace, u2, u1, u0, allow_transforms)

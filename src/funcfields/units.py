@@ -30,11 +30,6 @@ class MaxValue:
     attained_terms: tuple  # subset of ("a0", "a1*y", "a2*y^2")
     unique: bool
 
-    def __int__(self):
-        if self.value.denominator != 1:
-            raise InternalFault("maximum value failed to be an integer")
-        return int(self.value)
-
 
 def max_value(model, alpha):
     """Maximum value of a cubic order element (characteristic >= 5, 3n1 != 2n0)."""
@@ -67,14 +62,6 @@ def max_value(model, alpha):
     best = max(t[0] for t in terms)
     attained = tuple(name for val, name in terms if val == best)
     return MaxValue(value=e * best, attained_terms=attained, unique=len(attained) == 1)
-
-
-def is_unit(model, alpha):
-    """alpha in O*: its norm is a nonzero constant."""
-    if alpha.denominator.degree > 0:
-        return False
-    n = norm(alpha).as_polynomial()
-    return (not n.is_zero()) and n.degree == 0
 
 
 @dataclass

@@ -1,0 +1,176 @@
+"""Reference checks that the tests run against the package.
+
+Each restates a count, a definition or an identity directly: the necklace
+count of monic irreducibles, a factorization multiplied out, Tr(alpha) as
+a fraction, the local Euler factor of a zeta tuple, h' = h f / R and the
+valuation sum over the places above P.  The tests compare the package's
+own paths with them; no command needs them, so they live here.
+"""
+
+from fractions import Fraction
+
+from funcfields import (
+    FinitePlace,
+    FqPoly,
+    HypothesisRefused,
+    InfinitePlace,
+    InternalFault,
+    RationalFunction,
+    newton_slopes,
+    signature_at,
+)
+from funcfields.fq import _prime_factors
+from funcfields.models import norm, trace_coords
+from funcfields.poly import gp_irreducible
+from funcfields.signature import valuation_assignments
+
+
+# -- F_q[x] -----------------------------------------------------------------------
+
+
+def count_monic_irreducibles_necklace(q, m):
+    """(1/m) sum_{d|m} mu(d) q^(m/d)."""
+    total = 0
+    for d in range(1, m + 1):
+        if m % d == 0:
+            total += _moebius(d) * q ** (m // d)
+    return total // m
+
+
+def _moebius(n):
+    if n == 1:
+        return 1
+    fac = _prime_factors(n)
+    if len(set(fac)) != len(fac):
+        return 0
+    return -1 if len(fac) % 2 else 1
+
+
+def is_irreducible(f):
+    if f.degree < 1:
+        raise ValueError("irreducibility undefined for constants")
+    return gp_irreducible(f.field, list(f.monic().coeffs))
+
+
+def factorization_value(fac, field):
+    """unit * prod factor^mult of a Factorization, multiplied out."""
+    out = FqPoly(field, (fac.unit,))
+    for f, m in fac.factors:
+        out = out * f ** m
+    return out
+
+
+# -- F_q(x) and the order ---------------------------------------------------------
+
+
+class Frac(RationalFunction):
+    """RationalFunction with + - * and ==, for reference computations over F_q(x)."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return Frac(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other):
+        return Frac(self.num * other.den - other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other):
+        return Frac(self.num * other.num, self.den * other.den)
+
+    def __eq__(self, other):
+        return isinstance(other, RationalFunction) and (self.num, self.den) == (other.num, other.den)
+
+    __hash__ = None
+
+
+def fracs(cs):
+    """RationalFunction coefficients as Frac, so lists of them compare."""
+    return [Frac(c.num, c.den) for c in cs]
+
+
+def trace(alpha):
+    """Tr(alpha) to F_q(x), from the power sums of y (models.trace_coords)."""
+    return Frac(trace_coords(alpha.model, alpha.coords), alpha.denominator)
+
+
+def pole_divisor_degree(model):
+    """deg div(y)_- = max of the coefficient degrees (Cor 2.1.2 / Prop 3.1.1)."""
+    degs = [model.n1, model.n0] if model.degree == 3 else [model.n2, model.n1, model.n0]
+    degs = [d for d in degs if d != float("-inf")]
+    return int(max(degs))
+
+
+def is_unit(model, alpha):
+    """alpha in O*: its norm is a nonzero constant."""
+    if alpha.denominator.degree > 0:
+        return False
+    n = norm(alpha).as_polynomial()
+    return (not n.is_zero()) and n.degree == 0
+
+
+# -- zeta tuples and class numbers ------------------------------------------------
+
+
+def _root_name(exp):
+    return {0: "1", 3: "w4", 4: "w3", 6: "-1", 8: "w3^2", 9: "w4^3"}.get(exp, "z^%d" % exp)
+
+
+def zeta_symbols(tup):
+    """The entries of a ZetaFactorTuple as names of 12th roots of unity, "0" for zero."""
+    return tuple("0" if e is None else _root_name(e) for e in tup.entries)
+
+
+def local_factor(tup, q, m):
+    """Exact rational q^{(n-1)m} / prod (q^m - z_i) = prod 1/(1 - z_i q^-m)."""
+    u = Fraction(1, q ** m)
+    num = 1 - u
+    den = Fraction(1)
+    for f in tup.degrees:
+        den *= 1 - u ** f
+    return num / den
+
+
+def h_prime(h, R, f):
+    """Ideal class number h' = h f / R; integrality asserted."""
+    val = Fraction(h) * Fraction(f) / Fraction(R)
+    if val.denominator != 1:
+        raise InternalFault("h' = h f / R is not integral: %s" % val)
+    return int(val)
+
+
+# -- the valuation-sum identity -----------------------------------------------------
+
+
+def verify_valuation_sum(model, P):
+    """For standard-form cubics: sum over P'|P of v_{P'}(y) f(P'|P) = v_P(B)."""
+    place = P if isinstance(P, FinitePlace) else FinitePlace(P)
+    return _valuation_sum(model, place, int(place.val(model.B)))
+
+
+def verify_valuation_sum_infinite(model):
+    """Infinite analogue: sum v_{P'}(y) f = -deg(B) when 0 <= deg A <= deg B."""
+    return _valuation_sum(model, InfinitePlace(model.field), -int(model.B.degree))
+
+
+def _valuation_sum(model, place, target):
+    """(ok, msg): does sum over P'|place of v_{P'}(y) f(P'|place) equal target?
+
+    One check for both kinds of place.  The left side is evaluated through
+    the signature tables plus the Newton-slope matching, so this genuinely
+    cross-checks the case analysis.
+    """
+    if model.degree != 3:
+        raise ValueError("valuation-sum identity implemented for cubic models")
+    if place.is_infinite and not model.A.is_zero() and model.A.degree > model.B.degree:
+        raise HypothesisRefused("degree-order", "needs deg A <= deg B")
+    sig = signature_at(model, place).require()
+    coeffs = [model.B, -model.A, FqPoly.zero(model.field), FqPoly.one(model.field)]
+    assigns = valuation_assignments(sig, newton_slopes(coeffs, place))
+    if not assigns:
+        return False, "no consistent valuation assignment for signature %s" % sig
+    fs = [f for _, f in sig.pairs]
+    for a in assigns:
+        total = sum(f * v for f, v in zip(fs, a))
+        if total != target:
+            return False, "assignment %s sums to %s != %s" % (a, total, target)
+    return True, "ok"

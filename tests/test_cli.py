@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from funcfields import GF
-from funcfields import cli
+from funcfields import class_number, cli
 from funcfields.cli import run, EXIT_FAULT, EXIT_OK, EXIT_REFUSED, EXIT_UNKNOWN, EXIT_USAGE
 from funcfields.fq import parse_field
 from funcfields.poly import InternalFault
@@ -123,6 +123,20 @@ def test_exhaustive_searches_over_budget_are_refused_at_once(capsys, argv, count
     assert time.perf_counter() - t0 < 1.0
     assert code == EXIT_REFUSED and out == ""
     assert "search-budget" in err and count in err
+
+
+@pytest.mark.parametrize("argv", [
+    # 72 p-th root searches of 729 triples each
+    ["search-divisor", "--q", "9", "--pure-B", "x+12", "--p", "2", "--budget", "0"],
+    # 7 p-th root searches of 15,625 triples each
+    ["search-divisor", "--q", "5", "--pure-B", "10*x^5+12*x^4+6*x^3+10*x^2+2*x+8", "--p", "2", "--budget", "0"],
+])
+def test_divisor_search_budget_covers_all_its_root_searches(capsys, monkeypatch, argv):
+    # each root search fits the budget on its own, their sum does not
+    monkeypatch.setattr(class_number, "DIVISOR_SEARCH_BUDGET", 20_000)
+    code, out, err = _capture(capsys, argv)
+    assert code == EXIT_REFUSED and out == ""
+    assert "search-budget" in err and "p-th root searches" in err
 
 
 def test_units_construction(capsys):

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import funcfields.poly as poly_module
 from funcfields import GF, FqPoly, factorize, monic_irreducibles
 from funcfields.poly import gp_divmod, gp_gcd, gp_mul, gp_pow_mod, residue_field
+from oracles import factorization_value
 
 FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (2, 8), (3, 5)]
 TOWERS = [((7, 1), 3), ((5, 2), 2)]  # k(P) = GF(7^3) and GF(25^2)
@@ -155,4 +156,4 @@ def test_factorize_matches_the_per_term_loop(pk, monkeypatch):
         f = parts[0] * parts[1] ** 2 * parts[2]
         fact = factorize(f, seed=5)
         assert fact.factors == _with_oracle(monkeypatch, lambda: factorize(f, seed=5).factors)
-        assert fact.value(F) == f
+        assert factorization_value(fact, F) == f

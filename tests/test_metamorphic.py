@@ -145,7 +145,7 @@ def test_unit_rank2_family_h_consistent_with_regulator():
     # h = (R / f) h' with h' integral: for the rank-2 family R = 3, f = 1,
     # so the exact class number must be divisible by 3
     from funcfields.units import construct_rank2
-    from funcfields.class_number import h_prime
+    from oracles import h_prime
 
     F7 = GF(7)
     model, cert = construct_rank2(F7, FqPoly.x(F7))
@@ -157,7 +157,7 @@ def test_unit_rank2_family_h_consistent_with_regulator():
 
 def test_rank1_family_h_consistent_with_regulator():
     from funcfields.units import construct_rank1
-    from funcfields.class_number import h_prime
+    from oracles import h_prime
 
     F7 = GF(7)
     model, cert = construct_rank1(F7, parse_poly(F7, "x^3"), FqPoly.x(F7), 1, "Thm245")

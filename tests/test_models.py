@@ -20,10 +20,8 @@ from funcfields import (
     minimal_polynomial_fq,
     model_from_text,
     norm,
-    trace,
     norm_cubic,
     parse_poly,
-    pole_divisor_degree,
     quartic_disc,
     quartic_standard_form,
 )
@@ -37,6 +35,7 @@ from funcfields.models import (
     poly_sqrt,
 )
 from funcfields.poly import FuncFieldError
+from oracles import Frac, fracs, pole_divisor_degree, trace
 
 F5 = GF(5)
 F7 = GF(7)
@@ -258,7 +257,8 @@ def test_minimal_polynomial_quartic_shift_formula():
 
 
 def _squared(cs):
-    out = [RationalFunction.zero(cs[0].num.field)] * (2 * len(cs) - 1)
+    cs = fracs(cs)
+    out = [Frac(FqPoly.zero(cs[0].num.field))] * (2 * len(cs) - 1)
     for i, a in enumerate(cs):
         for j, b in enumerate(cs):
             out[i + j] = out[i + j] + a * b
@@ -291,14 +291,14 @@ def test_minimal_polynomial_quadratic_subfield_of_biquadratic():
     ]
     for alpha in elements:
         mp = minimal_polynomial(alpha)
-        assert len(mp) == 3 and mp[2] == RationalFunction.one(F7)
+        assert len(mp) == 3 and mp[2] == Frac.one(F7)
         assert all(c.is_zero() for c in _evaluate(mp, alpha).coords)
-        assert _squared(mp) == char_poly(alpha)
-    assert minimal_polynomial(y2)[:2] == [RationalFunction(m.C), RationalFunction(-m.A)]
+        assert _squared(mp) == fracs(char_poly(alpha))
+    assert minimal_polynomial(y2)[:2] == [Frac(m.C), Frac(-m.A)]
     # a generator of the whole field keeps its degree 4 characteristic polynomial
     for alpha in (m.y(), m.y() + y2):
         mp = minimal_polynomial(alpha)
-        assert len(mp) == 5 and mp == char_poly(alpha)
+        assert len(mp) == 5 and fracs(mp) == fracs(char_poly(alpha))
         assert all(c.is_zero() for c in _evaluate(mp, alpha).coords)
 
 
@@ -312,6 +312,36 @@ def test_min_poly_constant_term_vs_norm():
             continue
         mp = minimal_polynomial_fq(alpha)
         assert norm(alpha).as_polynomial() == -mp[0]
+
+
+def test_minimal_polynomial_of_a_constant_is_t_minus_alpha():
+    cubic = CubicModel(pp("x^2"), FqPoly.one(F7))
+    quartic = QuarticModel(pp("x"), pp("x^2"), pp("x^5"))
+    one = FqPoly.one(F7)
+    for m in (cubic, quartic):
+        zero = [FqPoly.zero(F7)] * (m.degree - 1)
+        # no denominator, and one that cancels: (x + 2)(x + 5) / (3x + 6) = 5x + 4
+        for a0, den, value in ((pp("3*x^2 + 1"), None, pp("3*x^2 + 1")),
+                               (pp("x^2 + 3"), pp("3*x + 6"), pp("5*x + 4"))):
+            alpha = OrderElement(m, [a0] + zero, den)
+            assert minimal_polynomial(alpha) == [Frac(-value), Frac(one)]
+            assert minimal_polynomial_fq(alpha) == [-value, one]
+        # a denominator that stays: T - (x + 1)/x
+        alpha = OrderElement(m, [pp("x + 1")] + zero, pp("x"))
+        assert minimal_polynomial(alpha) == [Frac(pp("6*x + 6"), pp("x")), Frac(one)]
+        with pytest.raises(FuncFieldError, match=r"\(6\*x \+ 6\)/\(x\)"):
+            minimal_polynomial_fq(alpha)
+
+
+def test_non_polynomial_messages_show_the_fraction():
+    m = CubicModel(pp("x^2"), FqPoly.one(F7))
+    # y/x has minimal polynomial T^3 - T + 1/x^3
+    with pytest.raises(FuncFieldError) as err:
+        minimal_polynomial_fq(OrderElement(m, [FqPoly.zero(F7), FqPoly.one(F7), FqPoly.zero(F7)], pp("x")))
+    assert "(1)/(x^3)" in str(err.value)
+    with pytest.raises(ValueError) as err:
+        RationalFunction(pp("x + 1"), pp("x^2 + 3")).as_polynomial()
+    assert str(err.value) == "(x + 1)/(x^2 + 3) is not a polynomial"
 
 
 def test_integrality_detection():
@@ -488,7 +518,7 @@ def _trace_reference(alpha):
     t = FqPoly.zero(alpha.model.field)
     for i in range(alpha.model.degree):
         t = t + rows[i][i]
-    return RationalFunction(t, alpha.denominator)
+    return Frac(t, alpha.denominator)
 
 
 @settings(max_examples=100, deadline=None)

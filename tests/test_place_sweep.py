@@ -32,6 +32,7 @@ from funcfields import (
     zeta_tuple_for_signature,
 )
 from funcfields.poly import InternalFault, TowerResidueField, residue_field
+from oracles import local_factor
 
 
 def horner_reference(E, coeffs, x, emb=None):
@@ -177,7 +178,7 @@ def _reference_Eprime(model, zeta, lam, g):
     E = Fraction(q) ** g * (1 - u) / den
     for m in range(1, lam + 1):
         for _, res in zeta.require_finite(m):
-            E *= zeta_tuple_for_signature(res.signature).local_factor(q, m)
+            E *= local_factor(zeta_tuple_for_signature(res.signature), q, m)
     return E
 
 

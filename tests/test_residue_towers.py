@@ -25,7 +25,6 @@ from funcfields import (
     FinitePlace,
     FqPoly,
     QuarticModel,
-    count_monic_irreducibles_necklace,
     kummer_signature,
     monic_irreducibles,
     parse_poly,
@@ -34,6 +33,7 @@ from funcfields import (
 from funcfields.class_number import ZetaData
 from funcfields.poly import ResidueField, TowerResidueField, gp_irreducible, gp_roots, residue_field
 from funcfields.signature import _inert_square
+from oracles import count_monic_irreducibles_necklace, is_irreducible
 
 # (p, k) -> largest place degree covered
 CELLS = {(2, 1): 6, (3, 1): 4, (7, 1): 3, (2, 2): 3, (2, 3): 2, (3, 2): 2, (5, 2): 2}
@@ -135,7 +135,7 @@ def test_residue_field_choice(monkeypatch):
         assert isinstance(residue_field(P), TowerResidueField)
         # above fq.TABLE_MAX_ORDER there is no tower: 13^5 > 2^16
         Q = parse_poly(F, "x^5 + 8*x + 1")
-        assert poly_module.is_irreducible(Q)
+        assert is_irreducible(Q)
         assert type(residue_field(Q)) is ResidueField
     finally:
         residue_field.cache_clear()

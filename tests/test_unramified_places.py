@@ -17,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 import funcfields
 import funcfields.signature as signature_module
-from funcfields import GF, CubicModel, FinitePlace, FqPoly, is_irreducible, kummer_signature, monic_irreducibles, parse_poly
+from funcfields import GF, CubicModel, FinitePlace, FqPoly, kummer_signature, monic_irreducibles, parse_poly
 from funcfields.poly import POS_INF, ResidueField, TowerResidueField, gp_factor_degrees, residue_field
 from funcfields.signature import _depressed_cubic_type, signature_at
+from oracles import is_irreducible
 
 GENERIC_LINE = "3u1=2u0, disc at generic level: Kummer on T^3 - Abar T + Bbar"
 
