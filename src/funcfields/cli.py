@@ -42,7 +42,12 @@ EXIT_FAULT = 5
 
 
 def _model_from_args(args):
-    if getattr(args, "model_file", None):
+    sources = {"--model-file": args.model_file, "--pure-B": args.pure_B,
+               "--cubic": args.cubic, "--quartic": args.quartic}
+    given = [flag for flag, value in sources.items() if value]
+    if len(given) > 1:
+        raise SystemExit2("give one model source, not %s" % " and ".join(given))
+    if args.model_file:
         try:
             with open(args.model_file) as fh:
                 text = fh.read()
@@ -50,7 +55,7 @@ def _model_from_args(args):
             raise SystemExit2("cannot read --model-file: %s" % exc)
         return model_from_text(text.strip())
     F = _field_from_args(args)
-    if getattr(args, "pure_B", None):
+    if args.pure_B:
         B = parse_poly(F, args.pure_B)
         return CubicModel(FqPoly.zero(F), -B)
     if args.cubic:

@@ -23,7 +23,6 @@ from .poly import (
     is_squarefree,
     poly_gcd,
     poly_inverse_mod,
-    poly_sqrt,
     residue_power_test,
 )
 from .places import FinitePlace
@@ -364,9 +363,7 @@ def verify_basis(basis, model=None, report=None):
             )
         else:
             beta = basis.elements[2]
-            resid = _cubic_congruence_residues(
-                model, beta.coords[1], beta.coords[0], basis.index_used ** 2
-            )
+            resid = _cubic_congruence_residues(model, beta.coords[1], beta.coords[0], basis.index_used)
         for name, r in resid.items():
             if not r.is_zero():
                 failing = name
@@ -375,18 +372,20 @@ def verify_basis(basis, model=None, report=None):
     return BasisDiagnostics(ok, integral_flags, ok_disc, index_ok, failing)
 
 
-def _cubic_congruence_residues(model, U, V, mod):
+def _cubic_congruence_residues(model, U, V, I):
     """Residues of the congruence system the basis element was solved from.
 
-    This is the constructive (sufficient) system; verify_basis uses it to
-    name the failing congruence for perturbed inputs.
+    This is the constructive (sufficient) system, modulo I^2 for the index
+    I; verify_basis uses it to name the failing congruence for perturbed
+    inputs.
     """
     A, B = model.A, model.B
     F = model.field
+    mod = I * I
     if F.p < 5:
         # f = T^3 - A T + B: f'(U) = 0 mod I and f(U) = 0 mod I^2
         three = FqPoly.const(F, F.from_int(3))
-        eq1 = (three * U * U - A) % poly_sqrt_of_square(mod)
+        eq1 = (three * U * U - A) % I
         eq2 = (U ** 3 - A * U + B) % mod
         return {"f'(U)=0 mod I": eq1, "f(U)=0 mod I^2": eq2}
     two = FqPoly.const(F, F.from_int(2))
@@ -395,9 +394,3 @@ def _cubic_congruence_residues(model, U, V, mod):
     eq3 = (A + V + V + U * U) % mod
     return {"V^2=2BU": eq1, "2U(A+V)=B": eq2, "A+2V+U^2=0": eq3}
 
-
-def poly_sqrt_of_square(mod):
-    root = poly_sqrt(mod)
-    if root is None:
-        raise InternalFault("modulus is not a perfect square")
-    return root.monic()

@@ -15,9 +15,10 @@ from .poly import (
     InternalFault,
     UnknownSignature,
     factorize,
-    gp_factorize_separable,
+    gp_derivative,
+    gp_divmod,
     gp_gcd,
-    gp_mul,
+    gp_trim,
     residue_power_test,
     squarefree_decomposition,
 )
@@ -134,39 +135,27 @@ def disc_valuation_quartic(model, P, sig_result=None):
 def dedekind_index_coprime(model, place):
     """Dedekind's criterion: does P not divide the index ind(y)?
 
-    With f-bar = prod g_i^{e_i} over the residue field, lift g = prod G_i and
-    h = prod G_i^{e_i - 1}; then P does not divide [O : F_q[x][y]] exactly
-    when ((g h - f)/P) mod P is coprime to gcd(g-bar, h-bar).
+    With f-bar = prod g_i^{e_i} over k(P), g-bar = prod g_i and h-bar =
+    prod g_i^{e_i - 1} lifted to g and h, P does not divide [O : F_q[x][y]]
+    exactly when ((g h - f)/P) mod P is coprime to gcd(g-bar, h-bar).  Here
+    char k(P) > deg f, so h-bar = gcd(f-bar, f-bar') and g-bar = f-bar /
+    h-bar need no factoring, and any lifts do: g + P u moves the residue of
+    (g h - f)/P by u-bar h-bar.
     """
     K = place.residue_field
     F = model.field
-    fc = [c for c in model.defining_coeffs()] + [FqPoly.one(F)]
+    fc = model.defining_coeffs() + [FqPoly.one(F)]
+    if K.char <= len(fc) - 1:
+        raise ValueError("Dedekind's criterion needs characteristic > degree")
     fbar = [K.embed(c) for c in fc]
-    factors = gp_factorize_separable(K, fbar, seed=0)
-    one_t = [FqPoly.one(F)]
-    g_lift = one_t
-    h_lift = one_t
-    gbar = [K.one]
-    hbar = [K.one]
-    for gi, ei in factors:
-        lift = [K.lift(c) for c in gi]
-        g_lift = _tv_mul(g_lift, lift)
-        gbar = gp_mul(K, gbar, list(gi))
-        for _ in range(ei - 1):
-            h_lift = _tv_mul(h_lift, lift)
-            hbar = gp_mul(K, hbar, list(gi))
-    prod = _tv_mul(g_lift, h_lift)
-    diff = _tv_sub(prod, fc, F)
-    tbar = []
-    for c in diff:
-        tbar.append(K.embed(c.exact_div(place.P)) if not c.is_zero() else K.zero)
-    while tbar and tbar[-1] == K.zero:
-        tbar.pop()
+    hbar = gp_gcd(K, fbar, gp_derivative(K, fbar))
+    gbar = gp_divmod(K, fbar, hbar)[0]
     common = gp_gcd(K, gbar, hbar)
     if len(common) <= 1:
         return True
-    if not tbar:
-        return False
+    g, h = ([K.lift(c) for c in cs] for cs in (gbar, hbar))
+    # g h and f are both monic of degree deg f
+    tbar = gp_trim(K, [K.embed((a - b).exact_div(place.P)) for a, b in zip(_tv_mul(g, h), fc)])
     return len(gp_gcd(K, tbar, common)) <= 1
 
 
@@ -179,16 +168,6 @@ def _tv_mul(a, b):
             for j, bj in enumerate(b):
                 if not bj.is_zero():
                     out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _tv_sub(a, b, F):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else FqPoly.zero(F)
-        y = b[i] if i < len(b) else FqPoly.zero(F)
-        out.append(x - y)
     return out
 
 

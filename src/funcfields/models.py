@@ -863,7 +863,7 @@ def is_integral(alpha):
 
 
 def _monic_divisors(f):
-    """All monic divisors of nonzero f (desk scale)."""
+    """All monic divisors of nonzero f (desk scale), each once: factorize's irreducibles are distinct."""
     F = f.field
     out = [FqPoly.one(F)]
     for P, m in factorize(f):
@@ -874,15 +874,7 @@ def _monic_divisors(f):
                 new.append(acc)
                 acc = acc * P
         out = new
-    # dedupe (factors are distinct so no dupes, but keep deterministic order)
-    seen = []
-    keys = set()
-    for d in out:
-        k = d.coeffs
-        if k not in keys:
-            keys.add(k)
-            seen.append(d)
-    return seen
+    return out
 
 
 def _top_degree_ties(degrees):

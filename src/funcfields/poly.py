@@ -50,10 +50,10 @@ residue_field(P), cached by P, serves every other caller.
 
 Both kinds present one protocol on top of the engine's: embed (the
 residue of an FqPoly, zero exactly when P divides it), lift, from_base,
-the power tests, sqrt and cube_root (the roots the tuple field picks),
-and any_sqrt (a square root where the choice of root does not matter).
-Places and signatures use that protocol only, so no other module names
-either class.
+the power tests and any_sqrt (a square root where the choice of root does
+not matter).  Where the root leaves the field, residue_root picks it, by
+one rule for both kinds: the first root in gp_roots order.  Places and
+signatures use that protocol only, so no other module names either class.
 """
 
 import operator
@@ -624,36 +624,6 @@ def gp_count_roots(K, f):
     return len(g) - 1 if g else 0
 
 
-def gp_factorize_separable(K, f, seed=0):
-    """[(irreducible monic factor, multiplicity)] for monic f with char > deg f.
-
-    The derivative of every nonconstant divisor is nonzero under that
-    hypothesis, so plain squarefree-part peeling suffices.
-    """
-    rng = random.Random(seed)
-    rest = gp_monic(K, f)
-    out = []
-    while len(rest) > 1:
-        der = gp_derivative(K, rest)
-        if not der:
-            raise ValueError("factorization needs characteristic > degree")
-        sqf = gp_divmod(K, rest, gp_gcd(K, rest, der))[0]
-        if len(sqf) <= 1:
-            raise ValueError("factorization needs characteristic > degree")
-        for d, g in gp_distinct_degree(K, sqf):
-            for piece in gp_equal_degree_split(K, g, d, rng):
-                mult = 0
-                while True:
-                    q, r = gp_divmod(K, rest, piece)
-                    if r:
-                        break
-                    rest = q
-                    mult += 1
-                out.append((piece, mult))
-    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return out
-
-
 def gp_irreducible(K, f):
     """Rabin irreducibility test for monic f of degree >= 1."""
     n = len(f) - 1
@@ -756,55 +726,23 @@ class ResidueField:
     def is_cube(self, a):
         return self.is_nth_power(a, 3)
 
-    def sqrt(self, a):
+    def any_sqrt(self, a):
+        """A square root of a, or None: the Frobenius inverse in characteristic 2, else Tonelli-Shanks."""
         if self.char == 2:
             return self.pow_elem(a, self.order // 2)
-        if not self.is_square(a):
+        if self.pow_elem(a, (self.order - 1) // 2) != self.one:
             return None
-        return _tonelli_shanks(self, a)
+        return tonelli_shanks(a, self.order, self.one, self.mul, self.pow_elem, self._first_nonsquare)
 
-    # a square root where the choice of root does not matter
-    any_sqrt = sqrt
-
-    def cube_root(self, a):
-        if self.char == 3:
-            return self.pow_elem(a, self.order // 3)
-        if self.is_zero(a):
-            return a
-        from math import gcd
-
-        g = gcd(3, self.order - 1)
-        if g == 1:
-            return self.pow_elem(a, pow(3, -1, self.order - 1))
-        if not self.is_cube(a):
-            return None
-        # search deterministically; residue fields in play are small
-        for elem in self.iter_elements():
-            if self.pow_elem(elem, 3) == a:
-                return elem
-        return None  # pragma: no cover
+    def _first_nonsquare(self):
+        if self._nonsquare is None:
+            self._nonsquare = next(e for e in self.iter_elements() if e and not self.is_square(e))
+        return self._nonsquare
 
     def iter_elements(self):
         q, d = self.base.q, self.deg
         for idx in range(self.order):
             yield tuple(_fp_trim(digits(idx, q, d)))
-
-
-def _first_nonsquare(K):
-    """The first non-square of an odd-order field in iter_elements order, cached on K."""
-    if K._nonsquare is None:
-        for elem in K.iter_elements():
-            if not K.is_zero(elem) and not K.is_square(elem):
-                K._nonsquare = elem
-                break
-    return K._nonsquare
-
-
-def _tonelli_shanks(K, a):
-    """Square root in an odd-order field protocol object, from its first non-square."""
-    if K.pow_elem(a, (K.order - 1) // 2) != K.one:
-        return None
-    return tonelli_shanks(a, K.order, K.one, K.mul, K.pow_elem, lambda: _first_nonsquare(K))
 
 
 class TowerResidueField:
@@ -814,11 +752,11 @@ class TowerResidueField:
     `emb` (an indexable map from F_q encodings to E encodings), so k(P) is
     E itself and its elements are E's ints: add, mul, inv, pow_elem and the
     power tests are E's table operations.  x^i mod P corresponds to
-    alpha^i, so iter_elements, from_rand, lift and sort_key follow the
-    coefficient tuples of ResidueField(P) (padded to length d here, which
-    orders them as the trimmed tuples are ordered), and every result that
-    leaves the field (a lift, a root order, the first element with a
-    property) is the image of the one ResidueField(P) gives.
+    alpha^i, so iter_elements, lift and sort_key follow the coefficient
+    tuples of ResidueField(P) (padded to length d here, which orders them
+    as the trimmed tuples are ordered), and every result that leaves the
+    field (a lift, a root order, the first element with a property) is the
+    image of the one ResidueField(P) gives.
     """
 
     def __init__(self, P, E, emb, alpha):
@@ -831,12 +769,12 @@ class TowerResidueField:
         self.alpha = alpha
         self._emb = emb
         self._solve = None  # inverse basis matrix over F_p, built by the first lift
-        self._nonsquare = None
         self.add, self.sub, self.neg = E.add, E.sub, E.neg
         self.mul, self.inv, self.pow_elem = E.mul, E.inv, E.pow
         self.is_nth_power, self.is_square, self.is_cube = E.is_nth_power, E.is_square, E.is_cube
-        # a square root where the choice does not matter: E's, by table
-        # lookup, where sqrt picks the root that matches the tuple field's
+        # E's own draws: every consumer of gp_equal_degree_split sorts its output
+        self.from_rand = E.from_rand
+        # a square root where the choice does not matter: E's, by table lookup
         self.any_sqrt = E.sqrt
 
     def sibling(self, P, alpha):
@@ -848,7 +786,7 @@ class TowerResidueField:
         """
         K = object.__new__(TowerResidueField)
         K.__dict__.update(self.__dict__)
-        K.P, K.alpha, K._solve, K._nonsquare = P, alpha, None, None
+        K.P, K.alpha, K._solve = P, alpha, None
         return K
 
     def embed(self, poly):
@@ -861,10 +799,6 @@ class TowerResidueField:
     def _from_coords(self, cs):
         # sum c_i alpha^i, the image of the ResidueField tuple cs
         return self.E.horner(cs, self.alpha, self._emb)
-
-    def from_rand(self, rng):
-        q = self.base.q
-        return self._from_coords([rng.randrange(q) for _ in range(self.deg)])
 
     def coords(self, a):
         """F_q encodings c_i with a = sum c_i alpha^i (the ResidueField tuple)."""
@@ -896,27 +830,6 @@ class TowerResidueField:
 
     def is_zero(self, a):
         return a == 0
-
-    def sqrt(self, a):
-        if self.char == 2:
-            return self.E.pow(a, self.order // 2)
-        if not self.is_square(a):
-            return None
-        return _tonelli_shanks(self, a)
-
-    def cube_root(self, a):
-        """ResidueField's cube root: when there are three, the first in iter_elements order."""
-        E = self.E
-        if self.deg == 1 or self.char == 3 or not a or (self.order - 1) % 3:
-            # E's own rule: the Frobenius inverse, the unique root, or (E
-            # being F_q) the least encoding, which is the first element
-            return E.cube_root(a)
-        r = E.nth_root(a, 3)
-        if r is None:
-            return None
-        w = E._exp[(self.order - 1) // 3]  # a primitive cube root of unity
-        roots = (r, E.mul(r, w), E.mul(r, E.mul(w, w)))
-        return min(roots, key=lambda x: self.coords(x)[::-1])
 
     def iter_elements(self):
         q, d = self.base.q, self.deg
@@ -1202,6 +1115,22 @@ def _base_embedding(F, E):
     return emb
 
 
+def residue_root(K, r, n):
+    """The n-th root of a nonzero n-th power r of K, n in {2, 3}: the first in gp_roots order.
+
+    That order is the same for both residue-field kinds, so the root is too:
+    the unique Frobenius inverse when n = char K, the lesser of the two
+    square roots under K's sort_key when n = 2, else the first root of
+    T^3 - r.
+    """
+    if n == K.char:
+        return K.pow_elem(r, K.order // n)
+    if n == 2:
+        s = K.any_sqrt(r)
+        return min(s, K.neg(s), key=getattr(K, "sort_key", None))
+    return gp_roots(K, [K.neg(r), K.zero, K.zero, K.one])[0]
+
+
 def residue_power_test(a, P, n, e=1, want_witness=False):
     """Is a an n-th power in F_q[x]/(P^e)?  n in {2, 3}, e in {1, 2}.
 
@@ -1226,8 +1155,7 @@ def residue_power_test(a, P, n, e=1, want_witness=False):
         ok = K.is_nth_power(r, n)
         if not ok or not want_witness:
             return done(ok, None)
-        w = K.sqrt(r) if n == 2 else K.cube_root(r)
-        return done(True, K.lift(w))
+        return done(True, K.lift(residue_root(K, r, n)))
 
     if K.is_zero(r):
         raise ValueError("e=2 test requires gcd(a, P) = 1")
@@ -1237,7 +1165,7 @@ def residue_power_test(a, P, n, e=1, want_witness=False):
             return done(False, None)
         if not want_witness:
             return done(True, None)
-        w0 = K.lift(K.sqrt(r) if n == 2 else K.cube_root(r))
+        w0 = K.lift(residue_root(K, r, n))
         # Hensel: w = w0 + t*P with t = (a - w0^n)/P * (n w0^(n-1))^-1 mod P
         diff = (a - w0 ** n) % (P * P)
         t = K.embed(diff.exact_div(P))
@@ -1245,7 +1173,7 @@ def residue_power_test(a, P, n, e=1, want_witness=False):
         w = (w0 + K.lift(K.mul(t, dinv)) * P) % (P * P)
         return done(True, w)
     # n == char: n-th powers mod P^2 are exactly n-th powers of residues mod P
-    w0 = K.lift(K.sqrt(r) if n == 2 else K.cube_root(r))
+    w0 = K.lift(residue_root(K, r, n))
     ok = ((a - w0 ** n) % (P * P)).is_zero()
     return done(ok, w0 if ok else None)
 

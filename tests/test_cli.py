@@ -191,6 +191,20 @@ def test_missing_model_file_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: cannot read --model-file")
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["analyze", "--quartic", "--pure-B", "x^2+1", "--q", "7", "--A", "x", "--C", "x"], "--pure-B and --quartic"),
+    (["search-divisor", "--q", "9", "--cubic", "--quartic", "--pure-B", "x+12", "--p", "2", "--budget", "0"],
+     "--pure-B and --cubic and --quartic"),
+    (["analyze", "--model-file", "absent.txt", "--cubic", "--q", "7", "--A", "x^2", "--B", "1"],
+     "--model-file and --cubic"),
+])
+def test_more_than_one_model_source_is_usage_error(capsys, argv, flags):
+    # the first source found used to win and the others went unread
+    code, out, err = _capture(capsys, argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: give one model source, not %s\n" % flags
+
+
 @pytest.mark.parametrize("budget", ["-1", "-2"])
 def test_search_divisor_refuses_a_negative_budget(capsys, budget):
     code, out, err = _capture(

@@ -350,6 +350,17 @@ def test_residue_square_mod_P_squared_with_witness():
     assert ((w * w - FqPoly.const(F7, 4)) % P2).is_zero()
 
 
+def test_cube_root_witness_in_a_field_above_the_tables():
+    # k(P) has 13^5 elements, a tuple field; its cube root is the first root
+    # of T^3 - a, not the result of a scan of the field
+    F13 = GF(13)
+    P = parse_poly(F13, "x^5 + 8*x + 1")
+    a = parse_poly(F13, "2*x^4 + x + 1") ** 3
+    ok, w = residue_power_test(a, P, 3, want_witness=True)
+    assert ok
+    assert ((w ** 3 - a) % P).is_zero()
+
+
 def test_residue_power_unsupported_exponent():
     with pytest.raises(ValueError):
         residue_power_test(FqPoly.one(F7), parse_poly(F7, "x"), 5)

@@ -4,14 +4,20 @@ D = ind(y)^2 Delta gives v_P(D) = 2 v_P(I) + v_P(Delta), so v_P(D) <= 1
 forces v_P(I) = 0 and `disc_valuation_quartic` returns v_P(D) there without
 running the criterion.  The oracles below run the criterion anyway: at every
 place with v_P(D) = 1 it must find P coprime to the index, and a reference
-ledger that runs it at every Unknown place must give the same rows.
+ledger that runs it at every Unknown place must give the same rows.  The
+criterion itself, which takes g-bar and h-bar from gcd(f-bar, f-bar'), is
+checked against its statement from the factors of f-bar over k(P).
 """
+
+import random
 
 import pytest
 
-from funcfields import GF, FinitePlace, QuarticModel, factorize, field_discriminant, parse_poly
+from funcfields import GF, FinitePlace, FqPoly, QuarticModel, factorize, field_discriminant, parse_poly
 from funcfields import invariants
+from funcfields.fq import digits
 from funcfields.invariants import dedekind_index_coprime, disc_valuation_quartic
+from funcfields.poly import FuncFieldError, gp_roots
 from funcfields.signature import signature_at
 
 # Quartics of the benchmark's ledger corpus (coefficient degrees 2/3/3).
@@ -98,3 +104,76 @@ def test_dedekind_runs_exactly_at_unknown_places_over_P_squared(q, monkeypatch):
     else:
         P, coprime = INDEX_PLACES[q]
         assert calls == [(parse_poly(GF(q), P), coprime)]
+
+
+def _coprime_by_factors(model, P):
+    """Dedekind's criterion as stated: factor f-bar over k(P) = GF(p, deg P), lift each factor.
+
+    f-bar = prod g_i^{e_i}; with g = prod G_i and h = prod G_i^{e_i - 1}
+    for lifts G_i, P is coprime to ind(y) exactly when no g_i with e_i >= 2
+    divides ((g h - f)/P) mod P.  k(P) is E = GF(p, d) through x -> alpha,
+    alpha a root of P, and a residue lifts through a table of all q^d
+    polynomials of degree < d.
+    """
+    F, d = model.field, int(P.degree)
+    E = GF(F.p, d)
+    alpha = gp_roots(E, list(P.coeffs))[0]  # F_p encodes the same in E
+
+    def at_alpha(c):
+        return FqPoly(E, c.coeffs).evaluate(alpha)
+
+    lift = {}
+    for idx in range(F.q ** d):
+        r = FqPoly(F, digits(idx, F.q, d))
+        lift[at_alpha(r)] = r
+    fc = model.defining_coeffs() + [FqPoly.one(F)]
+    factors = list(factorize(FqPoly(E, [at_alpha(c) for c in fc])))
+    g = h = [FqPoly.one(F)]
+    for gi, ei in factors:
+        Gi = [lift[c] for c in gi.coeffs]
+        g = _mul(g, Gi)
+        for _ in range(ei - 1):
+            h = _mul(h, Gi)
+    t = [at_alpha((a - b).exact_div(P)) for a, b in zip(_mul(g, h), fc)]
+    tbar = FqPoly(E, t)
+    return not any((tbar % gi).is_zero() for gi, ei in factors if ei >= 2)
+
+
+def _mul(a, b):
+    out = [FqPoly.zero(a[0].field)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _seeded_quartics(q, count):
+    F, rng = GF(q), random.Random(q)
+    out = []
+    while len(out) < count:
+        A, B, C = (FqPoly(F, [rng.randrange(q) for _ in range(d + 1)]) for d in (2, 3, 3))
+        try:
+            out.append(QuarticModel(A, B, C))
+        except (FuncFieldError, ValueError):
+            continue
+    return out
+
+
+def test_dedekind_matches_the_criterion_from_factors():
+    answers = []
+    for q in (5, 7, 11, 13):
+        for m in _seeded_quartics(q, 25):
+            for P, vD in factorize(m.discriminant()):
+                if vD >= 2:
+                    got = dedekind_index_coprime(m, FinitePlace(P))
+                    assert got == _coprime_by_factors(m, P), (m.text_form(), P)
+                    answers.append((q, int(P.degree), got))
+    assert {got for _, _, got in answers} == {True, False}
+    assert any(d >= 2 for _, d, _ in answers)
+
+
+def test_dedekind_refuses_characteristic_at_most_the_degree():
+    F = GF(3)
+    m = QuarticModel(parse_poly(F, "x"), parse_poly(F, "x + 1"), parse_poly(F, "x"))
+    with pytest.raises(ValueError):
+        dedekind_index_coprime(m, FinitePlace(parse_poly(F, "x")))

@@ -31,7 +31,14 @@ from funcfields import (
     signature_at,
 )
 from funcfields.class_number import ZetaData
-from funcfields.poly import ResidueField, TowerResidueField, gp_irreducible, gp_roots, residue_field
+from funcfields.poly import (
+    ResidueField,
+    TowerResidueField,
+    gp_irreducible,
+    gp_roots,
+    residue_field,
+    residue_root,
+)
 from funcfields.signature import _inert_square
 from oracles import count_monic_irreducibles_necklace, is_irreducible
 
@@ -90,8 +97,9 @@ def _agree_on_place(P, rng, thorough):
         assert T.is_cube(t) == R.is_cube(r)
         if t:
             assert same(T.inv(t), R.inv(r))
-        assert same(T.sqrt(t), R.sqrt(r))
-        assert same(T.cube_root(t), R.cube_root(r))
+            for n in (2, 3):
+                if T.is_nth_power(t, n):
+                    assert same(residue_root(T, t, n), residue_root(R, r, n))
     for _ in range(draws):
         coeffs = [_rand_poly(rng, F, T.deg) for _ in range(rng.choice((2, 3)))] + [FqPoly.one(F)]
         roots_t = gp_roots(T, [T.embed(c) for c in coeffs])
@@ -112,12 +120,27 @@ def test_tower_agrees_with_tuple_residue_field(pk):
     for d in range(1, CELLS[pk] + 1):
         places = monic_irreducibles(F, d)
         residue_field.cache_clear()  # drop tuple fields cached before the enumeration
-        # ResidueField's cube root scans the field and its Kummer factor
+        # on ResidueField the cube roots (gp_roots) and the Kummer factor
         # types run on tuples, so in the fields of 343 and 625 elements three
         # places get every element and ten draws, the others a sample
         small = F.q ** d <= 100
         for i, P in enumerate(places):
             _agree_on_place(P, rng, small or i % (len(places) // 3) == 0)
+
+
+@pytest.mark.parametrize("pk, d", [((2, 1), 3), ((3, 1), 2), ((7, 1), 2), ((2, 2), 2), ((5, 2), 1)])
+def test_residue_root_is_the_first_root_in_gp_roots_order(pk, d):
+    F = GF(*pk)
+    P = monic_irreducibles(F, d)[-1]
+    residue_field.cache_clear()  # drop tuple fields cached before the enumeration
+    T = residue_field(P)
+    assert isinstance(T, TowerResidueField)
+    for K in (T, ResidueField(P)):
+        for r in K.iter_elements():
+            for n in (2, 3):
+                if not K.is_zero(r) and K.is_nth_power(r, n):
+                    f = [K.neg(r)] + [K.zero] * (n - 1) + [K.one]
+                    assert residue_root(K, r, n) == gp_roots(K, f)[0]
 
 
 def test_residue_field_choice(monkeypatch):

@@ -40,7 +40,7 @@ def _fields():
     out.update({"GF(%d^2)" % p: _tower(GF(p, 2), 1) for p in (5, 7)})
     out["GF(7) deg 2"] = _tower(F7, 2, 3)
     out["GF(7) deg 3"] = _tower(F7, 3, 5)
-    # the tuple field takes K.sqrt, not the tower's table root
+    # the tuple field takes its square roots by Tonelli-Shanks, not from tables
     out["GF(7) deg 2, tuple"] = ResidueField(monic_irreducibles(F7, 2)[3])
     return out
 
