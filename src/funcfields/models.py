@@ -22,6 +22,7 @@ from .poly import (
     InternalFault,
     factorize,
     gp_count_roots,
+    gp_factor_degrees,
     parse_poly,
     poly_gcd,
     poly_sqrt,
@@ -889,7 +890,7 @@ def _top_degree_ties(degrees):
     return degrees.count(top) >= 2
 
 
-# degree-1 places x - c at which _cubic_irreducible looks for a certificate
+# degree-1 places x - c at which the irreducibility tests look for a certificate
 CERTIFICATE_PLACES = 8
 
 
@@ -922,10 +923,16 @@ def _cubic_irreducible(A, B):
 
 
 def _quartic_irreducible(A, B, C):
-    """No linear factor (root divides C) and no quadratic split."""
+    """No linear factor (root divides C) and no quadratic split; as in
+    _cubic_irreducible, one c where T^4 - A(c) T^2 - B(c) T + C(c) is
+    squarefree and irreducible over F_q certifies it without the search."""
     if C.is_zero():
         return False
     F = A.field
+    for c in range(min(F.q, CERTIFICATE_PLACES)):
+        red = FqPoly(F, [C.evaluate(c), F.neg(B.evaluate(c)), F.neg(A.evaluate(c)), 0, 1])
+        if poly_gcd(red, red.derivative()).degree == 0 and gp_factor_degrees(F, list(red.coeffs)) == [4]:
+            return True
     divisors = _monic_divisors(C)
     for d in divisors:
         t = d.degree

@@ -727,7 +727,9 @@ class ResidueField:
         return self.is_nth_power(a, 3)
 
     def any_sqrt(self, a):
-        """A square root of a, or None: the Frobenius inverse in characteristic 2, else Tonelli-Shanks."""
+        """A square root of a, or None: 0 for 0, the Frobenius inverse in characteristic 2, else Tonelli-Shanks."""
+        if not a:
+            return a
         if self.char == 2:
             return self.pow_elem(a, self.order // 2)
         if self.pow_elem(a, (self.order - 1) // 2) != self.one:
@@ -1119,12 +1121,12 @@ def residue_root(K, r, n):
     """The n-th root of a nonzero n-th power r of K, n in {2, 3}: the first in gp_roots order.
 
     That order is the same for both residue-field kinds, so the root is too:
-    the unique Frobenius inverse when n = char K, the lesser of the two
-    square roots under K's sort_key when n = 2, else the first root of
-    T^3 - r.
+    the only root r^(n^-1 mod |K| - 1) when n does not divide |K| - 1 (as
+    for n = char K), the lesser of the two square roots under K's sort_key
+    when n = 2, else the first root of T^3 - r.
     """
-    if n == K.char:
-        return K.pow_elem(r, K.order // n)
+    if (K.order - 1) % n:
+        return K.pow_elem(r, pow(n, -1, K.order - 1))
     if n == 2:
         s = K.any_sqrt(r)
         return min(s, K.neg(s), key=getattr(K, "sort_key", None))

@@ -9,10 +9,11 @@ comparison once and branches on the outcome, so no bullet of a table is
 ever re-derived with a flipped inequality.
 
 Results are SignatureResult records; Unknown is a first-class outcome that
-names the remark of the source analysis that leaves the case open.  When a
-branch resolves through a squarefree reduction, the reduction is kept on
-the result so an independent factorization oracle can re-derive the
-signature (enabled for every call via the SELF_CHECK flag in test builds).
+names the remark of the source analysis that leaves the case open.  A
+Kummer branch reads the squarefreeness of its reduction off its case and
+v(D), and keeps the reduction on the result so `kummer_signature`, an
+independent factorization oracle, can re-derive the signature (enabled
+for every call via the SELF_CHECK flag in test builds).
 """
 
 from fractions import Fraction
@@ -173,7 +174,8 @@ def kummer_signature(reduction, K, n):
 
     Returns a Signature when the reduction is squarefree (all e_i = 1 with
     f_i the factor degrees); None when a repeated factor leaves the splitting
-    undecided.
+    undecided.  The dispatchers know squarefreeness from the case and v(D);
+    this gcd test is their oracle in SELF_CHECK and the tests.
     """
     f = list(reduction)
     d = gp_derivative(K, f)
@@ -197,6 +199,12 @@ def _finish(place, sig_flat_or_pairs, n, method, trace, reduction=None, K=None):
                 "dispatch/Kummer mismatch at %s: table=%s oracle=%s" % (place.describe(), sig, oracle)
             )
     return res
+
+
+def _squarefree_kummer(place, trace, red, K):
+    """Kummer result of a quartic reduction that its case proves squarefree."""
+    sig = Signature.shared(tuple((1, d) for d in gp_factor_degrees(K, red)), 4)
+    return _finish(place, sig, 4, "Kummer", trace, red, K)
 
 
 def _unknown(place, reason, trace):
@@ -418,11 +426,7 @@ def signature_quartic(model, place, allow_transforms=True):
             return _finish(place, (1, 1, 3, 1), 4, "DegreeCase", trace)
         b = res(B, u1)
         red = [K.zero, K.neg(b), K.zero, K.zero, K.one]  # T^4 - Bbar T
-        sig = kummer_signature(red, K, 4)
-        trace.append("B-corner: Kummer on T(T^3 - Bbar)")
-        if sig is None:
-            raise InternalFault("T^4 - Bbar T cannot have repeated factors for char >= 5")
-        return _finish(place, sig, 4, "Kummer", trace, red, K)
+        return _squarefree_kummer(place, trace + ["B-corner: Kummer on T(T^3 - Bbar)"], red, K)
     if at == (False, False, True):
         # u0 < 2u2 and 3u0 < 4u1
         m = int(u0) % 4
@@ -436,11 +440,7 @@ def signature_quartic(model, place, allow_transforms=True):
             sig = (2, 1, 2, 1) if sq else (2, 2)
             return _finish(place, sig, 4, "TransformChain", trace)
         red = [c, K.zero, K.zero, K.zero, K.one]  # T^4 + Cbar
-        sig = kummer_signature(red, K, 4)
-        trace.append("C-corner, 4 | u0: Kummer on T^4 + Cbar")
-        if sig is None:
-            raise InternalFault("T^4 + Cbar cannot have repeated factors for char >= 5")
-        return _finish(place, sig, 4, "Kummer", trace, red, K)
+        return _squarefree_kummer(place, trace + ["C-corner, 4 | u0: Kummer on T^4 + Cbar"], red, K)
     if at == (True, False, True):
         return _quartic_case4(model, place, K, trace, u2, u1, u0, allow_transforms)
     if at == (True, True, False):
@@ -452,11 +452,7 @@ def signature_quartic(model, place, allow_transforms=True):
             trace.append("leftover case: 4 Abar^3 = 27 Bbar^2")
             return _quartic_transform(model, place, trace, "case-AB-balanced", allow_transforms)
         red = [K.zero, K.neg(b), K.neg(a), K.zero, K.one]  # T^4 - Abar T^2 - Bbar T
-        sig = kummer_signature(red, K, 4)
-        trace.append("AB-balanced corner: Kummer on T(T^3 - Abar T - Bbar)")
-        if sig is None:
-            raise InternalFault("reduction should be squarefree when 4 Abar^3 != 27 Bbar^2")
-        return _finish(place, sig, 4, "Kummer", trace, red, K)
+        return _squarefree_kummer(place, trace + ["AB-balanced corner: Kummer on T(T^3 - Abar T - Bbar)"], red, K)
     if at == (False, True, True):
         # u1/3 = u0/4 < u2/2
         b, c = res(B, u1), res(C, u0)
@@ -466,20 +462,16 @@ def signature_quartic(model, place, allow_transforms=True):
             trace.append("leftover case: 27 Bbar^4 = 256 Cbar^3")
             return _quartic_transform(model, place, trace, "case-BC-balanced", allow_transforms)
         red = [c, K.neg(b), K.zero, K.zero, K.one]  # T^4 - Bbar T + Cbar
-        sig = kummer_signature(red, K, 4)
-        trace.append("BC-balanced corner: Kummer on T^4 - Bbar T + Cbar")
-        if sig is None:
-            raise InternalFault("reduction should be squarefree when 27 Bbar^4 != 256 Cbar^3")
-        return _finish(place, sig, 4, "Kummer", trace, red, K)
-    # all three equal
-    a, b, c = res(A, u2), res(B, u1), res(C, u0)
-    red = [c, K.neg(b), K.neg(a), K.zero, K.one]
-    sig = kummer_signature(red, K, 4)
+        return _squarefree_kummer(place, trace + ["BC-balanced corner: Kummer on T^4 - Bbar T + Cbar"], red, K)
+    # all three equal to t = u0/4: the reduction's discriminant is the
+    # residue of D at 12 t, so it is squarefree exactly when v(D) = 3 u0
     trace.append("fully balanced: Kummer on the full reduction")
-    if sig is None:
+    if place.val(model.discriminant()) != 3 * int(u0):
         trace.append("reduction has repeated factors")
         return _quartic_transform(model, place, trace, "case-full-reduction-multiple-roots", allow_transforms)
-    return _finish(place, sig, 4, "Kummer", trace, red, K)
+    a, b, c = res(A, u2), res(B, u1), res(C, u0)
+    red = [c, K.neg(b), K.neg(a), K.zero, K.one]
+    return _squarefree_kummer(place, trace, red, K)
 
 
 def _quartic_case1(model, place, K, trace, u2, u1, u0, allow_transforms):
@@ -560,11 +552,7 @@ def _quartic_case4(model, place, K, trace, u2, u1, u0, allow_transforms):
         if w == 2 * u2:
             c = place.residue(C, u0)
             red = [c, K.zero, K.neg(a), K.zero, K.one]  # T^4 - Abar T^2 + Cbar
-            sig = kummer_signature(red, K, 4)
-            trace.append("AC-balanced corner, u2 even, no cancellation: Kummer")
-            if sig is None:
-                raise InternalFault("reduction should be squarefree when Abar^2 != 4 Cbar")
-            return _finish(place, sig, 4, "Kummer", trace, red, K)
+            return _squarefree_kummer(place, trace + ["AC-balanced corner, u2 even, no cancellation: Kummer"], red, K)
         a_half_sq = K.is_square(K.mul(a, half))
         reason = "thm-3.2.5-case-2" if a_half_sq else "case-AC-cancel-nonsquare"
         trace.append("AC-balanced corner with Abar^2 = 4 Cbar, Abar/2 square=%s" % a_half_sq)

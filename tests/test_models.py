@@ -34,7 +34,7 @@ from funcfields.models import (
     multiplication_matrix,
     poly_sqrt,
 )
-from funcfields.poly import FuncFieldError
+from funcfields.poly import FuncFieldError, gp_factor_degrees
 from oracles import Frac, fracs, pole_divisor_degree, trace
 
 F5 = GF(5)
@@ -492,6 +492,26 @@ def test_cubic_irreducible_certificate_skips_the_divisor_search(monkeypatch):
     # the root x of a reducible cubic reduces to a root at every place
     calls.clear()
     assert not _cubic_irreducible(pp("x + 1"), pp("-x^3 + x^2 + x")) and calls
+
+
+def test_quartic_irreducible_certificate_skips_the_divisor_search(monkeypatch):
+    import funcfields.models as models_module
+
+    calls = []
+    monkeypatch.setattr(models_module, "_monic_divisors", lambda f: calls.append(f) or _monic_divisors(f))
+    # T^4 - T^2 - 2 T + 3 is irreducible over F_7, so x = 0 certifies
+    # y^4 - (x + 1) y^2 - (x + 2) y + x + 3
+    assert _quartic_irreducible(pp("x + 1"), pp("x + 2"), pp("x + 3")) and not calls
+    # T^4 - c splits over F_7 (q = 3 mod 4) at every c: the search decides
+    assert _quartic_irreducible(FqPoly.zero(F7), FqPoly.zero(F7), pp("-x")) and calls
+    # (T^2 - 3 - x)(T^2 - 3 + x) reduces to (T^2 - 3)^2 at x = 0, whose
+    # factor degrees read [4]; only its repeated factor keeps it from certifying
+    assert gp_factor_degrees(F7, list(pp("x^4 - 6*x^2 + 9").coeffs)) == [4]
+    calls.clear()
+    assert not _quartic_irreducible(pp("6"), FqPoly.zero(F7), pp("-x^2 + 2")) and calls
+    # the root x of a reducible quartic reduces to a root at every place
+    calls.clear()
+    assert not _quartic_irreducible(pp("x + 1"), pp("1"), pp("-x^4 + x^3 + x^2 + x")) and calls
 
 
 @settings(max_examples=80, deadline=None)

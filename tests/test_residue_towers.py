@@ -143,6 +143,16 @@ def test_residue_root_is_the_first_root_in_gp_roots_order(pk, d):
                     assert residue_root(K, r, n) == gp_roots(K, f)[0]
 
 
+def test_any_sqrt_of_zero_is_zero_on_both_kinds():
+    P = monic_irreducibles(GF(7), 2)[0]
+    residue_field.cache_clear()  # drop tuple fields cached before the enumeration
+    T = residue_field(P)
+    assert isinstance(T, TowerResidueField)
+    for K in (T, ResidueField(P)):
+        s = K.any_sqrt(K.zero)
+        assert s is not None and K.is_zero(s)
+
+
 def test_residue_field_choice(monkeypatch):
     F = GF(13)
     P = parse_poly(F, "x^2 + 2")  # irreducible: -2 is not a square mod 13

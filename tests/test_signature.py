@@ -19,7 +19,8 @@ from funcfields import (
     parse_poly,
     signature_at,
 )
-from funcfields.poly import InternalFault, UnknownSignature
+from funcfields.poly import POS_INF, FuncFieldError, InternalFault, ResidueField, UnknownSignature, factorize
+from funcfields.signature import signature_quartic
 
 F3 = GF(3)
 F5 = GF(5)
@@ -299,6 +300,99 @@ def test_quartic_unknown_is_first_class():
                 assert r.unknown_reason
                 assert r.to_json().get("unknown")
     assert found_unknown
+
+
+# -- the quartic fully balanced case: v(D) = 12 t against the gcd -----------------
+
+# (q, (A, B, C)) coefficient lists, constant term first: the quartics of the
+# benchmark's seed-1 ledger corpus (perfbench/workloads.py), whose places
+# over D have degree up to 11
+LEDGER_QUARTICS = [
+    (7, ((6, 1, 5), (4, 6, 2, 6), (4, 6, 0, 1))),
+    (7, ((5, 4, 2), (5, 6, 5, 6), (5, 5, 2, 1))),
+    (7, ((1, 5, 4), (3, 2, 1, 3), (0, 3, 3, 3))),
+    (7, ((2, 4, 1), (1, 2, 2, 6), (4, 0, 2, 4))),
+    (7, ((5, 3, 6), (1, 0, 6, 2), (6, 0, 0, 6))),
+    (7, ((5, 4, 4), (1, 5, 0, 6), (6, 1, 0, 6))),
+    (7, ((6, 1, 3), (3, 6, 0, 1), (5, 1, 0, 1))),
+    (7, ((4, 5, 3), (6, 3, 4, 4), (0, 1, 2, 5))),
+    (11, ((1, 4, 5), (8, 6, 0, 6), (2, 2, 1, 7))),
+    (11, ((2, 1, 4), (10, 3, 9, 2), (8, 10, 4, 8))),
+    (11, ((8, 6, 5), (10, 0, 0, 7), (5, 2, 3, 4))),
+    (11, ((10, 3, 4), (5, 8, 10, 4), (3, 7, 6, 2))),
+    (11, ((7, 7, 3), (0, 3, 6, 7), (6, 2, 8, 8))),
+    (11, ((5, 3, 8), (1, 8, 10, 2), (2, 1, 1, 3))),
+    (11, ((8, 3, 1), (7, 8, 9, 9), (0, 0, 7, 3))),
+    (11, ((4, 9, 6), (8, 3, 3, 3), (3, 0, 1, 7))),
+    (13, ((0, 1, 3), (1, 9, 9, 3), (1, 7, 5, 10))),
+    (13, ((5, 6, 5), (3, 1, 9, 4), (5, 2, 1, 10))),
+    (13, ((5, 5, 7), (9, 2, 3, 11), (4, 7, 8, 3))),
+    (13, ((12, 2, 2), (2, 11, 5, 11), (4, 8, 0, 3))),
+    (13, ((9, 1, 3), (7, 11, 7, 2), (8, 5, 0, 7))),
+    (13, ((3, 12, 2), (0, 8, 3, 9), (10, 5, 2, 1))),
+    (13, ((11, 9, 10), (6, 9, 11, 10), (4, 10, 12, 12))),
+    (13, ((5, 0, 2), (7, 9, 11, 8), (5, 8, 6, 9))),
+]
+
+
+def _seeded_quartics(q, count, rng):
+    """`count` non-biquadratic quartics over GF(q) with deg A, B, C = 2, 3, 4."""
+    F = GF(q)
+    out = []
+    while len(out) < count:
+        A, B, C = (FqPoly(F, [rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)]) for d in (2, 3, 4))
+        try:
+            out.append(QuarticModel(A, B, C))
+        except FuncFieldError:
+            pass
+    return out
+
+
+def _balanced_rule_cases():
+    """(model, place) pairs: small places of seeded quartics, places over D of the ledger ones."""
+    rng = random.Random(20261019)
+    for q in (7, 11, 13):
+        F = GF(q)
+        places = [FinitePlace(P) for d in (1, 2) for P in monic_irreducibles(F, d)] + [InfinitePlace(F)]
+        for m in _seeded_quartics(q, 3, rng):
+            for place in places:
+                yield m, place
+    for q, coeffs in LEDGER_QUARTICS:
+        F = GF(q)
+        m = QuarticModel(*(FqPoly(F, list(cs)) for cs in coeffs))
+        for P, _ in factorize(m.discriminant()):
+            yield m, FinitePlace(P)
+
+
+def test_quartic_balanced_case_squarefree_iff_disc_at_generic_level():
+    # where u(A)/2 = u(B)/3 = u(C)/4 = t, the dispatcher reads squarefreeness
+    # of the reduction off v(D) = 12 t; kummer_signature's gcd decides it here
+    seen = {True: 0, False: 0}
+    tuple_places = 0
+    for model, place in _balanced_rule_cases():
+        for m in [model] + [sub for _, sub in model.substitutes()]:
+            if m.biquadratic:
+                continue
+            u2, u1, u0 = (place.val(f) for f in (m.A, m.B, m.C))
+            if POS_INF in (u2, u1, u0) or not 6 * u2 == 4 * u1 == 3 * u0:
+                continue
+            K = place.residue_field
+            a, b, c = place.residue(m.A, u2), place.residue(m.B, u1), place.residue(m.C, u0)
+            red = [c, K.neg(b), K.neg(a), K.zero, K.one]
+            oracle = kummer_signature(red, K, 4)
+            rule = place.val(m.discriminant()) == 12 * (u0 // 4)
+            assert rule == (oracle is not None), (m.to_json(), place.describe())
+            seen[rule] += 1
+            tuple_places += isinstance(K, ResidueField)
+            r = signature_quartic(m, place, allow_transforms=False)
+            assert "fully balanced: Kummer on the full reduction" in r.trace
+            if rule:
+                assert r.method == "Kummer" and r.signature == oracle and r.kummer_reduction == (K, red)
+            else:
+                assert r.trace[r.trace.index("fully balanced: Kummer on the full reduction") + 1] == (
+                    "reduction has repeated factors"
+                )
+    assert seen[True] > 0 and seen[False] > 0 and tuple_places > 0
 
 
 # -- Dedekind: ramified implies P | D ---------------------------------------------
