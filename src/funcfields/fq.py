@@ -20,9 +20,11 @@ For k > 1 and q <= TABLE_MAX_ORDER (2^16) the constructor builds, once:
   1 + g^n = 0 (Huber, "Some comments on Zech's logarithms", IEEE Trans.
   Inf. Theory 36(4), 1990), and a negation table.
 
-Products, quotients, inverses, powers, n-th power tests and roots are then
-one to three list lookups, and a sum is a Zech lookup; for p = 2 sums are
-XOR of encodings at every k.  The tables index the elements without
+Products, quotients, inverses, powers, n-th power tests and any_sqrt (the
+square root that half the log gives) are then one to three list lookups,
+and a sum is a Zech lookup; for p = 2 sums are XOR of encodings at every
+k.  Where the choice of root matters, poly.residue_root picks it, on F_q
+as on the residue fields.  The tables index the elements without
 changing them: the modulus and the base-p encoding are the same, so every
 result is the same int as with the base-p digit arithmetic, which builds
 the tables and serves the fields above the threshold.  FqField also serves
@@ -123,13 +125,21 @@ def digits(n, base, length):
     return out
 
 
-def tonelli_shanks(a, q, one, mul, pow_, nonsquare):
-    """A square root of the nonzero square a in a field of odd order q.
+def tonelli_shanks(K, a, nonsquare):
+    """A square root of a in the finite field K, or None when a is not a square.
 
-    mul and pow_ are the field's product and power; nonsquare() returns a
-    fixed non-square and is called only when q = 1 mod 4.  The root is a
-    function of a and that non-square alone.
+    0 for 0, the Frobenius inverse a^(|K|/2) in characteristic 2, else
+    Euler's criterion and then Tonelli-Shanks on K's mul and pow.
+    nonsquare() returns a fixed non-square and is called only when
+    |K| = 1 mod 4.  The root is a function of a and that non-square alone.
     """
+    q, one, mul, pow_ = K.order, K.one, K.mul, K.pow
+    if not a:
+        return a
+    if K.char == 2:
+        return pow_(a, q // 2)
+    if pow_(a, (q - 1) // 2) != one:
+        return None
     if q % 4 == 3:
         return pow_(a, (q + 1) // 4)
     s, t = 0, q - 1
@@ -412,33 +422,6 @@ class FqField:
             return self._log[a] % g == 0
         return self.pow(a, (self.q - 1) // g) == 1
 
-    def nth_root(self, a, n):
-        """Some n-th root of a, or None.  Deterministic (least root)."""
-        if a == 0:
-            return 0
-        g = gcd(n, self.q - 1)
-        if self._log is not None:
-            # x = gen^j is a root iff n j = log a (mod q - 1): g solutions
-            # spaced m apart, of which the least encoding is returned
-            la = self._log[a]
-            if la % g:
-                return None
-            m = (self.q - 1) // g
-            j = la // g * pow(n // g, -1, m) % m
-            return min(self._exp[j + t * m] for t in range(g))
-        if self.pow(a, (self.q - 1) // g) != 1:
-            return None
-        if g == 1:
-            return self.pow(a, pow(n, -1, self.q - 1))
-        if n == 2:
-            # the roots are r and -r
-            r = tonelli_shanks(a, self.q, 1, self.mul, self.pow, self._least_nonsquare)
-            return min(r, self.neg(r))
-        # the least root of T^n - a: gp_roots returns the roots ascending
-        from .poly import gp_roots
-
-        return gp_roots(self, [self.neg(a)] + [0] * (n - 1) + [1])[0]
-
     def _least_nonsquare(self):
         if self._nonsquare is None:
             self._nonsquare = next(z for z in range(2, self.q) if not self.is_nth_power(z, 2))
@@ -449,19 +432,15 @@ class FqField:
             return True
         return self.is_nth_power(a, 2)
 
-    def sqrt(self, a):
-        if self.p == 2:
-            # Frobenius x -> x^2 is bijective; inverse is x -> x^(q/2)
-            return self.pow(a, self.q // 2)
-        return self.nth_root(a, 2)
+    def any_sqrt(self, a):
+        """A square root of a, or None: half the log with tables for odd p, else tonelli_shanks."""
+        if a and self.p != 2 and self._log is not None:
+            la = self._log[a]
+            return None if la % 2 else self._exp[la // 2]
+        return tonelli_shanks(self, a, self._least_nonsquare)
 
     def is_cube(self, a):
         return self.is_nth_power(a, 3)
-
-    def cube_root(self, a):
-        if self.p == 3:
-            return self.pow(a, self.q // 3)
-        return self.nth_root(a, 3)
 
     # -- dunder ------------------------------------------------------------
     def __eq__(self, other):

@@ -15,7 +15,6 @@ the defining relation, mirroring the closed product formulas the proofs use.
 from dataclasses import dataclass
 
 from .poly import (
-    POS_INF,
     FqPoly,
     FuncFieldError,
     HypothesisRefused,
@@ -104,7 +103,7 @@ class CubicModel:
         if not _skip_checks:
             if A.is_constant() and B.is_constant():
                 raise HypothesisRefused("nonconstant-coefficient", "A or B must be nonconstant")
-            q = _standard_form_divisor_cubic(A, B)
+            q = _standard_form_divisor(A, B)
             if q.degree > 0:
                 raise HypothesisRefused("standard-form", "Q=%s with Q^2|A, Q^3|B" % q)
             if not _cubic_irreducible(A, B):
@@ -171,7 +170,7 @@ class QuarticModel:
                 raise HypothesisRefused("characteristic", "quartic models require characteristic != 2")
             if A.is_constant() and B.is_constant() and C.is_constant():
                 raise HypothesisRefused("nonconstant-coefficient", "A, B or C must be nonconstant")
-            q = _standard_form_divisor_quartic(A, B, C)
+            q = _standard_form_divisor(A, B, C)
             if q.degree > 0:
                 raise HypothesisRefused("standard-form", "Q=%s with Q^2|A, Q^3|B, Q^4|C" % q)
             if not _quartic_irreducible(A, B, C):
@@ -249,7 +248,7 @@ class QuarticModel:
             return f.scale(F.inv(F.from_int(n)))
 
         def reduced(label, A2, B2, C2):
-            A2, B2, C2, _ = reduce_quartic(A2, B2, C2)
+            A2, B2, C2, _ = reduce_coeffs(A2, B2, C2)
             return label, QuarticModel(A2, B2, C2, _skip_checks=True)
 
         S = self.ac_discriminant()
@@ -342,60 +341,37 @@ def model_from_text(text):
 # ---------------------------------------------------------------------------
 
 
-def _standard_form_divisor_cubic(A, B):
-    """Largest monic Q with Q^2 | A and Q^3 | B (A=0 allows any Q^3 | B)."""
-    F = A.field
-    out = FqPoly.one(F)
-    basis = B if A.is_zero() else (A if B.is_zero() else poly_gcd(A, B))
-    if basis.is_zero() or basis.degree < 1:
+def _standard_form_divisor(*coeffs):
+    """Largest monic Q with Q^2 | A, Q^3 | B (and Q^4 | C) for coeffs (A, B[, C]).
+
+    Q = prod P^e over the P dividing every nonzero coefficient, with
+    e = min v_P(f) // k over the nonzero f and weights k = 2, 3, 4.
+    """
+    nonzero = [(f, k) for k, f in enumerate(coeffs, 2) if not f.is_zero()]
+    if not nonzero:
+        raise FuncFieldError("zero model")
+    basis = nonzero[0][0]
+    for f, _ in nonzero[1:]:
+        basis = poly_gcd(basis, f)
+    out = FqPoly.one(basis.field)
+    if basis.degree < 1:
         return out
     for P, _ in factorize(basis):
         place = FinitePlace(P)
-        va, vb = place.val(A), place.val(B)
-        e = min(va // 2 if va is not POS_INF else POS_INF, vb // 3 if vb is not POS_INF else POS_INF)
-        if e is POS_INF:
-            raise FuncFieldError("zero model")
+        e = min(place.val(f) // k for f, k in nonzero)
         if e > 0:
             out = out * P ** e
     return out
 
 
-def _standard_form_divisor_quartic(A, B, C):
-    F = A.field
-    out = FqPoly.one(F)
-    nonzero = [f for f in (A, B, C) if not f.is_zero()]
-    if not nonzero:
-        raise FuncFieldError("zero model")
-    basis = nonzero[0]
-    for f in nonzero[1:]:
-        basis = poly_gcd(basis, f)
-    if basis.degree < 1:
-        return out
-    for P, _ in factorize(basis):
-        place = FinitePlace(P)
-        caps = []
-        for f, k in ((A, 2), (B, 3), (C, 4)):
-            caps.append(POS_INF if f.is_zero() else place.val(f) // k)
-        e = min(caps)
-        if e > 0:
-            out = out * P ** int(e)
-    return out
+def reduce_coeffs(*coeffs):
+    """Divide out the standard-form divisor Q; returns (A / Q^2, B / Q^3[, C / Q^4], Q).
 
-
-def reduce_cubic(A, B):
-    """Divide out the standard-form divisor Q; returns (A / Q^2, B / Q^3, Q).
-
-    One division reaches standard form: P^e with e = min(v_P(A) // 2,
-    v_P(B) // 3) divides Q exactly, so the quotients leave e = 0 at every P.
+    One division reaches standard form: P^e with e = min v_P(f) // k
+    divides Q exactly, so the quotients leave e = 0 at every P.
     """
-    q = _standard_form_divisor_cubic(A, B)
-    return A.exact_div(q ** 2), B.exact_div(q ** 3), q
-
-
-def reduce_quartic(A, B, C):
-    """reduce_cubic for quartics: returns (A / Q^2, B / Q^3, C / Q^4, Q)."""
-    q = _standard_form_divisor_quartic(A, B, C)
-    return A.exact_div(q ** 2), B.exact_div(q ** 3), C.exact_div(q ** 4), q
+    q = _standard_form_divisor(*coeffs)
+    return tuple(f.exact_div(q ** k) for k, f in enumerate(coeffs, 2)) + (q,)
 
 
 def cubic_standard_form(S, U, V, W):
@@ -418,7 +394,7 @@ def cubic_standard_form(S, U, V, W):
     A = third_U * U - S * V
     inv27 = FqPoly.const(F, F.inv(F.from_int(27)))
     B = S * S * W - S * U * V * inv3 + (U ** 3) * inv27 * FqPoly.const(F, 2)
-    A2, B2, Q = reduce_cubic(A, B)
+    A2, B2, Q = reduce_coeffs(A, B)
     model = CubicModel(A2, B2)
     trans = Transformation(scale=S, shift=third_U, divide=Q)
     return model, trans
@@ -452,13 +428,13 @@ def _cubic_standard_form_char3(S, U, V, W):
             raise FuncFieldError("reducible cubic (zero constant after translation)")
         # T^3 - A'T^2 + B': substitute y -> B'/y, giving T^3 - A'B' T + B'^2
         A, B = Aprime * Bprime, Bprime * Bprime
-        A2, B2, Q = reduce_cubic(A, B)
+        A2, B2, Q = reduce_coeffs(A, B)
         model = CubicModel(A2, B2)
         # record is informational: the final generator is B'/(S y + shift) / Q
         trans = Transformation(scale=S, shift=shift, divide=Q)
         return model, trans
     A, B = -a1, a0
-    A2, B2, Q = reduce_cubic(A, B)
+    A2, B2, Q = reduce_coeffs(A, B)
     return CubicModel(A2, B2), Transformation(scale=S, shift=shift, divide=Q)
 
 
@@ -480,7 +456,7 @@ def quartic_standard_form(a3, a2, a1, a0):
     A = -n2[2]
     B = -n2[1]
     C = n2[0]
-    A2, B2, C2, Q = reduce_quartic(A, B, C)
+    A2, B2, C2, Q = reduce_coeffs(A, B, C)
     model = QuarticModel(A2, B2, C2)
     return model, Transformation(scale=FqPoly.one(F), shift=t, divide=Q)
 

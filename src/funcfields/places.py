@@ -22,7 +22,7 @@ every other place asks poly.residue_field(P), a cache keyed by P, on first
 use.  Either kind gives the residue of f as K.embed(f), and the two agree
 through x -> alpha, so results do not depend on which kind a place gets;
 a root that leaves the field is poly.residue_root's, the first in gp_roots
-order on both kinds.
+order on both kinds as on F_q, which has no root rule of its own.
 The infinite place's residue field is F_q as the degree-1 field of the
 place x.
 

@@ -50,9 +50,10 @@ residue_field(P), cached by P, serves every other caller.
 
 Both kinds present one protocol on top of the engine's: embed (the
 residue of an FqPoly, zero exactly when P divides it), lift, from_base,
-the power tests and any_sqrt (a square root where the choice of root does
-not matter).  Where the root leaves the field, residue_root picks it, by
-one rule for both kinds: the first root in gp_roots order.  Places and
+pow, the power tests and any_sqrt (a square root where the choice of root
+does not matter).  pow, the power tests and any_sqrt are also FqField's
+names, so where a root's choice matters, residue_root picks it by one rule
+for F_q and both kinds: the first root in gp_roots order.  Places and
 signatures use that protocol only, so no other module names either class.
 """
 
@@ -698,7 +699,7 @@ class ResidueField:
         F = self.base
         return tuple(gp_mod(F, gp_mul(F, a, b), self.P.coeffs))
 
-    def pow_elem(self, a, e):
+    def pow(self, a, e):
         return tuple(gp_pow_mod(self.base, a, e, self.P.coeffs))
 
     def inv(self, a):
@@ -716,7 +717,7 @@ class ResidueField:
         from math import gcd
 
         g = gcd(n, self.order - 1)
-        return self.pow_elem(a, (self.order - 1) // g) == self.one
+        return self.pow(a, (self.order - 1) // g) == self.one
 
     def is_square(self, a):
         if self.char == 2:
@@ -727,14 +728,8 @@ class ResidueField:
         return self.is_nth_power(a, 3)
 
     def any_sqrt(self, a):
-        """A square root of a, or None: 0 for 0, the Frobenius inverse in characteristic 2, else Tonelli-Shanks."""
-        if not a:
-            return a
-        if self.char == 2:
-            return self.pow_elem(a, self.order // 2)
-        if self.pow_elem(a, (self.order - 1) // 2) != self.one:
-            return None
-        return tonelli_shanks(a, self.order, self.one, self.mul, self.pow_elem, self._first_nonsquare)
+        """A square root of a, or None (fq.tonelli_shanks)."""
+        return tonelli_shanks(self, a, self._first_nonsquare)
 
     def _first_nonsquare(self):
         if self._nonsquare is None:
@@ -752,7 +747,7 @@ class TowerResidueField:
 
     alpha is a root of P in E and F_q sits in E through the embedding
     `emb` (an indexable map from F_q encodings to E encodings), so k(P) is
-    E itself and its elements are E's ints: add, mul, inv, pow_elem and the
+    E itself and its elements are E's ints: add, mul, inv, pow and the
     power tests are E's table operations.  x^i mod P corresponds to
     alpha^i, so iter_elements, lift and sort_key follow the coefficient
     tuples of ResidueField(P) (padded to length d here, which orders them
@@ -772,12 +767,12 @@ class TowerResidueField:
         self._emb = emb
         self._solve = None  # inverse basis matrix over F_p, built by the first lift
         self.add, self.sub, self.neg = E.add, E.sub, E.neg
-        self.mul, self.inv, self.pow_elem = E.mul, E.inv, E.pow
+        self.mul, self.inv, self.pow = E.mul, E.inv, E.pow
         self.is_nth_power, self.is_square, self.is_cube = E.is_nth_power, E.is_square, E.is_cube
         # E's own draws: every consumer of gp_equal_degree_split sorts its output
         self.from_rand = E.from_rand
-        # a square root where the choice does not matter: E's, by table lookup
-        self.any_sqrt = E.sqrt
+        # a square root where the choice does not matter: E's (half the log where E has tables)
+        self.any_sqrt = E.any_sqrt
 
     def sibling(self, P, alpha):
         """k(P) for another place P of the same tower, with its root alpha.
@@ -1005,14 +1000,14 @@ def squarefree_split(f):
 
 
 def poly_sqrt(f):
-    """Exact square root of f in F_q[x], or None (coefficient recursion)."""
+    """A square root of f in F_q[x] (either sign), or None (coefficient recursion)."""
     if f.is_zero():
         return f
     F = f.field
     n = int(f.degree)
     if n % 2:
         return None
-    lead = F.sqrt(f.sgn)
+    lead = F.any_sqrt(f.sgn)
     if lead is None:
         return None
     if F.p == 2:
@@ -1023,7 +1018,7 @@ def poly_sqrt(f):
                 if c != 0:
                     return None
             else:
-                cs.append(F.sqrt(c))
+                cs.append(F.any_sqrt(c))
         s = FqPoly(F, cs)
         return s if s * s == f else None
     half = n // 2
@@ -1120,13 +1115,15 @@ def _base_embedding(F, E):
 def residue_root(K, r, n):
     """The n-th root of a nonzero n-th power r of K, n in {2, 3}: the first in gp_roots order.
 
-    That order is the same for both residue-field kinds, so the root is too:
-    the only root r^(n^-1 mod |K| - 1) when n does not divide |K| - 1 (as
-    for n = char K), the lesser of the two square roots under K's sort_key
-    when n = 2, else the first root of T^3 - r.
+    K is F_q or a residue field of either kind.  That order is the same for
+    both residue-field kinds, so the root is too; on F_q it is the least
+    encoding.  The root is the only one, r^(n^-1 mod |K| - 1), when n does
+    not divide |K| - 1 (as for n = char K), the lesser of the two square
+    roots under K's sort_key (the int order on F_q) when n = 2, else the
+    first root of T^3 - r.
     """
     if (K.order - 1) % n:
-        return K.pow_elem(r, pow(n, -1, K.order - 1))
+        return K.pow(r, pow(n, -1, K.order - 1))
     if n == 2:
         s = K.any_sqrt(r)
         return min(s, K.neg(s), key=getattr(K, "sort_key", None))

@@ -202,9 +202,10 @@ def _finish(place, sig_flat_or_pairs, n, method, trace, reduction=None, K=None):
 
 
 def _squarefree_kummer(place, trace, red, K):
-    """Kummer result of a quartic reduction that its case proves squarefree."""
-    sig = Signature.shared(tuple((1, d) for d in gp_factor_degrees(K, red)), 4)
-    return _finish(place, sig, 4, "Kummer", trace, red, K)
+    """Kummer result of a degree-n reduction that its case proves squarefree: its factor degrees."""
+    n = len(red) - 1
+    sig = Signature.shared(tuple((1, d) for d in gp_factor_degrees(K, red)), n)
+    return _finish(place, sig, n, "Kummer", trace, red, K)
 
 
 def _unknown(place, reason, trace):
@@ -283,12 +284,12 @@ def signature_cubic(model, place, _depth=0):
     if delta < 0:
         raise InternalFault("discriminant valuation below generic level")
     if delta == 0:
+        # the reduction's discriminant is the unit residue of D at 3 u1, so it is squarefree
         red = [b, K.neg(a), K.zero, K.one]  # T^3 - a T + b
-        if p >= 5 and K.order % 3 == 1:
-            sig = _depressed_cubic_type(K, a, b)
-        else:
-            sig = kummer_signature(red, K, 3)
         trace.append("3u1=2u0, disc at generic level: Kummer on T^3 - Abar T + Bbar")
+        if not (p >= 5 and K.order % 3 == 1):
+            return _squarefree_kummer(place, trace, red, K)
+        sig = _depressed_cubic_type(K, a, b)
         if sig is None:
             raise InternalFault("squarefree reduction expected when v(D) = 3 u1")
         return _finish(place, sig, 3, "Kummer", trace, red, K)
@@ -323,7 +324,7 @@ def _depressed_cubic_type(K, a, b):
     def c(n):
         return K.from_base(K.base.from_int(n))
 
-    disc = K.sub(K.mul(c(4), K.pow_elem(a, 3)), K.mul(c(27), K.mul(b, b)))
+    disc = K.sub(K.mul(c(4), K.pow(a, 3)), K.mul(c(27), K.mul(b, b)))
     if K.is_zero(disc):
         return None
     if not K.is_square(disc):
@@ -349,8 +350,8 @@ def _cubic_iteration(model, place, trace, depth):
     p-th power: at infinity the part in degrees divisible by p, at a finite
     place the residue of f.  The p-th root is the inverse Frobenius
     c -> c^(Q/p) of a field of order Q.  For p = 2 the next model is the
-    reciprocal one, for p = 3 the shift by the cube root of 2; both are
-    dispatched again at the same place.
+    reciprocal one, for p = 3 the shift with constant 2, the cube root of 2
+    (2 = -1 is its own cube); both are dispatched again at the same place.
     """
     F = model.field
     p = F.p
@@ -365,7 +366,7 @@ def _cubic_iteration(model, place, trace, depth):
         f0 = FqPoly(F, [F.pow(c, F.q // p) for c in f.coeffs[::p]])
     else:
         K = place.residue_field
-        f0 = K.lift(K.pow_elem(place.residue(f, 0), K.order // p))
+        f0 = K.lift(K.pow(place.residue(f, 0), K.order // p))
     if f0.is_zero():
         return _unknown(place, "char%d-iteration-stagnated" % p,
                         trace + ["decomposition has no %s part" % ("square" if p == 2 else "cube")])
@@ -375,8 +376,8 @@ def _cubic_iteration(model, place, trace, depth):
         tail = f1 * f0 + B
         A, B = f1 * A + f0 * B, tail * B
     else:
-        # shift: B' = B1 - c A B0 with c^3 = 2
-        tail = B = f1 - (A * f0).scale(F.cube_root(F.from_int(2)))
+        # shift: B' = B1 - c A B0 with c^3 = 2, so c = 2 (= -1, its own cube)
+        tail = B = f1 - (A * f0).scale(F.from_int(2))
     if tail.is_zero():
         raise InternalFault("char-%d iteration hit a reducible presentation" % p)
     trace.append("char-{p} decomposition {f} = {f}0^{p} + {f}1 with deg {f}0 = {d}; iterate"
@@ -446,7 +447,7 @@ def signature_quartic(model, place, allow_transforms=True):
     if at == (True, True, False):
         # u2/2 = u1/3 < u0/4
         a, b = res(A, u2), res(B, u1)
-        four_a3 = K.mul(K.from_base(F.from_int(4)), K.pow_elem(a, 3))
+        four_a3 = K.mul(K.from_base(F.from_int(4)), K.pow(a, 3))
         t27b2 = K.mul(K.from_base(F.from_int(27)), K.mul(b, b))
         if four_a3 == t27b2:
             trace.append("leftover case: 4 Abar^3 = 27 Bbar^2")
@@ -456,8 +457,8 @@ def signature_quartic(model, place, allow_transforms=True):
     if at == (False, True, True):
         # u1/3 = u0/4 < u2/2
         b, c = res(B, u1), res(C, u0)
-        t27b4 = K.mul(K.from_base(F.from_int(27)), K.pow_elem(b, 4))
-        t256c3 = K.mul(K.from_base(F.from_int(256)), K.pow_elem(c, 3))
+        t27b4 = K.mul(K.from_base(F.from_int(27)), K.pow(b, 4))
+        t256c3 = K.mul(K.from_base(F.from_int(256)), K.pow(c, 3))
         if t27b4 == t256c3:
             trace.append("leftover case: 27 Bbar^4 = 256 Cbar^3")
             return _quartic_transform(model, place, trace, "case-BC-balanced", allow_transforms)

@@ -23,7 +23,7 @@ from funcfields import (
     parse_poly,
     unit_rank,
 )
-from funcfields.models import OrderElement, reduce_cubic, reduce_quartic
+from funcfields.models import OrderElement, reduce_coeffs
 from funcfields.poly import FuncFieldError, HypothesisRefused, UnknownSignature
 
 
@@ -39,7 +39,7 @@ def _shifted_cubic(model, t):
 
     comp = _binom_shift(list(mp), shift)
     assert comp[2].is_zero()
-    A2, B2, _ = reduce_cubic(-comp[1], comp[0])
+    A2, B2, _ = reduce_coeffs(-comp[1], comp[0])
     return CubicModel(A2, B2)
 
 
@@ -54,7 +54,7 @@ def _shifted_quartic(model, t):
 
     comp = _binom_shift(list(mp), shift)
     assert comp[3].is_zero()
-    A2, B2, C2, _ = reduce_quartic(-comp[2], -comp[1], comp[0])
+    A2, B2, C2, _ = reduce_coeffs(-comp[2], -comp[1], comp[0])
     return QuarticModel(A2, B2, C2)
 
 
@@ -105,7 +105,7 @@ def test_cubic_invariants_survive_rescaling():
             continue
         # y -> y / Q for a random nonconstant Q scales (A, B) to (A Q^2, B Q^3)
         Q = FqPoly(F5, [rng.randrange(5), 1])
-        A2, B2, _ = reduce_cubic(m.A * Q * Q, m.B * Q ** 3)
+        A2, B2, _ = reduce_coeffs(m.A * Q * Q, m.B * Q ** 3)
         m2 = CubicModel(A2, B2)
         try:
             other = _full_data(m2)

@@ -30,9 +30,11 @@ from funcfields.models import (
     _cubic_irreducible,
     _monic_divisors,
     _quartic_irreducible,
+    _standard_form_divisor,
     char_poly,
     multiplication_matrix,
     poly_sqrt,
+    reduce_coeffs,
 )
 from funcfields.poly import FuncFieldError, gp_factor_degrees
 from oracles import Frac, fracs, pole_divisor_degree, trace
@@ -110,6 +112,61 @@ def test_quartic_standard_form_forced_reduction():
         FqPoly.zero(F7), -(pp("x^2") * Q * Q), FqPoly.zero(F7), Q ** 4
     )
     assert (m.A, m.B, m.C) == (pp("x^2"), FqPoly.zero(F7), FqPoly.one(F7))
+
+
+def _largest_standard_form_divisor(coeffs):
+    """Largest monic Q with Q^k | f (k = 2, 3, 4), by enumerating the monic Q up to min(deg f // k)."""
+    F = coeffs[0].field
+    top = min(int(f.degree) // k for k, f in enumerate(coeffs, 2) if not f.is_zero())
+    found = [FqPoly.one(F)]
+    for d in range(1, top + 1):
+        for idx in range(F.q ** d):
+            Q = FqPoly(F, [idx // F.q ** i % F.q for i in range(d)] + [1])
+            if all((f % Q ** k).is_zero() for k, f in enumerate(coeffs, 2)):
+                found.append(Q)
+    largest = [Q for Q in found if Q.degree == found[-1].degree]
+    assert len(largest) == 1  # the Q that qualify are closed under lcm
+    return largest[0]
+
+
+ZERO_PATTERNS = [(2, z) for z in ((), (0,), (1,))] + [
+    (3, z) for z in ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
+]
+
+
+@pytest.mark.parametrize("pk", [(5, 1), (7, 1), (3, 2)], ids=["GF(5)", "GF(7)", "GF(9)"])
+@pytest.mark.parametrize("n, zeros", ZERO_PATTERNS)
+def test_standard_form_divisor_matches_brute_force(pk, n, zeros):
+    # (A, B) for n = 2, (A, B, C) for n = 3; the coefficients at `zeros` are 0
+    F = GF(*pk)
+    rng = random.Random("%s %d %s" % (pk, n, zeros))
+
+    def nonzero_poly(d):
+        return FqPoly(F, [rng.randrange(F.q) for _ in range(d)] + [rng.randrange(1, F.q)])
+
+    for _ in range(6):
+        # Q0^e with e in {k - 1, k, 2k - 1, 2k} times a cofactor, so each coefficient can bind
+        Q0 = nonzero_poly(rng.randrange(3)).monic()
+        coeffs = tuple(
+            FqPoly.zero(F) if k - 2 in zeros
+            else Q0 ** (k * rng.randrange(1, 3) - rng.randrange(2)) * nonzero_poly(rng.randrange(3))
+            for k in range(2, n + 2)
+        )
+        Q = _standard_form_divisor(*coeffs)
+        assert Q == _largest_standard_form_divisor(coeffs)
+        reduced = reduce_coeffs(*coeffs)
+        assert reduced[-1] == Q
+        assert all(g * Q ** k == f for k, (f, g) in enumerate(zip(coeffs, reduced), 2))
+        assert _standard_form_divisor(*reduced[:-1]) == FqPoly.one(F)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_standard_form_divisor_refuses_the_zero_model(n):
+    zero = FqPoly.zero(F7)
+    with pytest.raises(FuncFieldError, match="zero model"):
+        _standard_form_divisor(*[zero] * n)
+    with pytest.raises(FuncFieldError, match="zero model"):
+        reduce_coeffs(*[zero] * n)
 
 
 def test_quartic_char2_refused():

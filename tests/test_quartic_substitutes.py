@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import funcfields.signature as signature_module
 from funcfields import GF, FqPoly, QuarticModel, model_from_text, monic_irreducibles, signature_at
-from funcfields.models import _binom_shift, _standard_form_divisor_quartic, minimal_polynomial_fq, reduce_quartic
+from funcfields.models import _binom_shift, _standard_form_divisor, minimal_polynomial_fq, reduce_coeffs
 from funcfields.places import FinitePlace, InfinitePlace
 from funcfields.poly import FuncFieldError, InternalFault
 
@@ -40,10 +40,10 @@ def reference_substitutes(model):
             t = coeffs[3].scale(F.neg(F.inv(F.from_int(4))))
             coeffs = _binom_shift(list(coeffs), t)
             assert coeffs[3].is_zero()
-        A2, B2, C2, _ = reduce_quartic(-coeffs[2], -coeffs[1], coeffs[0])
+        A2, B2, C2, _ = reduce_coeffs(-coeffs[2], -coeffs[1], coeffs[0])
         out.append((label, QuarticModel(A2, B2, C2, _skip_checks=True)))
     lam = B.scale(F.from_int(3))
-    A2, B2, C2, _ = reduce_quartic(A * lam * lam, B * lam ** 3, C * lam ** 4)
+    A2, B2, C2, _ = reduce_coeffs(A * lam * lam, B * lam ** 3, C * lam ** 4)
     out.append(("3By", QuarticModel(A2, B2, C2, _skip_checks=True)))
     return out
 
@@ -151,7 +151,7 @@ def test_reduction_divides_a_substitute():
     S, BB = model.ac_discriminant(), model.B * model.B
     c = F.from_int
     raw = (S.scale(F.inv(c(2))), BB, (S * S - (model.A * BB).scale(c(8))).scale(F.inv(c(16))))
-    assert _standard_form_divisor_quartic(*raw) == FqPoly.x(F)
+    assert _standard_form_divisor(*raw) == FqPoly.x(F)
     subs = model.substitutes()
     assert _key(subs) == _key(reference_substitutes(model))
     assert _key(subs)[0] == ("y^2 - A/2", FqPoly(F, [4]), FqPoly(F, [0, 4]), FqPoly(F, [1]))

@@ -153,6 +153,52 @@ def test_any_sqrt_of_zero_is_zero_on_both_kinds():
         assert s is not None and K.is_zero(s)
 
 
+def _check_any_sqrt(K, elements):
+    """any_sqrt is 0 on 0, a root on every square and None exactly on the non-squares."""
+    squares = {K.mul(x, x) for x in elements}
+    for a in elements:
+        s = K.any_sqrt(a)
+        if a in squares:
+            assert s is not None and K.mul(s, s) == a
+        else:
+            assert s is None
+    assert K.any_sqrt(K.zero) == K.zero
+
+
+@pytest.mark.parametrize(
+    "pk", [(2, 1), (11, 1), (13, 1), (2, 4), (5, 2)], ids=["GF(2)", "GF(11)", "GF(13)", "GF(16)", "GF(25)"]
+)
+def test_any_sqrt_on_f_q(pk):
+    F = GF(*pk)
+    _check_any_sqrt(F, range(F.q))
+
+
+@pytest.mark.parametrize("pk", [(3, 11), (5, 7)], ids=["GF(3^11)", "GF(5^7)"])
+def test_any_sqrt_on_f_q_above_the_tables(pk):
+    # digit arithmetic: q = 3 mod 4 takes one power, q = 1 mod 4 the Tonelli-Shanks loop
+    F = GF(*pk)
+    assert F._log is None
+    rng = random.Random(F.q)
+    z = F._least_nonsquare()
+    for _ in range(20):
+        x = rng.randrange(1, F.q)
+        a = F.mul(x, x)
+        s = F.any_sqrt(a)
+        assert s is not None and F.mul(s, s) == a
+        assert F.any_sqrt(F.mul(a, z)) is None
+
+
+@pytest.mark.parametrize("pk, d", [((13, 1), 2), ((2, 1), 3), ((3, 2), 2)], ids=["GF(13)-d2", "GF(2)-d3", "GF(9)-d2"])
+def test_any_sqrt_on_both_residue_field_kinds(pk, d):
+    F = GF(*pk)
+    P = monic_irreducibles(F, d)[0]
+    residue_field.cache_clear()  # drop tuple fields cached before the enumeration
+    T = residue_field(P)
+    assert isinstance(T, TowerResidueField)
+    for K in (T, ResidueField(P)):
+        _check_any_sqrt(K, list(K.iter_elements()))
+
+
 def test_residue_field_choice(monkeypatch):
     F = GF(13)
     P = parse_poly(F, "x^2 + 2")  # irreducible: -2 is not a square mod 13

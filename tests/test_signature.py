@@ -19,7 +19,7 @@ from funcfields import (
     parse_poly,
     signature_at,
 )
-from funcfields.poly import POS_INF, FuncFieldError, InternalFault, ResidueField, UnknownSignature, factorize
+from funcfields.poly import POS_INF, FuncFieldError, InternalFault, ResidueField, UnknownSignature, factorize, residue_root
 from funcfields.signature import signature_quartic
 
 F3 = GF(3)
@@ -218,7 +218,8 @@ def test_cubic_char3_remark_degree_rule():
     # B0 = x, B1 = 2x + 1; c = cube root of 2 = 2; -cAB0 + B1 = -2Ax + 2x + 1
     F = F3
     A, B = parse_poly(F, "x"), parse_poly(F, "x^3 + 2*x + 1")
-    c = F.cube_root(2)
+    c = residue_root(F, 2, 3)
+    assert c == 2
     B0, B1 = parse_poly(F, "x"), parse_poly(F, "2*x + 1")
     assert B0 ** 3 + B1 == B
     new_B = B1 - (A * B0).scale(c)

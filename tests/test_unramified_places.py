@@ -64,7 +64,7 @@ def test_closed_cubic_type_matches_factoring(name, seed):
         a = K.zero  # T^3 + b: one of Cardano's two values of u^3 is 0
     got = _depressed_cubic_type(K, a, b)
     four, t27 = (K.from_base(K.base.from_int(n)) for n in (4, 27))
-    disc = K.sub(K.mul(four, K.pow_elem(a, 3)), K.mul(t27, K.mul(b, b)))
+    disc = K.sub(K.mul(four, K.pow(a, 3)), K.mul(t27, K.mul(b, b)))
     if K.is_zero(disc):
         assert got is None
     else:
@@ -113,32 +113,40 @@ def test_every_place_to_degree_3_matches_kummer(name, monkeypatch):
         calls.append("kummer")
         return kummer_signature(red, K, n)
 
+    def factor_degrees(K, f):
+        calls.append("factor")
+        return gp_factor_degrees(K, f)
+
     monkeypatch.setattr(signature_module, "SELF_CHECK", False)  # the oracle runs below
     monkeypatch.setattr(signature_module, "_depressed_cubic_type", closed)
     monkeypatch.setattr(signature_module, "kummer_signature", kummer)
-    generic = {"closed": 0, "kummer": 0}
+    monkeypatch.setattr(signature_module, "gp_factor_degrees", factor_degrees)
+    generic = {"closed": 0, "factor": 0}
     for d in range(1, 4):
         places = monic_irreducibles(F, d)
         residue_field.cache_clear()
         for P in places:
             del calls[:]
             res = signature_at(model, FinitePlace(P))
+            route = list(calls)
+            assert "kummer" not in route
             if res.kummer_reduction is not None:
                 K, red = res.kummer_reduction
                 assert kummer_signature(red, K, 3) == res.signature, P
             if res.trace[-1] != GENERIC_LINE:
-                assert "closed" not in calls
+                assert "closed" not in route
                 continue
             assert res.method == "Kummer"
             Q = F.q ** d
-            want = "closed" if Q % 3 == 1 else "kummer"
-            assert calls == [want], (P, calls)
+            # v(D) = 3 u1 proves the reduction squarefree: its factor degrees, no gcd
+            want = "closed" if Q % 3 == 1 else "factor"
+            assert route == [want], (P, route)
             generic[want] += 1
     if F.q == 11:
         # Q = 11^d is 1 mod 3 only for even d
-        assert generic["closed"] > 0 and generic["kummer"] > 0
+        assert generic["closed"] > 0 and generic["factor"] > 0
     else:
-        assert generic["closed"] > 0 and generic["kummer"] == 0
+        assert generic["closed"] > 0 and generic["factor"] == 0
 
 
 # -- valuations and residues by evaluation -------------------------------------
