@@ -164,7 +164,7 @@ class QuarticModel:
         self.A = A
         self.B = B
         self.C = C
-        self._disc = self._ac_disc = self._subs = None
+        self._disc = self._ac_disc = self._subs = self._disc_from = None
         if not _skip_checks:
             if self.field.p == 2:
                 raise HypothesisRefused("characteristic", "quartic models require characteristic != 2")
@@ -210,9 +210,9 @@ class QuarticModel:
         return [self.C, -self.B, -self.A, FqPoly.zero(F)]
 
     def discriminant(self):
-        """quartic_disc(self), computed once per model."""
+        """quartic_disc(self), computed once per model; a substitute's comes from its parent's D."""
         if self._disc is None:
-            self._disc = quartic_disc(self)
+            self._disc = quartic_disc(self) if self._disc_from is None else self._disc_from()
         return self._disc
 
     def ac_discriminant(self):
@@ -235,7 +235,17 @@ class QuarticModel:
         S/4)/B for z = y^2 - A/2 and that generator has degree 4.  So has
         y^3 - (A/2) y: its minimal polynomial would be a square only where
         B^2 = 2AS and S = -4A^2, which give f a repeated root, and
-        construction refuses such an f.
+        construction refuses such an f.  3By is this model with y scaled
+        by c = 3 lc(B): reducing (9B^2 A, 27B^4, 81B^4 C) divides out
+        monic(B) times the model's own standard-form divisor Q0, which
+        leaves (c^2 A, c^3 B, c^4 C) over Q0^2, Q0^3, Q0^4.
+
+        Each substitute's discriminant comes from this model's D by the
+        index formula d(1, z, z^2, z^3) = det(T)^2 d(1, y, y^2, y^3), with T
+        the matrix of 1, z, z^2, z^3 in the basis 1, y, y^2, y^3 (Cohen,
+        GTM 138, 2.2 and 4.4): det T = -B^2 for y^2 - A/2, -(S^3 - 8A^3
+        B^2)/64 for y^3 - (A/2) y (a shift leaves it), c^6 for 3By.  The
+        reduction z -> z/Q divides it by Q^12.
         """
         if self._subs is not None:
             return self._subs
@@ -247,13 +257,15 @@ class QuarticModel:
         def over(f, n):
             return f.scale(F.inv(F.from_int(n)))
 
-        def reduced(label, A2, B2, C2):
-            A2, B2, C2, _ = reduce_coeffs(A2, B2, C2)
-            return label, QuarticModel(A2, B2, C2, _skip_checks=True)
+        def reduced(label, A2, B2, C2, det2):
+            A2, B2, C2, Q = reduce_coeffs(A2, B2, C2)
+            sub = QuarticModel(A2, B2, C2, _skip_checks=True)
+            sub._disc_from = lambda: _exact_div_power(det2 * self.discriminant(), Q, 12)
+            return label, sub
 
         S = self.ac_discriminant()
         BB = B * B
-        out = [reduced("y^2 - A/2", over(S, 2), BB, over(S * S - (A * BB).scale(F.from_int(8)), 16))]
+        out = [reduced("y^2 - A/2", over(S, 2), BB, over(S * S - (A * BB).scale(F.from_int(8)), 16), BB * BB)]
         AS2 = (A * S).scale(F.from_int(2))
         A3 = over(AS2 + BB.scale(F.from_int(3)), 8)
         B3 = over(B * (AS2 - BB), 8)
@@ -263,9 +275,11 @@ class QuarticModel:
             - (BB * BB).scale(F.from_int(3)),
             256,
         )
-        out.append(reduced("y^3 - (A/2) y", A3, B3, C3))
-        lam = B.scale(F.from_int(3))
-        out.append(reduced("3By", A * lam * lam, B * lam ** 3, C * lam ** 4))
+        det = over(S * S * S - (A * A * A * BB).scale(F.from_int(8)), 64)  # -det T; only its square is used
+        out.append(reduced("y^3 - (A/2) y", A3, B3, C3, det * det))
+        c = F.mul(F.from_int(3), B.sgn)
+        A4, B4, C4 = (f.scale(F.pow(c, k)) for k, f in enumerate((A, B, C), 2))
+        out.append(reduced("3By", A4, B4, C4, FqPoly.const(F, F.pow(c, 12))))
         self._subs = out
         return out
 
@@ -352,6 +366,8 @@ def _standard_form_divisor(*coeffs):
         raise FuncFieldError("zero model")
     basis = nonzero[0][0]
     for f, _ in nonzero[1:]:
+        if basis.degree < 1:
+            break
         basis = poly_gcd(basis, f)
     out = FqPoly.one(basis.field)
     if basis.degree < 1:
@@ -371,7 +387,12 @@ def reduce_coeffs(*coeffs):
     divides Q exactly, so the quotients leave e = 0 at every P.
     """
     q = _standard_form_divisor(*coeffs)
-    return tuple(f.exact_div(q ** k) for k, f in enumerate(coeffs, 2)) + (q,)
+    return tuple(_exact_div_power(f, q, k) for k, f in enumerate(coeffs, 2)) + (q,)
+
+
+def _exact_div_power(f, q, k):
+    """f / q^k, exact, for monic q; no division when q = 1."""
+    return f if q.degree < 1 else f.exact_div(q ** k)
 
 
 def cubic_standard_form(S, U, V, W):

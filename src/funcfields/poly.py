@@ -8,8 +8,10 @@ never silently usable as an array index.
 
 The factorization stack (squarefree split, distinct-degree, equal-degree)
 is written over an abstract finite-field protocol so the same engine
-factors over F_q and over residue fields F_q[x]/(P).  Equal-degree
-splitting draws randomness from a seeded PRNG recorded in the output.
+factors over F_q and over residue fields F_q[x]/(P).  The distinct-degree
+step applies Frobenius as a K-linear map, by its matrix modulo f.
+Equal-degree splitting draws randomness from a seeded PRNG recorded in
+the output.
 
 FqPoly's +, -, * and divmod are the engine's gp_add, gp_sub, gp_mul and
 gp_divmod.  Over a prime field (an FqField with k = 1) an element is its
@@ -516,23 +518,57 @@ def gp_derivative(K, a):
 
 
 def gp_distinct_degree(K, f):
-    """[(degree d, product of irreducible factors of degree d)] for squarefree monic f."""
+    """[(degree d, product of irreducible factors of degree d)] for squarefree monic f.
+
+    The product of degree d is gcd(x^(q^d) - x, rest), q = |K|, with rest
+    what the smaller degrees left of f.  h -> h^q is K-linear on K[x]/(f):
+    h^q = sum_j h_j x^(q j).  So x^(q^d) mod f comes from x^(q^(d-1)) by
+    one vector-matrix product with the Frobenius matrix, whose rows are
+    x^(q j) mod f for j < deg f (von zur Gathen & Shoup, Comput.
+    Complexity 2, 1992).  The rows are one gp_pow_mod(x, q, f) and
+    deg f - 2 products mod f, for any q (a tuple residue field can have
+    q = 7^11).  h stays reduced mod f; since rest | f, the gcd with rest
+    is the same monic polynomial as with h reduced mod rest.
+    """
     out = []
-    h = [K.zero, K.one]  # x
+    x = [K.zero, K.one]
+    h = rows = None
     rest = list(f)
     d = 0
-    x = [K.zero, K.one]
     while len(rest) - 1 >= 1:
         d += 1
         if 2 * d > len(rest) - 1:
             out.append((len(rest) - 1, rest))
             break
-        h = gp_pow_mod(K, h, K.order, rest)
+        if h is None:
+            h = gp_pow_mod(K, x, K.order, f)
+        else:
+            if rows is None:
+                rows = [[K.one], h]  # h = x^q mod f
+                while len(rows) < len(f) - 1:
+                    rows.append(gp_mod(K, gp_mul(K, rows[-1], h), f))
+            h = _frobenius(K, h, rows)
         g = gp_gcd(K, gp_sub(K, h, x), rest)
         if len(g) > 1:
             out.append((d, g))
             rest = gp_divmod(K, rest, g)[0]
-            h = gp_mod(K, h, rest)
+    return out
+
+
+def _frobenius(K, h, rows):
+    """h^|K| mod f as sum_j h_j rows[j], rows[j] = x^(|K| j) mod f."""
+    p = _prime(K)
+    if p:
+        acc = [0] * len(rows)
+        for c, row in zip(h, rows):
+            if c:
+                for i, r in enumerate(row):
+                    acc[i] += c * r
+        return gp_trim(K, [a % p for a in acc])
+    out = []
+    for c, row in zip(h, rows):
+        if c != K.zero:
+            out = gp_add(K, out, gp_mul(K, [c], row))
     return out
 
 

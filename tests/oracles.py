@@ -1,9 +1,10 @@
 """Reference checks that the tests run against the package.
 
 Each restates a count, a definition or an identity directly: the necklace
-count of monic irreducibles, a factorization multiplied out, Tr(alpha) as
-a fraction, the local Euler factor of a zeta tuple, h' = h f / R and the
-valuation sum over the places above P.  The tests compare the package's
+count of monic irreducibles, distinct-degree factoring by repeated powers,
+a factorization multiplied out, Tr(alpha) as a fraction, the local Euler
+factor of a zeta tuple, h' = h f / R and the valuation sum over the places
+above P.  The tests compare the package's
 own paths with them; no command needs them, so they live here.
 """
 
@@ -21,7 +22,7 @@ from funcfields import (
 )
 from funcfields.fq import _prime_factors
 from funcfields.models import norm, trace_coords
-from funcfields.poly import gp_irreducible
+from funcfields.poly import gp_divmod, gp_gcd, gp_irreducible, gp_mod, gp_pow_mod, gp_sub
 from funcfields.signature import valuation_assignments
 
 
@@ -50,6 +51,26 @@ def is_irreducible(f):
     if f.degree < 1:
         raise ValueError("irreducibility undefined for constants")
     return gp_irreducible(f.field, list(f.monic().coeffs))
+
+
+def distinct_degree_by_powers(K, f):
+    """gp_distinct_degree's output, each x^(q^d) by square-and-multiply modulo what is left of f."""
+    out = []
+    h = x = [K.zero, K.one]
+    rest = list(f)
+    d = 0
+    while len(rest) - 1 >= 1:
+        d += 1
+        if 2 * d > len(rest) - 1:
+            out.append((len(rest) - 1, rest))
+            break
+        h = gp_pow_mod(K, h, K.order, rest)
+        g = gp_gcd(K, gp_sub(K, h, x), rest)
+        if len(g) > 1:
+            out.append((d, g))
+            rest = gp_divmod(K, rest, g)[0]
+            h = gp_mod(K, h, rest)
+    return out
 
 
 def factorization_value(fac, field):

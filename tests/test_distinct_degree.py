@@ -1,0 +1,86 @@
+"""Distinct-degree factoring by the Frobenius matrix against repeated powers.
+
+`gp_distinct_degree` reaches x^(q^d) mod f by applying the matrix of
+h -> h^q to x^(q^(d-1)); `oracles.distinct_degree_by_powers` takes every
+x^(q^d) by square-and-multiply.  Both must give the same monic products,
+so `factorize` draws the same equal-degree splits and returns the same
+factors, over prime fields, table-backed extensions, a digit field above
+the tables and both residue-field kinds, including fields so large that
+x^q has over 10^5 coefficients.
+"""
+
+import random
+
+import pytest
+
+import funcfields.poly as poly_module
+from funcfields import GF, FqPoly, factorize
+from funcfields.poly import ResidueField, TowerResidueField, gp_derivative, gp_gcd, parse_poly, residue_field
+from oracles import distinct_degree_by_powers, is_irreducible
+
+
+def _squarefree(K, rng, degrees):
+    """Monic squarefree polynomials over K, one of each degree in `degrees`."""
+    out = []
+    for n in degrees:
+        while True:
+            f = [K.from_rand(rng) for _ in range(n)] + [K.one]
+            if len(gp_gcd(K, f, gp_derivative(K, f))) == 1:
+                out.append(f)
+                break
+    return out
+
+
+# every field with tables gets 25 polynomials of degree up to 20; a field
+# without them (GF(3^11) and the residue fields of order 7^6) three, of
+# degree up to 14, since there a product of elements costs a polynomial
+# product and the oracle's powers take seconds from degree 20 on
+TABLE_FIELDS = [(2, 1), (3, 1), (7, 1), (13, 1), (2, 2), (2, 3), (3, 2), (5, 2)]
+LARGE_DEGREES = (3, 8, 14)
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+def test_distinct_degree_matches_repeated_powers(p, k):
+    F = GF(p, k)
+    rng = random.Random(7919 * p + k)
+    for f in _squarefree(F, rng, [rng.randrange(1, 21) for _ in range(25)]):
+        assert poly_module.gp_distinct_degree(F, f) == distinct_degree_by_powers(F, f)
+
+
+def _large_residue_fields():
+    # a degree-1 tower over GF(7^6) (E = GF(7^6), digit arithmetic) and the
+    # tuple field of a place of degree 6 over GF(7): both of order 7^6
+    F = GF(7, 6)
+    tower = residue_field(FqPoly(F, [F.from_int(3), 1]))
+    P = parse_poly(GF(7), "x^6 + 4")  # x^6 - 3, 3 a primitive root mod 7
+    tuple_field = ResidueField(P)
+    assert is_irreducible(P) and isinstance(tower, TowerResidueField) and type(tuple_field) is ResidueField
+    assert tower.order == tuple_field.order == 7 ** 6
+    return [tower, tuple_field]
+
+
+def test_distinct_degree_above_the_tables():
+    # GF(3^11) and both residue-field kinds of order 7^6: x^q has degree
+    # 177,147 or 117,649, so the rows come from powers mod f
+    fields = [GF(3, 11)] + _large_residue_fields()
+    for i, K in enumerate(fields):
+        rng = random.Random(31 + i)
+        for f in _squarefree(K, rng, LARGE_DEGREES):
+            assert poly_module.gp_distinct_degree(K, f) == distinct_degree_by_powers(K, f)
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS + [(3, 11)])
+def test_factorize_matches_repeated_powers(p, k, monkeypatch):
+    F = GF(p, k)
+    rng = random.Random(104729 * p + k)
+    top, count = (21, 12) if F.q <= 2 ** 16 else (9, 4)
+    polys = []
+    for _ in range(count):
+        f = FqPoly(F, [F.from_rand(rng) for _ in range(rng.randrange(2, top))] + [F.from_rand(rng)])
+        if not f.is_zero():
+            # some with repeated factors, so factorize splits a squarefree part
+            polys.append(f * f.derivative() if rng.random() < 0.3 else f)
+    new = [factorize(f, seed=5).factors for f in polys]
+    monkeypatch.setattr(poly_module, "gp_distinct_degree", distinct_degree_by_powers)
+    old = [factorize(f, seed=5).factors for f in polys]
+    assert new == old

@@ -5,8 +5,12 @@ y^3 - (A/2) y as fixed formulas in A, B and C.  The oracles here are sympy
 resultants for the formulas, and the matrix path the formulas replace
 (characteristic polynomial -> depression -> Q-reduction), kept below as
 `reference_substitutes`, for the models and for the signatures dispatched
-through them.
+through them.  A substitute's discriminant comes from its parent's by the
+index formula; quartic_disc of a fresh model with the same coefficients is
+its oracle.
 """
+
+import random
 
 import pytest
 import sympy as sp
@@ -14,9 +18,10 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import funcfields.signature as signature_module
 from funcfields import GF, FqPoly, QuarticModel, model_from_text, monic_irreducibles, signature_at
-from funcfields.models import _binom_shift, _standard_form_divisor, minimal_polynomial_fq, reduce_coeffs
+from funcfields.models import _binom_shift, _standard_form_divisor, minimal_polynomial_fq, quartic_disc, reduce_coeffs
 from funcfields.places import FinitePlace, InfinitePlace
-from funcfields.poly import FuncFieldError, InternalFault
+from funcfields.poly import FuncFieldError, InternalFault, factorize
+from test_signature import LEDGER_QUARTICS, _seeded_quartics
 
 
 def reference_substitutes(model):
@@ -164,6 +169,120 @@ def test_cubic_generator_with_b_squared_2as():
     subs = model.substitutes()
     assert subs[1][0] == "y^3 - (A/2) y" and subs[1][1].biquadratic
     assert _key(subs) == _key(reference_substitutes(model))
+
+
+# -- the discriminants ------------------------------------------------------------
+
+# (q, (A, B, C)) coefficient lists, constant term first: the quartics of the
+# benchmark's ledger corpus on seed 2 (perfbench/workloads.py); seed 1's are
+# test_signature.LEDGER_QUARTICS
+LEDGER_QUARTICS_SEED2 = [
+    (7, ((6, 4, 3), (4, 1, 6, 6), (1, 1, 3, 6))),
+    (7, ((4, 5, 1), (4, 4, 0, 1), (2, 5, 0, 1))),
+    (7, ((6, 3, 4), (2, 5, 5, 3), (1, 4, 3, 5))),
+    (7, ((1, 4, 2), (6, 3, 6, 1), (1, 0, 2, 1))),
+    (7, ((2, 2, 3), (5, 3, 0, 5), (0, 6, 3, 4))),
+    (7, ((5, 4, 4), (3, 2, 4, 6), (6, 2, 3, 1))),
+    (7, ((4, 2, 6), (3, 4, 2, 1), (6, 2, 4, 2))),
+    (7, ((1, 5, 5), (5, 6, 3, 3), (1, 5, 5, 1))),
+    (11, ((5, 10, 3), (6, 9, 4, 10), (10, 9, 9, 9))),
+    (11, ((5, 1, 3), (8, 5, 6, 1), (5, 1, 7, 7))),
+    (11, ((8, 4, 3), (0, 10, 3, 8), (3, 8, 5, 9))),
+    (11, ((10, 0, 4), (8, 8, 0, 4), (6, 7, 9, 5))),
+    (11, ((10, 8, 4), (0, 8, 4, 3), (10, 10, 10, 8))),
+    (11, ((4, 1, 8), (2, 9, 4, 2), (6, 0, 10, 2))),
+    (11, ((8, 2, 4), (10, 4, 6, 6), (3, 10, 7, 6))),
+    (11, ((3, 1, 10), (9, 1, 5, 7), (6, 3, 10, 1))),
+    (13, ((10, 0, 3), (8, 4, 6, 3), (8, 6, 0, 8))),
+    (13, ((7, 10, 5), (8, 3, 5, 9), (11, 9, 11, 11))),
+    (13, ((3, 6, 5), (8, 9, 8, 10), (1, 11, 4, 4))),
+    (13, ((7, 0, 6), (3, 6, 4, 11), (7, 3, 11, 7))),
+    (13, ((0, 10, 12), (1, 1, 0, 10), (8, 0, 2, 1))),
+    (13, ((0, 5, 7), (11, 0, 1, 7), (0, 11, 10, 6))),
+    (13, ((1, 5, 9), (3, 2, 1, 2), (7, 10, 6, 1))),
+    (13, ((1, 1, 11), (12, 2, 3, 1), (8, 10, 5, 8))),
+]
+
+
+def _ledger_quartics():
+    for q, coeffs in LEDGER_QUARTICS + LEDGER_QUARTICS_SEED2:
+        F = GF(q)
+        yield QuarticModel(*(FqPoly(F, list(cs)) for cs in coeffs))
+
+
+def _check_substitute_discriminants(model):
+    for label, sub in model.substitutes():
+        fresh = QuarticModel(sub.A, sub.B, sub.C, _skip_checks=True)
+        assert sub.discriminant() == quartic_disc(fresh), (label, model.to_json())
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (13, 1), (5, 2)])
+def test_substitute_discriminants_by_the_index_formula(p, k):
+    F = GF(p, k)
+    coeff = st.lists(st.integers(0, F.q - 1), min_size=1, max_size=4)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(coeff, coeff, coeff)
+    def check(a, b, c):
+        try:
+            model = QuarticModel(FqPoly(F, a), FqPoly(F, b), FqPoly(F, c))
+        except FuncFieldError:
+            assume(False)
+        assume(not model.biquadratic)
+        _check_substitute_discriminants(model)
+
+    check()
+
+
+def test_substitute_discriminants_of_the_ledger_quartics():
+    models = list(_ledger_quartics())
+    assert len(models) == 48 and not any(m.biquadratic for m in models)
+    for model in models:
+        _check_substitute_discriminants(model)
+
+
+def test_substitute_discriminant_of_a_biquadratic_substitute():
+    model = model_from_text("quartic q=7 A=x B=2*x C=2*x^2+3*x")
+    assert model.substitutes()[1][1].biquadratic
+    _check_substitute_discriminants(model)
+
+
+def test_3by_is_the_model_rescaled():
+    # for a standard-form model 3By is (c^2 A, c^3 B, c^4 C) with c = 3 lc(B)
+    rng = random.Random(20261020)
+    models = list(_ledger_quartics())
+    for q in (5, 7, 13):
+        models += _seeded_quartics(q, 6, rng)
+    for model in models:
+        F = model.field
+        c = F.mul(F.from_int(3), model.B.sgn)
+        label, sub = model.substitutes()[2]
+        assert label == "3By"
+        assert (sub.A, sub.B, sub.C) == (model.A.scale(F.pow(c, 2)), model.B.scale(F.pow(c, 3)), model.C.scale(F.pow(c, 4)))
+
+
+def test_3by_dispatches_as_the_model():
+    # a constant rescaling of y scales every residue the tables read by a power
+    # of c, so 3By lands in the same row as the model: the same signature where
+    # that row decides, the same leftover case where it does not
+    rng = random.Random(20261021)
+    cases = []
+    for model in _ledger_quartics():
+        F = model.field
+        cases += [(model, FinitePlace(P)) for P, _ in factorize(model.discriminant())]
+        cases.append((model, InfinitePlace(F)))
+    for q in (7, 13):
+        F = GF(q)
+        places = [FinitePlace(P) for d in (1, 2) for P in monic_irreducibles(F, d)] + [InfinitePlace(F)]
+        cases += [(m, place) for m in _seeded_quartics(q, 3, rng) for place in places]
+    leftover = 0
+    for model, place in cases:
+        sub = model.substitutes()[2][1]
+        r = signature_module.signature_quartic(model, place, allow_transforms=False)
+        s = signature_module.signature_quartic(sub, place, allow_transforms=False)
+        assert (r.signature, r.method, r.unknown_reason) == (s.signature, s.method, s.unknown_reason)
+        leftover += not r.known
+    assert leftover > 0
 
 
 # -- the signatures ------------------------------------------------------------
