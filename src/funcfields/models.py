@@ -245,7 +245,9 @@ class QuarticModel:
         the matrix of 1, z, z^2, z^3 in the basis 1, y, y^2, y^3 (Cohen,
         GTM 138, 2.2 and 4.4): det T = -B^2 for y^2 - A/2, -(S^3 - 8A^3
         B^2)/64 for y^3 - (A/2) y (a shift leaves it), c^6 for 3By.  The
-        reduction z -> z/Q divides it by Q^12.
+        reduction z -> z/Q divides it by Q^12.  A zero result raises
+        InternalFault; under signature.SELF_CHECK it is also compared with
+        quartic_disc(substitute).
         """
         if self._subs is not None:
             return self._subs
@@ -260,8 +262,18 @@ class QuarticModel:
         def reduced(label, A2, B2, C2, det2):
             A2, B2, C2, Q = reduce_coeffs(A2, B2, C2)
             sub = QuarticModel(A2, B2, C2, _skip_checks=True)
-            sub._disc_from = lambda: _exact_div_power(det2 * self.discriminant(), Q, 12)
+            sub._disc_from = lambda: derived_disc(label, sub, det2, Q)
             return label, sub
+
+        def derived_disc(label, sub, det2, Q):
+            from . import signature  # signature imports this module
+
+            D = _exact_div_power(det2 * self.discriminant(), Q, 12)
+            if D.is_zero():
+                raise InternalFault("substitute %s: index formula gave D = 0" % label)
+            if signature.SELF_CHECK and D != quartic_disc(sub):
+                raise InternalFault("substitute %s: index formula disagrees with quartic_disc" % label)
+            return D
 
         S = self.ac_discriminant()
         BB = B * B

@@ -557,14 +557,6 @@ def gp_distinct_degree(K, f):
 
 def _frobenius(K, h, rows):
     """h^|K| mod f as sum_j h_j rows[j], rows[j] = x^(|K| j) mod f."""
-    p = _prime(K)
-    if p:
-        acc = [0] * len(rows)
-        for c, row in zip(h, rows):
-            if c:
-                for i, r in enumerate(row):
-                    acc[i] += c * r
-        return gp_trim(K, [a % p for a in acc])
     out = []
     for c, row in zip(h, rows):
         if c != K.zero:

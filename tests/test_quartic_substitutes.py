@@ -247,6 +247,17 @@ def test_substitute_discriminant_of_a_biquadratic_substitute():
     _check_substitute_discriminants(model)
 
 
+def test_self_check_catches_a_parent_discriminant_off_by_a_unit(monkeypatch):
+    # a D off by a unit still divides exactly by Q^12; only the comparison
+    # with quartic_disc run under SELF_CHECK sees it
+    model = next(_ledger_quartics())
+    model._disc = model.discriminant().scale(model.field.from_int(2))
+    with pytest.raises(InternalFault, match="disagrees with quartic_disc"):
+        model.substitutes()[0][1].discriminant()
+    monkeypatch.setattr(signature_module, "SELF_CHECK", False)
+    assert not model.substitutes()[1][1].discriminant().is_zero()
+
+
 def test_3by_is_the_model_rescaled():
     # for a standard-form model 3By is (c^2 A, c^3 B, c^4 C) with c = 3 lc(B)
     rng = random.Random(20261020)
