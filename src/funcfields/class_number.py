@@ -698,13 +698,9 @@ def _check_witness(model, alpha, nrm, p, inf, single_infinite, d, spent):
     if _is_power_in_order(model, alpha, p, d, spent):
         return None
     checks["not-a-pth-power"] = True
-    # step 5: gcd(a0, a1) = gcd(a0, a2) = 1
+    # step 5: gcd(a0, a1) = gcd(a0, a2) = 1, where a0 = +-N(alpha) != 0
     a0, a1, a2 = mp[0], mp[1], mp[2]
-    if a0.is_zero():
-        return None
-    g1 = poly_gcd(a0, a1) if not (a0.is_zero() and a1.is_zero()) else None
-    g2 = poly_gcd(a0, a2) if not (a0.is_zero() and a2.is_zero()) else None
-    if g1 is None or g2 is None or g1.degree != 0 or g2.degree != 0:
+    if poly_gcd(a0, a1).degree != 0 or poly_gcd(a0, a2).degree != 0:
         return None
     checks["coprime-coefficients"] = True
     return DivisorWitness(prime=p, element=alpha, norm=nrm, min_poly=[list(c.coeffs) for c in mp], checks=checks)

@@ -405,8 +405,6 @@ class FqField:
 
     def from_encoding(self, n):
         """Element with base-p digit encoding n (mod q); from_int for k = 1."""
-        if self.k == 1:
-            return n % self.p
         return n % self.q
 
     def from_rand(self, rng):

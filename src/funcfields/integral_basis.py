@@ -195,8 +195,6 @@ def integral_basis_quartic(model, report=None):
                 U = (C.scale(F.from_int(4)) * poly_inverse_mod(B.scale(F.from_int(3)) % P, P)) % P
                 V = ((C * C).scale(F.mul(F.from_int(16), F.inv(F.from_int(9)))) * poly_inverse_mod((B * B) % P2, P2) - A - A) % P2
                 W = (-B).scale(F.mul(F.from_int(3), F.inv(F.from_int(4)))) % P2
-            elif vC >= 2:
-                case, U, V, W = "2.2", FqPoly.zero(F), (-A) % P2, (-B).scale(inv2) % P2
         elif vB >= 1:
             # case 3 with neither C = 0 mod P^2 nor A = 0 mod P
             disc2 = A * A - C.scale(F.from_int(4))

@@ -221,14 +221,6 @@ class FqPoly:
     def evaluate(self, v):
         return self.field.horner(self.coeffs, v)
 
-    def compose(self, other):
-        """self(other(x)), by Horner over FqPoly."""
-        F = self.field
-        acc = FqPoly.zero(F)
-        for c in reversed(self.coeffs):
-            acc = acc * other + FqPoly(F, (c,))
-        return acc
-
     def coeff(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -565,29 +557,8 @@ def _frobenius(K, h, rows):
 
 
 def gp_factor_degrees(K, f):
-    """Degrees (with multiplicity) of the irreducible factors of monic squarefree f."""
-    n = len(f) - 1
-    if n in (2, 3, 4):
-        # the factor type of a squarefree polynomial of degree <= 4 follows
-        # from root counts over one or two extensions, which is cheaper than
-        # a full distinct-degree pass
-        x = [K.zero, K.one]
-        h = gp_pow_mod(K, x, K.order, f)
-        r1 = len(gp_gcd(K, gp_sub(K, h, x), f)) - 1 if gp_sub(K, h, x) else n
-        if n == 2:
-            return [1, 1] if r1 == 2 else [2]
-        if n == 3:
-            return {3: [1, 1, 1], 1: [1, 2], 0: [3]}[r1]
-        if r1 == 4:
-            return [1, 1, 1, 1]
-        if r1 == 2:
-            return [1, 1, 2]
-        if r1 == 1:
-            return [1, 3]
-        h2 = gp_pow_mod(K, h, K.order, f)
-        diff = gp_sub(K, h2, x)
-        r2 = len(gp_gcd(K, diff, f)) - 1 if diff else n
-        return [2, 2] if r2 == 4 else [4]
+    """Degrees (with multiplicity, ascending) of the irreducible factors of
+    monic squarefree f, from one gp_distinct_degree pass."""
     degs = []
     for d, g in gp_distinct_degree(K, f):
         degs.extend([d] * ((len(g) - 1) // d))
@@ -953,7 +924,7 @@ class Factorization:
 
 
 def squarefree_decomposition(f):
-    """[(g_i, i)] with f = sgn * prod g_i^i, g_i monic squarefree coprime."""
+    """[(i, g_i)], ascending in i, with f = sgn * prod g_i^i, g_i monic squarefree coprime."""
     F = f.field
     f = f.monic()
     out = {}
@@ -1011,44 +982,20 @@ def is_squarefree(f):
     return all(mult == 1 for mult, _ in squarefree_decomposition(f))
 
 
-def squarefree_split(f):
-    """(D1, D2) with f = sgn * D1 * D2^2 * (rest), exact when f is cubefree."""
-    dec = squarefree_decomposition(f)
-    F = f.field
-    d1 = FqPoly.one(F)
-    d2 = FqPoly.one(F)
-    for mult, g in dec:
-        if mult == 1:
-            d1 = d1 * g
-        elif mult == 2:
-            d2 = d2 * g
-        else:
-            raise ValueError("polynomial is not cubefree")
-    return d1, d2
-
-
 def poly_sqrt(f):
-    """A square root of f in F_q[x] (either sign), or None (coefficient recursion)."""
+    """A square root of f in F_q[x] (either sign), or None, by recursion on the
+    coefficients; odd p only, as every caller holds a quartic model."""
+    F = f.field
+    if F.p == 2:
+        raise ValueError("poly_sqrt needs odd characteristic")
     if f.is_zero():
         return f
-    F = f.field
     n = int(f.degree)
     if n % 2:
         return None
     lead = F.any_sqrt(f.sgn)
     if lead is None:
         return None
-    if F.p == 2:
-        # squares have even exponents only, with square coefficients
-        cs = []
-        for i, c in enumerate(f.coeffs):
-            if i % 2:
-                if c != 0:
-                    return None
-            else:
-                cs.append(F.any_sqrt(c))
-        s = FqPoly(F, cs)
-        return s if s * s == f else None
     half = n // 2
     s = FqPoly(F, [0] * half + [lead])
     inv2lead = F.inv(F.mul(F.from_int(2), lead))

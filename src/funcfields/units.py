@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .fq import digits
-from .poly import FqPoly, HypothesisRefused, InternalFault, is_squarefree, squarefree_split
+from .poly import FqPoly, HypothesisRefused, InternalFault, is_squarefree, squarefree_decomposition
 from .places import InfinitePlace
 from .models import CubicModel, closed_norm_cubic, laplace_det, norm, norm_cubic
 from .signature import element_valuations, infinite_signature
@@ -133,10 +133,10 @@ def construct_rank1(field, A, a, kappa, variant):
         checks["deg-a>degA/2"] = True
     B = a * (a * a - A) + FqPoly(F, (kappa,))
     D = FqPoly.const(F, F.from_int(4)) * A ** 3 - FqPoly.const(F, F.from_int(27)) * B * B
-    try:
-        D1, D2 = squarefree_split(D)
-    except ValueError:
+    parts = {} if D.is_zero() else dict(squarefree_decomposition(D))
+    if D.is_zero() or max(parts, default=1) > 2:
         _refuse(checks, "D-squarefree-split", "D is not of the form D1 * D2^2")
+    D2 = parts.get(2, FqPoly.one(F))
     if not (B % D2).is_zero():
         _refuse(checks, "D2-divides-B")
     checks["D-squarefree-split"] = True

@@ -156,6 +156,27 @@ def test_units_refusal_exit(capsys):
     assert code == EXIT_REFUSED
 
 
+@pytest.mark.parametrize("argv", [
+    # D = 4A^3 - 27B^2 = 3 x^4 (x^2 + 3) over F_7: x occurs to the fourth power
+    ["units", "--q", "7", "--A", "3*x^2", "--a", "1", "--kappa", "6", "--construct", "thm245"],
+    # B = a (a^2 - A) + kappa = 1 + 4 = 0 over F_5, so D = 0
+    ["units", "--q", "5", "--A", "0", "--a", "1", "--kappa", "4", "--construct", "thm246"],
+])
+def test_units_refuses_d_not_d1_times_d2_squared(capsys, argv):
+    code, out, err = _capture(capsys, argv)
+    assert code == EXIT_REFUSED and out == ""
+    assert "D-squarefree-split" in err
+
+
+def test_hexact_over_the_place_budget_is_refused_at_once(capsys):
+    # genus 6 over F_31: q^g = 887,503,681 places to enumerate
+    t0 = time.perf_counter()
+    code, out, err = _capture(capsys, ["hexact", "--pure-B", "x^7+x+1", "--q", "31"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_REFUSED and out == ""
+    assert "place-budget" in err
+
+
 @pytest.mark.parametrize(
     "extra",
     [["--quartic"], ["--cubic"], ["--pure-B", "x^2"], ["--B", "5"], ["--C", "x"], ["--model-file", "model.txt"]],

@@ -6,7 +6,9 @@ x^(q^d) by square-and-multiply.  Both must give the same monic products,
 so `factorize` draws the same equal-degree splits and returns the same
 factors, over prime fields, table-backed extensions, a digit field above
 the tables and both residue-field kinds, including fields so large that
-x^q has over 10^5 coefficients.
+x^q has over 10^5 coefficients.  `gp_factor_degrees`, which reads a
+Kummer reduction's factor type from that one pass, is checked against
+`factorize` over F_q and across both residue-field kinds.
 """
 
 import random
@@ -15,7 +17,16 @@ import pytest
 
 import funcfields.poly as poly_module
 from funcfields import GF, FqPoly, factorize
-from funcfields.poly import ResidueField, TowerResidueField, gp_derivative, gp_gcd, parse_poly, residue_field
+from funcfields.poly import (
+    ResidueField,
+    TowerResidueField,
+    gp_derivative,
+    gp_factor_degrees,
+    gp_gcd,
+    monic_irreducibles,
+    parse_poly,
+    residue_field,
+)
 from oracles import distinct_degree_by_powers, is_irreducible
 
 
@@ -84,3 +95,32 @@ def test_factorize_matches_repeated_powers(p, k, monkeypatch):
     monkeypatch.setattr(poly_module, "gp_distinct_degree", distinct_degree_by_powers)
     old = [factorize(f, seed=5).factors for f in polys]
     assert new == old
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (13, 1), (2, 2), (3, 2), (5, 2)])
+def test_factor_degrees_match_factorize(p, k):
+    F = GF(p, k)
+    rng = random.Random(1009 * p + k)
+    for f in _squarefree(F, rng, [n for n in range(1, 9) for _ in range(6)]):
+        expected = sorted(g.degree for g, _ in factorize(FqPoly(F, f)).factors)
+        assert gp_factor_degrees(F, f) == expected, f
+
+
+@pytest.mark.parametrize("P", ["x^2 + 1", "x^3 + 2"])
+def test_factor_degrees_agree_on_both_residue_field_kinds(P):
+    # the same reductions, embedded in the tower and in the tuple field of
+    # one place of GF(7) of degree 2 and one of degree 3
+    P = parse_poly(GF(7), P)
+    monic_irreducibles(P.field, P.degree)  # records the towers of degree deg P
+    residue_field.cache_clear()
+    T, R = residue_field(P), ResidueField(P)
+    assert is_irreducible(P) and isinstance(T, TowerResidueField) and type(R) is ResidueField
+    rng = random.Random(P.degree)
+    for n in range(1, 7):
+        for _ in range(4):
+            coeffs = [FqPoly(P.field, [rng.randrange(7) for _ in range(P.degree)]) for _ in range(n)]
+            coeffs.append(FqPoly.one(P.field))
+            red_t, red_r = [T.embed(c) for c in coeffs], [R.embed(c) for c in coeffs]
+            if len(gp_gcd(T, red_t, gp_derivative(T, red_t))) > 1:
+                continue
+            assert gp_factor_degrees(T, red_t) == gp_factor_degrees(R, red_r), coeffs

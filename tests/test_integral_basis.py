@@ -215,7 +215,19 @@ def test_quartic_case11_constructed():
                 m = cand
     basis = integral_basis_quartic(m, rep)
     assert verify_basis(basis, m, rep)
-    assert basis.congruences["cases"][str(pp("x"))] in ("1.1", "2.2", "1.2", "2.1")
+    assert basis.congruences["cases"][str(pp("x"))] in ("1.1", "1.2", "2.1")
+
+
+def test_quartic_case12_pinned():
+    # C = 0 mod P^2, B a unit and A a unit at P = x + 4: case 1.2's printed
+    # U, V, W solve the system, so the direct search does not run
+    F5 = GF(5)
+    m = QuarticModel(pp("x^2 + 3*x + 4", F5), pp("2", F5), pp("4*x^3 + 2*x^2 + 4*x", F5))
+    rep = field_discriminant(m)
+    assert rep.complete and rep.index == pp("x + 4", F5)
+    basis = integral_basis_quartic(m, rep)
+    assert basis.congruences["cases"] == {"x + 4": "1.2"}
+    assert verify_basis(basis, m, rep)
 
 
 # -- the discriminant of a basis, over F_q[x] -----------------------------------------

@@ -36,7 +36,7 @@ from funcfields.models import (
     poly_sqrt,
     reduce_coeffs,
 )
-from funcfields.poly import FuncFieldError, gp_factor_degrees
+from funcfields.poly import FuncFieldError, gp_roots, is_squarefree
 from oracles import Frac, fracs, pole_divisor_degree, trace
 
 F5 = GF(5)
@@ -561,9 +561,9 @@ def test_quartic_irreducible_certificate_skips_the_divisor_search(monkeypatch):
     assert _quartic_irreducible(pp("x + 1"), pp("x + 2"), pp("x + 3")) and not calls
     # T^4 - c splits over F_7 (q = 3 mod 4) at every c: the search decides
     assert _quartic_irreducible(FqPoly.zero(F7), FqPoly.zero(F7), pp("-x")) and calls
-    # (T^2 - 3 - x)(T^2 - 3 + x) reduces to (T^2 - 3)^2 at x = 0, whose
-    # factor degrees read [4]; only its repeated factor keeps it from certifying
-    assert gp_factor_degrees(F7, list(pp("x^4 - 6*x^2 + 9").coeffs)) == [4]
+    # (T^2 - 3 - x)(T^2 - 3 + x) reduces to (T^2 - 3)^2 at x = 0, with T^2 - 3
+    # irreducible; only the repeated factor keeps it from certifying
+    assert not is_squarefree(pp("x^4 - 6*x^2 + 9")) and not gp_roots(F7, [F7.from_int(-3), 0, 1])
     calls.clear()
     assert not _quartic_irreducible(pp("6"), FqPoly.zero(F7), pp("-x^2 + 2")) and calls
     # the root x of a reducible quartic reduces to a root at every place
