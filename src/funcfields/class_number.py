@@ -199,6 +199,25 @@ class ZetaData:
         return E
 
 
+# the most places a sweep of all degrees <= d may stand for (q^d); exact_h,
+# estimate_h and the places command refuse a larger one before enumerating
+PLACE_BUDGET = 10 ** 7
+
+
+def check_place_budget(q, d, name, budget=PLACE_BUDGET):
+    """Refuse (place-budget) a sweep of the places of degree <= d when q^d > budget.
+
+    q^d is not formed: d is compared with the largest e with q^e <= budget.
+    """
+    e, qe = 0, q
+    while qe <= budget:
+        e, qe = e + 1, qe * q
+    if d > e:
+        raise HypothesisRefused(
+            "place-budget", "q^%s = %d^%d exceeds the enumeration budget of %d places" % (name, q, d, budget)
+        )
+
+
 # ---------------------------------------------------------------------------
 # the estimate E(lambda) with interval radius L^2
 # ---------------------------------------------------------------------------
@@ -241,9 +260,10 @@ def estimate_h(model, lam, zeta=None, genus_value=None):
     """
     if lam < 1:
         raise ValueError("lambda must be >= 1")
+    q = model.field.q
+    check_place_budget(q, lam, "lambda")
     if zeta is None:
         zeta = ZetaData(model)
-    q = model.field.q
     n = model.degree
     g = genus_value if genus_value is not None else genus(model).genus
     inf_sig = zeta.infinite.require()
@@ -275,8 +295,14 @@ def estimate_h(model, lam, zeta=None, genus_value=None):
 def _psi_bound(q, g, n, lam):
     """2g(log(sqrt q/(sqrt q - 1)) - sum) + (n-1)(log(q/(q-1)) - sum), nudged up."""
     rq = math.sqrt(q)
-    t1 = math.log(rq / (rq - 1)) - sum(1.0 / (k * rq ** k) for k in range(1, lam + 1))
-    t2 = math.log(q / (q - 1)) - sum(1.0 / (k * q ** k) for k in range(1, lam + 1))
+    # plain left-to-right float sums: the builtin sum() is compensated from
+    # Python 3.12 on, and Psi must not depend on the interpreter
+    s1 = s2 = 0.0
+    for k in range(1, lam + 1):
+        s1 += 1.0 / (k * rq ** k)
+        s2 += 1.0 / (k * q ** k)
+    t1 = math.log(rq / (rq - 1)) - s1
+    t2 = math.log(q / (q - 1)) - s2
     psi = 2 * g * max(t1, 0.0) + (n - 1) * max(t2, 0.0)
     return psi * (1 + 2 ** -40) + 2 ** -48
 
@@ -438,7 +464,7 @@ class ExactClassNumber:
         }
 
 
-def exact_h(model, zeta=None, genus_value=None, max_genus=8, place_budget=10 ** 7):
+def exact_h(model, zeta=None, genus_value=None, max_genus=8, place_budget=PLACE_BUDGET):
     """L-polynomial and h = L(1) from place counts up to degree g."""
     if zeta is None:
         zeta = ZetaData(model)
@@ -446,8 +472,8 @@ def exact_h(model, zeta=None, genus_value=None, max_genus=8, place_budget=10 ** 
     g = genus_value if genus_value is not None else genus(model).genus
     if g > max_genus:
         raise HypothesisRefused("genus-budget", "genus %d exceeds the oracle budget %d" % (g, max_genus))
-    if g and q ** g > place_budget:
-        raise HypothesisRefused("place-budget", "q^g = %d exceeds the enumeration budget" % q ** g)
+    if g:
+        check_place_budget(q, g, "g", place_budget)
     b = [0] * (g + 1)  # b[m] = number of degree-m places, m = 1..g
     for m in range(1, g + 1):
         b[m] = zeta.place_count(m)

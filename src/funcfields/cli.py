@@ -28,6 +28,7 @@ from .invariants import field_discriminant, genus, unit_rank
 from .integral_basis import integral_basis_cubic, integral_basis_quartic, verify_basis
 from .units import construct_rank1, construct_rank2
 from .class_number import (
+    check_place_budget,
     divisibility_certificates,
     estimate_h,
     exact_h,
@@ -155,6 +156,7 @@ def cmd_analyze(args):
 
 def cmd_places(args):
     model = _model_from_args(args)
+    check_place_budget(model.field.q, args.max_deg, "max-deg")
     rows = []
     lines = []
     blocked = False

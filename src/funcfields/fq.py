@@ -112,6 +112,43 @@ def fp_divmod(a, b, p):
     return q, _fp_trim([c % p for c in r[:db]])
 
 
+def _fp_monic(cs, p):
+    """cs reduced mod p, stripped and divided by its leading coefficient, in one pass."""
+    top = len(cs)
+    while top and not cs[top - 1] % p:
+        top -= 1
+    if not top:
+        return []
+    inv = pow(cs[top - 1] % p, p - 2, p)
+    return [c * inv % p for c in cs[:top]]
+
+
+def fp_gcd(a, b, p):
+    """Monic gcd of the F_p polynomials a and b; [] when both are zero.
+
+    Euclid in place: the divisor is monic, so each remainder is taken from
+    the top down on unreduced ints and then reduced mod p and made monic in
+    one pass.
+    """
+    a, b = list(a), _fp_monic(b, p)
+    if not b:
+        return _fp_monic(a, p)
+    while True:
+        db = len(b) - 1
+        if not db:
+            return b  # a unit divides everything: the gcd is 1
+        low = b[:-1]
+        for pos in range(len(a) - 1 - db, -1, -1):
+            c = a[pos + db] % p
+            if c:
+                for j, bj in enumerate(low, pos):
+                    a[j] -= c * bj
+        r = _fp_monic(a[:db], p)
+        if not r:
+            return b
+        a, b = b, r
+
+
 def digits(n, base, length):
     """The `length` lowest base-`base` digits of n, least significant first.
 

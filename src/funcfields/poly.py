@@ -16,10 +16,11 @@ the output.
 FqPoly's +, -, * and divmod are the engine's gp_add, gp_sub, gp_mul and
 gp_divmod.  Over a prime field (an FqField with k = 1) an element is its
 residue mod p, so there the engine, and with it gp_mod, gp_gcd,
-gp_pow_mod, the factoring stack and FqPoly, runs on plain ints: products
-and quotients through fq.fp_mul and fq.fp_divmod (sums of products
-reduced mod p once per coefficient, the divisor made monic once), sums
-and differences reduced termwise; so does a degree-1 tower over F_p.
+gp_pow_mod, the factoring stack and FqPoly, runs on plain ints: products,
+quotients and gcds through fq.fp_mul, fq.fp_divmod and fq.fp_gcd (sums of
+products reduced mod p once per coefficient, the divisor made monic once),
+sums and differences reduced termwise, the Frobenius matrix applied in one
+pass; so does a degree-1 tower over F_p.
 Over a table-backed F_{p^k}, and over a tower whose E is one, products
 and quotients run on E's log/exp tables (_log_mul, _log_divmod): one log
 per coefficient, then per term a sum of logs and an XOR (p = 2) or a Zech
@@ -65,7 +66,7 @@ import re
 from functools import lru_cache
 from itertools import zip_longest
 
-from .fq import GF, TABLE_MAX_ORDER, FqField, _fp_trim, _prime_factors, digits, fp_divmod, fp_mul, tonelli_shanks
+from .fq import GF, TABLE_MAX_ORDER, FqField, _fp_trim, _prime_factors, digits, fp_divmod, fp_gcd, fp_mul, tonelli_shanks
 
 NEG_DEG = float("-inf")
 POS_INF = float("inf")
@@ -464,6 +465,9 @@ def gp_monic(K, a):
 
 
 def gp_gcd(K, a, b):
+    p = _prime(K)
+    if p:
+        return fp_gcd(a, b, p)
     a, b = list(a), list(b)
     while b:
         a, b = b, gp_mod(K, a, b)
@@ -517,14 +521,18 @@ def gp_distinct_degree(K, f):
     h^q = sum_j h_j x^(q j).  So x^(q^d) mod f comes from x^(q^(d-1)) by
     one vector-matrix product with the Frobenius matrix, whose rows are
     x^(q j) mod f for j < deg f (von zur Gathen & Shoup, Comput.
-    Complexity 2, 1992).  The rows are one gp_pow_mod(x, q, f) and
-    deg f - 2 products mod f, for any q (a tuple residue field can have
-    q = 7^11).  h stays reduced mod f; since rest | f, the gcd with rest
-    is the same monic polynomial as with h reduced mod rest.
+    Complexity 2, 1992).  Where q < deg f, x^q mod f is x^q and every
+    later row is the row before it shifted by q and reduced mod f, a fold
+    of q top terms into f's low part.  Where q >= deg f (a tuple residue
+    field can have q = 7^11), x^q mod f is one gp_pow_mod and the other
+    rows are deg f - 2 products mod f.  h stays reduced mod f; since
+    rest | f, the gcd with rest is the same monic polynomial as with h
+    reduced mod rest.
     """
     out = []
     x = [K.zero, K.one]
     h = rows = None
+    q = K.order
     rest = list(f)
     d = 0
     while len(rest) - 1 >= 1:
@@ -533,12 +541,10 @@ def gp_distinct_degree(K, f):
             out.append((len(rest) - 1, rest))
             break
         if h is None:
-            h = gp_pow_mod(K, x, K.order, f)
+            h = [K.zero] * q + [K.one] if q < len(f) - 1 else gp_pow_mod(K, x, q, f)
         else:
             if rows is None:
-                rows = [[K.one], h]  # h = x^q mod f
-                while len(rows) < len(f) - 1:
-                    rows.append(gp_mod(K, gp_mul(K, rows[-1], h), f))
+                rows = _frobenius_rows(K, f, h)
             h = _frobenius(K, h, rows)
         g = gp_gcd(K, gp_sub(K, h, x), rest)
         if len(g) > 1:
@@ -547,8 +553,31 @@ def gp_distinct_degree(K, f):
     return out
 
 
+def _frobenius_rows(K, f, h):
+    """[x^(q j) mod f for j < deg f], q = |K|, from h = x^q mod f.
+
+    Row j is row j - 1 times x^q mod f: shifted by q and reduced mod f
+    where q < deg f, else multiplied by h.
+    """
+    q, n = K.order, len(f) - 1
+    rows = [[K.one], h]
+    while len(rows) < n:
+        prod = [K.zero] * q + rows[-1] if q < n else gp_mul(K, rows[-1], h)
+        rows.append(gp_mod(K, prod, f))
+    return rows
+
+
 def _frobenius(K, h, rows):
     """h^|K| mod f as sum_j h_j rows[j], rows[j] = x^(|K| j) mod f."""
+    p = _prime(K)
+    if p:
+        # over F_p the sum is taken on unreduced ints and reduced once
+        acc = [0] * len(rows)
+        for c, row in zip(h, rows):
+            if c:
+                for i, r in enumerate(row):
+                    acc[i] += c * r
+        return _fp_trim([a % p for a in acc])
     out = []
     for c, row in zip(h, rows):
         if c != K.zero:

@@ -178,6 +178,36 @@ def test_hexact_over_the_place_budget_is_refused_at_once(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        # 11^9, 11^99 and 11^(10^9) places of degree <= lambda, 7^12 of degree <= max-deg
+        ["hbound", "--pure-B", "x^5+x+1", "--q", "11", "--lambda", "9"],
+        ["hbound", "--pure-B", "x^5+x+1", "--q", "11", "--lambda", "99"],
+        ["hbound", "--pure-B", "x^5+x+1", "--q", "11", "--lambda", "1000000000"],
+        ["places", "--quartic", "--q", "7", "--A", "x", "--B", "x^2+1", "--C", "x^3+2", "--max-deg", "12"],
+    ],
+)
+def test_sweeps_over_the_place_budget_are_refused_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = _capture(capsys, argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_REFUSED and out == ""
+    assert "place-budget" in err
+
+
+def test_place_budget_is_the_one_bound():
+    # q^d at the budget is enumerated, one more place is refused
+    assert class_number.PLACE_BUDGET == 10 ** 7
+    for q, d in ((10, 7), (10 ** 7, 1), (2, 23), (3162, 2), (7, 8)):
+        assert q ** d <= 10 ** 7
+        class_number.check_place_budget(q, d, "d")
+    for q, d in ((10, 8), (10 ** 7 + 1, 1), (2, 24), (3163, 2), (7, 9)):
+        assert q ** d > 10 ** 7
+        with pytest.raises(class_number.HypothesisRefused):
+            class_number.check_place_budget(q, d, "d")
+
+
+@pytest.mark.parametrize(
     "extra",
     [["--quartic"], ["--cubic"], ["--pure-B", "x^2"], ["--B", "5"], ["--C", "x"], ["--model-file", "model.txt"]],
 )

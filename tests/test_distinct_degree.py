@@ -6,9 +6,11 @@ x^(q^d) by square-and-multiply.  Both must give the same monic products,
 so `factorize` draws the same equal-degree splits and returns the same
 factors, over prime fields, table-backed extensions, a digit field above
 the tables and both residue-field kinds, including fields so large that
-x^q has over 10^5 coefficients.  `gp_factor_degrees`, which reads a
-Kummer reduction's factor type from that one pass, is checked against
-`factorize` over F_q and across both residue-field kinds.
+x^q has over 10^5 coefficients, and on both sides of q < deg f, where the
+Frobenius rows come by shift or by products.  The rows and the matrix are
+also checked against gp_pow_mod one by one.  `gp_factor_degrees`, which
+reads a Kummer reduction's factor type from that one pass, is checked
+against `factorize` over F_q and across both residue-field kinds.
 """
 
 import random
@@ -23,6 +25,8 @@ from funcfields.poly import (
     gp_derivative,
     gp_factor_degrees,
     gp_gcd,
+    gp_pow_mod,
+    gp_trim,
     monic_irreducibles,
     parse_poly,
     residue_field,
@@ -78,6 +82,51 @@ def test_distinct_degree_above_the_tables():
         rng = random.Random(31 + i)
         for f in _squarefree(K, rng, LARGE_DEGREES):
             assert poly_module.gp_distinct_degree(K, f) == distinct_degree_by_powers(K, f)
+
+
+def _fields_around_the_shift():
+    # q = 7, q = 4 and a degree-1 tower over GF(7), whose elements are ints mod 7
+    F7 = GF(7)
+    tower = residue_field(FqPoly(F7, [3, 1]))
+    assert isinstance(tower, TowerResidueField) and tower.order == 7
+    return [F7, GF(2, 2), tower]
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_both_sides_of_q_below_deg_f(i):
+    # deg f = q keeps the products mod f, deg f = q + 1 takes the rows by shift
+    K = _fields_around_the_shift()[i]
+    q = K.order
+    rng = random.Random(q + i)
+    for f in _squarefree(K, rng, [q - 1, q, q, q + 1, q + 1, q + 2, 2 * q + 1]):
+        assert poly_module.gp_distinct_degree(K, f) == distinct_degree_by_powers(K, f), f
+
+
+@pytest.mark.parametrize("i", range(3))
+def test_frobenius_rows_and_matrix(i, monkeypatch):
+    # on both sides of q < deg f: the rows that gp_distinct_degree builds
+    # are x^(q j) mod f, and the matrix maps h to h^q mod f with every
+    # coefficient reduced
+    K = _fields_around_the_shift()[i]
+    q = K.order
+    x = [K.zero, K.one]
+    rows_of, built = poly_module._frobenius_rows, []
+
+    def checked_rows(K_, f, h):
+        rows = rows_of(K_, f, h)
+        assert rows == [gp_pow_mod(K, x, q * j, f) for j in range(len(f) - 1)], f
+        built.append(len(f) - 1)
+        return rows
+
+    monkeypatch.setattr(poly_module, "_frobenius_rows", checked_rows)
+    rng = random.Random(17 * q + i)
+    for f in _squarefree(K, rng, [q - 1, q, q, q + 1, q + 1, 2 * q + 3, 2 * q + 3]):
+        poly_module.gp_distinct_degree(K, f)
+        rows = rows_of(K, f, gp_pow_mod(K, x, q, f))
+        for _ in range(5):
+            h = gp_trim(K, [K.from_rand(rng) for _ in range(len(f) - 1)])
+            assert poly_module._frobenius(K, h, rows) == gp_pow_mod(K, h, q, f), (f, h)
+    assert min(built) <= q < max(built)
 
 
 @pytest.mark.parametrize("p,k", TABLE_FIELDS + [(3, 11)])

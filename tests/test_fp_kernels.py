@@ -1,10 +1,10 @@
 """The prime-field polynomial kernels against sympy's galoistools.
 
-fq.fp_mul and fq.fp_divmod, the engine above them (gp_pow_mod, gp_gcd,
-gp_inverse_mod, factorize), FqPoly's arithmetic and the tuple residue field
-over GF(p), each compared with the matching dense F_p routine of sympy
-(big-endian lists there, little-endian here), over small and word-sized
-primes.
+fq.fp_mul, fq.fp_divmod and fq.fp_gcd, the engine above them (gp_pow_mod,
+gp_gcd, gp_inverse_mod, factorize), FqPoly's arithmetic and the tuple
+residue field over GF(p), each compared with the matching dense F_p routine
+of sympy (big-endian lists there, little-endian here), over small and
+word-sized primes.
 """
 
 import random
@@ -27,8 +27,8 @@ from sympy.polys.galoistools import (
 )
 
 from funcfields import GF, FqPoly, factorize
-from funcfields.fq import fp_divmod, fp_mul
-from funcfields.poly import ResidueField, gp_gcd, gp_inverse_mod, gp_pow_mod, poly_inverse_mod
+from funcfields.fq import fp_divmod, fp_gcd, fp_mul
+from funcfields.poly import ResidueField, gp_gcd, gp_inverse_mod, gp_pow_mod, poly_gcd, poly_inverse_mod
 
 PRIMES = (2, 3, 7, 13, 65537, 2**31 - 1)
 
@@ -102,6 +102,49 @@ def test_gp_gcd_matches_gf_gcd(args):
     F = GF(p)
     a, b = fp_mul(a, c, p), fp_mul(b, c, p)
     assert gp_gcd(F, a, b) == from_gf(gf_gcd(to_gf(a), to_gf(b), p, ZZ))
+
+
+def _gcd_edge_operands(p):
+    """Named edge cases (a, b) of gp_gcd over F_p."""
+    c = p - 1 if p > 2 else 1  # a leading coefficient other than 1 where p > 2
+    x1 = [1, 1]  # x + 1
+    a = fp_mul([c], fp_mul(x1, [0, 1], p), p)  # c x (x + 1)
+    b = fp_mul([2 % p or 1], fp_mul(x1, [1, 0, 1], p), p)  # 2 (x + 1)(x^2 + 1)
+    return {
+        "zero-left": ([], a),
+        "zero-right": (b, []),
+        "zero-with-trailing-zeros": ([0, 0], a + [0]),
+        "constant-gcd": ([0, c], x1),  # c x and x + 1
+        "constant-operand": (a, [c]),
+        "non-monic": (a, b),
+        "trailing-zeros": (a + [0, 0], b + [0]),
+        "equal": (a, list(a)),
+        "equal-with-trailing-zeros": (b + [0], b),
+    }
+
+
+GCD_EDGE_CASES = tuple(_gcd_edge_operands(7))
+
+
+@pytest.mark.parametrize("case", GCD_EDGE_CASES)
+@pytest.mark.parametrize("p", PRIMES)
+def test_gp_gcd_edge_cases(p, case):
+    a, b = _gcd_edge_operands(p)[case]
+    F = GF(p)
+    want = from_gf(gf_gcd(to_gf(a), to_gf(b), p, ZZ))
+    assert want and want[-1] == 1
+    a_in, b_in = list(a), list(b)
+    assert gp_gcd(F, a, b) == gp_gcd(F, b, a) == fp_gcd(a, b, p) == want
+    assert (a, b) == (a_in, b_in)  # the operands are left as they were
+    assert poly_gcd(FqPoly(F, a), FqPoly(F, b)).coeffs == tuple(want)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_gp_gcd_of_two_zeros(p):
+    F = GF(p)
+    assert gp_gcd(F, [], []) == gp_gcd(F, [0, 0], [0]) == fp_gcd([0], [], p) == []
+    with pytest.raises(ValueError):
+        poly_gcd(FqPoly(F, []), FqPoly(F, [0, 0]))
 
 
 @settings(max_examples=80, deadline=None)
