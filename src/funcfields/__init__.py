@@ -20,7 +20,6 @@ from .poly import (
     monic_irreducibles,
     parse_poly,
     poly_gcd,
-    residue_power_test,
 )
 from .places import FinitePlace, InfinitePlace
 from .models import (

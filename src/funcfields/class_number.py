@@ -42,7 +42,7 @@ from .poly import (
     tower_fields,
 )
 from .places import FinitePlace, InfinitePlace
-from .models import closed_norm_cubic, norm, minimal_polynomial_fq
+from .models import closed_norm_cubic, minimal_polynomial_fq
 from .signature import element_valuations, infinite_signature, signature_at
 from .invariants import genus
 
@@ -204,17 +204,17 @@ class ZetaData:
 PLACE_BUDGET = 10 ** 7
 
 
-def check_place_budget(q, d, name, budget=PLACE_BUDGET):
-    """Refuse (place-budget) a sweep of the places of degree <= d when q^d > budget.
+def check_place_budget(q, d, name):
+    """Refuse (place-budget) a sweep of the places of degree <= d when q^d > PLACE_BUDGET.
 
-    q^d is not formed: d is compared with the largest e with q^e <= budget.
+    q^d is not formed: d is compared with the largest e with q^e <= PLACE_BUDGET.
     """
     e, qe = 0, q
-    while qe <= budget:
+    while qe <= PLACE_BUDGET:
         e, qe = e + 1, qe * q
     if d > e:
         raise HypothesisRefused(
-            "place-budget", "q^%s = %d^%d exceeds the enumeration budget of %d places" % (name, q, d, budget)
+            "place-budget", "q^%s = %d^%d exceeds the enumeration budget of %d places" % (name, q, d, PLACE_BUDGET)
         )
 
 
@@ -464,7 +464,7 @@ class ExactClassNumber:
         }
 
 
-def exact_h(model, zeta=None, genus_value=None, max_genus=8, place_budget=PLACE_BUDGET):
+def exact_h(model, zeta=None, genus_value=None, max_genus=8):
     """L-polynomial and h = L(1) from place counts up to degree g."""
     if zeta is None:
         zeta = ZetaData(model)
@@ -473,7 +473,7 @@ def exact_h(model, zeta=None, genus_value=None, max_genus=8, place_budget=PLACE_
     if g > max_genus:
         raise HypothesisRefused("genus-budget", "genus %d exceeds the oracle budget %d" % (g, max_genus))
     if g:
-        check_place_budget(q, g, "g", place_budget)
+        check_place_budget(q, g, "g")
     b = [0] * (g + 1)  # b[m] = number of degree-m places, m = 1..g
     for m in range(1, g + 1):
         b[m] = zeta.place_count(m)

@@ -23,11 +23,10 @@ For k > 1 and q <= TABLE_MAX_ORDER (2^16) the constructor builds, once:
 Products, quotients, inverses, powers, n-th power tests and any_sqrt (the
 square root that half the log gives) are then one to three list lookups,
 and a sum is a Zech lookup; for p = 2 sums are XOR of encodings at every
-k.  Where the choice of root matters, poly.residue_root picks it, on F_q
-as on the residue fields.  The tables index the elements without
-changing them: the modulus and the base-p encoding are the same, so every
-result is the same int as with the base-p digit arithmetic, which builds
-the tables and serves the fields above the threshold.  FqField also serves
+k.  The tables index the elements without changing them: the modulus and
+the base-p encoding are the same, so every result is the same int as with
+the base-p digit arithmetic, which builds the tables and serves the
+fields above the threshold.  FqField also serves
 the generic polynomial protocol of poly (zero, one, char, order, from_rand).
 
 FqField.horner evaluates a polynomial, given by coefficient encodings and

@@ -23,7 +23,7 @@ from .poly import (
     is_squarefree,
     poly_gcd,
     poly_inverse_mod,
-    residue_power_test,
+    pth_power_witness,
 )
 from .places import FinitePlace
 from .models import OrderElement, RationalFunction, is_integral, laplace_det, order_mul_coords, trace_coords
@@ -119,24 +119,18 @@ def _cubic_uv_wild(model, report):
     G = poly_gcd(I, c)
     IG = I.exact_div(G)
     parts_r, parts_m = [], []
-    for P, _ in _factor(IG):
-        ok, w0 = residue_power_test(c, P, p, 2, want_witness=True)
-        if not ok:
+    for P, _ in factorize(IG):
+        w = pth_power_witness(c, P)
+        if w is None:
             raise InternalFault("c must be a p-th power mod P^2 whenever P | I/G")
-        parts_r.append(w0)
+        parts_r.append(w)
         parts_m.append(P)
-    for P, _ in _factor(G):
+    for P, _ in factorize(G):
         parts_r.append(FqPoly.zero(F))
         parts_m.append(P)
     U = crt(parts_r, parts_m) if parts_r else FqPoly.zero(F)
     V = FqPoly.zero(F) if p == 2 else (U * U) % I
     return U, V, {"U^p = c mod (I/G)^2": (U, IG * IG)}
-
-
-def _factor(f):
-    if f.degree < 1:
-        return []
-    return list(factorize(f))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +164,7 @@ def integral_basis_quartic(model, report=None):
     inv2 = F.inv(F.from_int(2))
     parts = {"U": ([], []), "V": ([], []), "W": ([], [])}
     case_used = {}
-    for P, _ in _factor(I):
+    for P, _ in factorize(I):
         if (crit % P).is_zero():
             raise HypothesisRefused(
                 "excluded-case", "v_P(I)=1 with A^2/3 + 4C = 0 mod %s (Lemma case 3)" % P

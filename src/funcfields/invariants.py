@@ -19,7 +19,7 @@ from .poly import (
     gp_divmod,
     gp_gcd,
     gp_trim,
-    residue_power_test,
+    pth_power_witness,
     squarefree_decomposition,
 )
 from .places import FinitePlace
@@ -98,7 +98,7 @@ def _disc_val_cubic_wild(model, place, sig_result):
     if m == 1:
         vI = 0
     elif vc == 0:
-        vI = 1 if residue_power_test(c, place.P, p, 2) else 0
+        vI = 0 if pth_power_witness(c, place.P) is None else 1
     else:
         vI = 1 if p == 2 or vc == 2 else 0
     return vD - 2 * vI, vI

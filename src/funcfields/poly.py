@@ -10,8 +10,8 @@ The factorization stack (squarefree split, distinct-degree, equal-degree)
 is written over an abstract finite-field protocol so the same engine
 factors over F_q and over residue fields F_q[x]/(P).  The distinct-degree
 step applies Frobenius as a K-linear map, by its matrix modulo f.
-Equal-degree splitting draws randomness from a seeded PRNG recorded in
-the output.
+Equal-degree splitting draws from a PRNG with a fixed seed, and the
+factors come out sorted, so no result depends on the draws.
 
 FqPoly's +, -, * and divmod are the engine's gp_add, gp_sub, gp_mul and
 gp_divmod.  Over a prime field (an FqField with k = 1) an element is its
@@ -55,9 +55,9 @@ Both kinds present one protocol on top of the engine's: embed (the
 residue of an FqPoly, zero exactly when P divides it), lift, from_base,
 pow, the power tests and any_sqrt (a square root where the choice of root
 does not matter).  pow, the power tests and any_sqrt are also FqField's
-names, so where a root's choice matters, residue_root picks it by one rule
-for F_q and both kinds: the first root in gp_roots order.  Places and
-signatures use that protocol only, so no other module names either class.
+names.  The one root that leaves a field, pth_root, is unique, so it
+needs no rule for choosing it.  Places and signatures use that protocol
+only, so no other module names either class.
 """
 
 import operator
@@ -941,12 +941,11 @@ def tower_fields(F, d):
 class Factorization:
     """unit * prod factor^mult, factors monic irreducible, sorted, distinct."""
 
-    __slots__ = ("unit", "factors", "seed")
+    __slots__ = ("unit", "factors")
 
-    def __init__(self, unit, factors, seed):
+    def __init__(self, unit, factors):
         self.unit = unit
         self.factors = tuple(sorted(factors, key=lambda fm: fm[0].sort_key()))
-        self.seed = seed
 
     def __iter__(self):
         return iter(self.factors)
@@ -968,9 +967,8 @@ def squarefree_decomposition(f):
         d = f.derivative()
         if d.is_zero():
             # f = g(x^p): take p-th root coefficientwise
-            p = F.p
-            root = FqPoly(F, [F.pow(c, F.q // p) for c in f.coeffs[::p]])
-            rec(root, outer * p)
+            root = FqPoly(F, [pth_root(F, c) for c in f.coeffs[::F.p]])
+            rec(root, outer * F.p)
             return
         a = poly_gcd(f, d)
         b = f.exact_div(a)  # product of distinct factors
@@ -989,22 +987,21 @@ def squarefree_decomposition(f):
     return sorted(out.items())
 
 
-def factorize(f, seed=0):
-    """Complete factorization of nonzero f over F_q, deterministic per seed."""
+def factorize(f):
+    """Complete factorization of nonzero f over F_q; a constant has no factors."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     F = f.field
     unit = f.sgn
     if f.degree < 1:
-        return Factorization(unit, [], seed)
-    rng = random.Random(seed)
+        return Factorization(unit, [])
+    rng = random.Random(0)
     factors = []
     for mult, part in squarefree_decomposition(f):
         for d, g in gp_distinct_degree(F, list(part.monic().coeffs)):
             for piece in gp_equal_degree_split(F, g, d, rng):
                 factors.append((FqPoly(F, piece), mult))
-    fact = Factorization(unit, factors, seed)
-    return fact
+    return Factorization(unit, factors)
 
 
 def is_squarefree(f):
@@ -1116,69 +1113,23 @@ def _base_embedding(F, E):
     return emb
 
 
-def residue_root(K, r, n):
-    """The n-th root of a nonzero n-th power r of K, n in {2, 3}: the first in gp_roots order.
+def pth_root(K, a):
+    """The p-th root of a in K, p = char K: the inverse of Frobenius, a^(|K|/p), unique."""
+    return K.pow(a, K.order // K.char)
 
-    K is F_q or a residue field of either kind.  That order is the same for
-    both residue-field kinds, so the root is too; on F_q it is the least
-    encoding.  The root is the only one, r^(n^-1 mod |K| - 1), when n does
-    not divide |K| - 1 (as for n = char K), the lesser of the two square
-    roots under K's sort_key (the int order on F_q) when n = 2, else the
-    first root of T^3 - r.
+
+def pth_power_witness(a, P):
+    """w with w^p = a mod P^2, p = char F_q, or None when a is no p-th power mod P^2.
+
+    P must not divide a.  (w + t P)^p = w^p mod P^2, so the only candidate
+    is the lift w of the p-th root of a mod P.
     """
-    if (K.order - 1) % n:
-        return K.pow(r, pow(n, -1, K.order - 1))
-    if n == 2:
-        s = K.any_sqrt(r)
-        return min(s, K.neg(s), key=getattr(K, "sort_key", None))
-    return gp_roots(K, [K.neg(r), K.zero, K.zero, K.one])[0]
-
-
-def residue_power_test(a, P, n, e=1, want_witness=False):
-    """Is a an n-th power in F_q[x]/(P^e)?  n in {2, 3}, e in {1, 2}.
-
-    For e = 2 with n coprime to the characteristic, Hensel lifting reduces
-    the question to e = 1; when n equals the characteristic the Frobenius
-    on the residue field settles it.  Returns bool, or (bool, witness).
-    """
-    if n not in (2, 3):
-        raise ValueError("unsupported exponent n=%d" % n)
-    if e not in (1, 2):
-        raise ValueError("unsupported modulus power e=%d" % e)
     K = residue_field(P)
     r = K.embed(a)
-    p = K.char
-
-    def done(ok, w):
-        return (ok, w) if want_witness else ok
-
-    if e == 1:
-        if K.is_zero(r):
-            return done(True, FqPoly.zero(P.field))
-        ok = K.is_nth_power(r, n)
-        if not ok or not want_witness:
-            return done(ok, None)
-        return done(True, K.lift(residue_root(K, r, n)))
-
     if K.is_zero(r):
-        raise ValueError("e=2 test requires gcd(a, P) = 1")
-    if p != n:
-        ok = K.is_nth_power(r, n)
-        if not ok:
-            return done(False, None)
-        if not want_witness:
-            return done(True, None)
-        w0 = K.lift(residue_root(K, r, n))
-        # Hensel: w = w0 + t*P with t = (a - w0^n)/P * (n w0^(n-1))^-1 mod P
-        diff = (a - w0 ** n) % (P * P)
-        t = K.embed(diff.exact_div(P))
-        dinv = K.inv(K.embed(FqPoly.const(P.field, P.field.from_int(n)) * w0 ** (n - 1)))
-        w = (w0 + K.lift(K.mul(t, dinv)) * P) % (P * P)
-        return done(True, w)
-    # n == char: n-th powers mod P^2 are exactly n-th powers of residues mod P
-    w0 = K.lift(residue_root(K, r, n))
-    ok = ((a - w0 ** n) % (P * P)).is_zero()
-    return done(ok, w0 if ok else None)
+        raise ValueError("pth_power_witness requires gcd(a, P) = 1")
+    w = K.lift(pth_root(K, r))
+    return w if ((a - w ** K.char) % (P * P)).is_zero() else None
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .poly import (
     gp_factor_degrees,
     gp_gcd,
     gp_derivative,
+    pth_root,
 )
 from .places import InfinitePlace
 from .models import CubicModel, minimal_polynomial_fq
@@ -348,10 +349,10 @@ def _cubic_iteration(model, place, trace, depth):
     The split coefficient f (A for p = 2, B for p = 3) becomes
     f = f0^p + f1, where f0 is the p-th root of the part of f that is a
     p-th power: at infinity the part in degrees divisible by p, at a finite
-    place the residue of f.  The p-th root is the inverse Frobenius
-    c -> c^(Q/p) of a field of order Q.  For p = 2 the next model is the
-    reciprocal one, for p = 3 the shift with constant 2, the cube root of 2
-    (2 = -1 is its own cube); both are dispatched again at the same place.
+    place the residue of f (pth_root, the inverse Frobenius).  For p = 2
+    the next model is the reciprocal one, for p = 3 the shift with constant
+    2, the cube root of 2 (2 = -1 is its own cube); both are dispatched
+    again at the same place.
     """
     F = model.field
     p = F.p
@@ -363,10 +364,10 @@ def _cubic_iteration(model, place, trace, depth):
                         trace + ["iterates exceeded degree %d" % ITERATION_DEGREE_CAP])
     name, f = ("A", A) if p == 2 else ("B", B)
     if place.is_infinite:
-        f0 = FqPoly(F, [F.pow(c, F.q // p) for c in f.coeffs[::p]])
+        f0 = FqPoly(F, [pth_root(F, c) for c in f.coeffs[::p]])
     else:
         K = place.residue_field
-        f0 = K.lift(K.pow(place.residue(f, 0), K.order // p))
+        f0 = K.lift(pth_root(K, place.residue(f, 0)))
     if f0.is_zero():
         return _unknown(place, "char%d-iteration-stagnated" % p,
                         trace + ["decomposition has no %s part" % ("square" if p == 2 else "cube")])

@@ -140,9 +140,9 @@ def test_factorize_matches_repeated_powers(p, k, monkeypatch):
         if not f.is_zero():
             # some with repeated factors, so factorize splits a squarefree part
             polys.append(f * f.derivative() if rng.random() < 0.3 else f)
-    new = [factorize(f, seed=5).factors for f in polys]
+    new = [factorize(f).factors for f in polys]
     monkeypatch.setattr(poly_module, "gp_distinct_degree", distinct_degree_by_powers)
-    old = [factorize(f, seed=5).factors for f in polys]
+    old = [factorize(f).factors for f in polys]
     assert new == old
 
 

@@ -34,3 +34,21 @@ def test_every_export_is_used_outside_the_tests():
         if not any(word.search(line) and not own.match(line) for line in lines):
             unused.append(name)
     assert unused == []
+
+
+def test_every_module_import_is_read():
+    # a top-level import that no expression reads (an ast.Name in Load
+    # context) is dead; a field or keyword of the same name can hide it
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for a in node.names:
+                    name = (a.asname or a.name).split(".")[0]
+                    if name not in read:
+                        unread.append("%s: %s" % (path.name, name))
+    assert unread == []

@@ -13,10 +13,21 @@ from funcfields import (
     monic_irreducibles,
     parse_poly,
     poly_gcd,
-    residue_power_test,
 )
 from funcfields.places import InfinitePlace
-from funcfields.poly import NEG_DEG, gp_count_roots, squarefree_decomposition, poly_sqrt, residue_root
+from funcfields.poly import (
+    NEG_DEG,
+    ResidueField,
+    TowerResidueField,
+    gp_count_roots,
+    gp_irreducible,
+    gp_roots,
+    poly_sqrt,
+    pth_power_witness,
+    pth_root,
+    residue_field,
+    squarefree_decomposition,
+)
 from oracles import count_monic_irreducibles_necklace, factorization_value, is_irreducible
 
 F5 = GF(5)
@@ -41,14 +52,11 @@ def test_extension_field_arithmetic():
     for F in (F4, F9, F8):
         for a in range(1, F.q):
             assert F.mul(a, F.inv(a)) == 1
-        # Frobenius inverses: the only square root in characteristic 2
-        if F.p == 2:
-            for a in range(1, F.q):
-                s = residue_root(F, a, 2)
-                assert F.mul(s, s) == a
-    for a in range(1, 9):
-        c = residue_root(F9, a, 3)
-        assert F9.mul(F9.mul(c, c), c) == a
+        # Frobenius inverses: the only square root in characteristic 2, the
+        # only cube root in characteristic 3
+        for a in range(F.q):
+            r = pth_root(F, a)
+            assert F.pow(r, F.p) == a
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 97, 101])
@@ -57,8 +65,12 @@ def test_prime_field_sqrt_is_least_root(p):
     for a in range(1, p):
         roots = [x for x in range(p) if x * x % p == a]
         assert F.is_square(a) == bool(roots)
+        s = F.any_sqrt(a)
+        assert (s is None) == (not roots)
         if roots:
-            assert residue_root(F, a, 2) == min(roots)
+            # gp_roots orders the two roots by encoding
+            assert s in roots
+            assert gp_roots(F, [F.neg(a), 0, 1]) == sorted(roots)
 
 
 def test_digit_field_sqrt_is_least_root():
@@ -68,13 +80,16 @@ def test_digit_field_sqrt_is_least_root():
     for _ in range(20):
         x = rng.randrange(1, F.q)
         a = F.mul(x, x)
-        assert residue_root(F, a, 2) == min(x, F.neg(x))
+        s = F.any_sqrt(a)
+        assert s in (x, F.neg(x))
+        assert gp_roots(F, [F.neg(a), 0, 1]) == sorted((x, F.neg(x)))
         assert not F.is_square(F.mul(a, F._least_nonsquare()))
 
 
 def test_digit_field_cube_root_is_least_root():
     # 7^6 > TABLE_MAX_ORDER: digit arithmetic, with three cube roots of unity
-    # (q = 1 mod 3); the ascending scan of the field is the reference
+    # (q = 1 mod 3); the ascending scan of the field is the reference for
+    # the first root in gp_roots order
     F = GF(7, 6)
     assert F._log is None and (F.q - 1) % 3 == 0
     non_cube = next(z for z in range(2, F.q) if not F.is_cube(z))
@@ -83,7 +98,8 @@ def test_digit_field_cube_root_is_least_root():
     for y in [rng.randrange(2, 3000) for _ in range(3)]:
         # the roots of (w y)^3 are y, w y and w^2 y, so the scan stops by y
         a = F.pow(F.mul(w, y), 3)
-        assert residue_root(F, a, 3) == next(x for x in range(1, F.q) if F.pow(x, 3) == a)
+        assert F.is_cube(a)
+        assert gp_roots(F, [F.neg(a), 0, 0, 1])[0] == next(x for x in range(1, F.q) if F.pow(x, 3) == a)
     assert not F.is_cube(F.mul(F.pow(rng.randrange(1, F.q), 3), non_cube))
 
 
@@ -217,7 +233,6 @@ def test_factorize_deterministic_and_sorted():
     assert [(p.coeffs, m) for p, m in a] == [(p.coeffs, m) for p, m in b]
     keys = [p.sort_key() for p, _ in a]
     assert keys == sorted(keys)
-    assert a.seed == 0
 
 
 def test_squarefree_decomposition_char_p_powers():
@@ -330,44 +345,93 @@ def test_count_roots_against_brute_scan():
 def test_residue_square_with_constructed_witness():
     rng = random.Random(3)
     P = parse_poly(F7, "x^2 + 1")
+    K = residue_field(P)
     for _ in range(20):
         c = rand_poly(rng, F7, 1)
         if (c % P).is_zero():
             continue
-        assert residue_power_test(c * c, P, 2)
+        assert K.is_square(K.embed(c * c))
 
 
 def test_residue_nonresidue_by_scan():
     P = parse_poly(F5, "x")
+    K = residue_field(P)
     squares = set()
     for a in range(5):
         squares.add((a * a) % 5)
     for a in range(1, 5):
         expect = a in squares
-        assert residue_power_test(FqPoly.const(F5, a), P, 2) == expect
+        assert K.is_square(K.embed(FqPoly.const(F5, a))) == expect
 
 
 def test_residue_square_mod_P_squared_with_witness():
-    ok, w = residue_power_test(FqPoly.const(F7, 4), parse_poly(F7, "x"), 2, 2, want_witness=True)
-    assert ok
-    P2 = parse_poly(F7, "x^2")
-    assert ((w * w - FqPoly.const(F7, 4)) % P2).is_zero()
+    # in characteristic 2 the squares are the p-th powers: 1 + x^3 = 1 mod
+    # x^2 is a square there (w = 1), 1 + x is not
+    F2 = GF(2)
+    P = parse_poly(F2, "x")
+    a = parse_poly(F2, "x^3 + 1")
+    w = pth_power_witness(a, P)
+    assert ((w * w - a) % (P * P)).is_zero()
+    assert pth_power_witness(parse_poly(F2, "x + 1"), P) is None
 
 
 def test_cube_root_witness_in_a_field_above_the_tables():
-    # k(P) has 13^5 elements, a tuple field; its cube root is the first root
-    # of T^3 - a, not the result of a scan of the field
-    F13 = GF(13)
-    P = parse_poly(F13, "x^5 + 8*x + 1")
-    a = parse_poly(F13, "2*x^4 + x + 1") ** 3
-    ok, w = residue_power_test(a, P, 3, want_witness=True)
-    assert ok
-    assert ((w ** 3 - a) % P).is_zero()
+    # k(P) has 3^11 elements, a tuple field; the witness is the lift of the
+    # one cube root in k(P)
+    F3 = GF(3)
+    P = parse_poly(F3, "x^11 + 2*x^2 + 1")
+    assert gp_irreducible(F3, list(P.coeffs))
+    assert isinstance(residue_field(P), ResidueField)
+    a = parse_poly(F3, "2*x^9 + x + 1") ** 3 + P * P
+    w = pth_power_witness(a, P)
+    assert w.degree < 11 and ((w ** 3 - a) % (P * P)).is_zero()
 
 
-def test_residue_power_unsupported_exponent():
-    with pytest.raises(ValueError):
-        residue_power_test(FqPoly.one(F7), parse_poly(F7, "x"), 5)
+# (p, k) -> degree of a place whose residue field is above the tables, so
+# it is a tuple field whatever was enumerated before
+ABOVE_THE_TABLES = {(2, 1): 17, (3, 1): 11, (2, 2): 9, (3, 2): 6}
+
+
+def _place(F, kind):
+    """A tower place of degree 2 or 3 (from the enumeration), or a tuple place above the tables."""
+    if kind == "tower":
+        P = monic_irreducibles(F, 3 if F.q == 2 else 2)[-1]
+        residue_field.cache_clear()  # drop tuple fields cached before the enumeration
+        assert isinstance(residue_field(P), TowerResidueField)
+        return P
+    d = ABOVE_THE_TABLES[F.p, F.k]
+    rng = random.Random(F.q)
+    while True:
+        cs = [rng.randrange(F.q) for _ in range(d)] + [1]
+        if gp_irreducible(F, cs):
+            P = FqPoly(F, cs)
+            assert isinstance(residue_field(P), ResidueField)
+            return P
+
+
+@pytest.mark.parametrize("kind", ["tower", "tuple"])
+@pytest.mark.parametrize("pk", sorted(ABOVE_THE_TABLES), ids=["GF(%d^%d)" % pk for pk in sorted(ABOVE_THE_TABLES)])
+def test_pth_power_witness(pk, kind):
+    # p-th powers mod P^2 are b^p + P^2 t; b^p + P u with P not dividing u is
+    # a p-th power mod P but not mod P^2, and a multiple of P is refused
+    F = GF(*pk)
+    p = F.p
+    P = _place(F, kind)
+    P2 = P * P
+    rng = random.Random(F.q + P.degree)
+    checked = 0
+    while checked < 3:
+        b, t, u = (rand_poly(rng, F, 2 * P.degree) for _ in range(3))
+        if (b % P).is_zero() or (u % P).is_zero():
+            continue
+        checked += 1
+        a = b ** p + P2 * t
+        w = pth_power_witness(a, P)
+        assert w is not None and w.degree < P.degree
+        assert ((w ** p - a) % P2).is_zero() and ((w - b) % P).is_zero()
+        assert pth_power_witness(b ** p + P * u, P) is None
+        with pytest.raises(ValueError):
+            pth_power_witness(P * u, P)
 
 
 # -- CRT ------------------------------------------------------------------------

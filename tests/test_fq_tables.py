@@ -13,7 +13,7 @@ from sympy.polys.galoistools import gf_add, gf_gcdex, gf_mul, gf_neg, gf_rem, gf
 
 from funcfields import GF
 from funcfields.fq import TABLE_MAX_ORDER
-from funcfields.poly import residue_root
+from funcfields.poly import gp_roots
 
 EXHAUSTIVE = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)]
 
@@ -117,8 +117,8 @@ def test_random_pairs_at_and_above_threshold(pk, tables):
 
 @pytest.mark.parametrize("pk", EXHAUSTIVE)
 def test_roots_are_least_by_encoding(pk):
-    # residue_root is the one root rule; on F_q its square and cube roots
-    # are the least by encoding (nothing takes a 4th or 6th root)
+    # gp_roots returns the square and cube roots in ascending encoding
+    # (nothing takes a 4th or 6th root)
     F = GF(*pk)
     O = Oracle(F)
     powers = {}
@@ -133,8 +133,8 @@ def test_roots_are_least_by_encoding(pk):
         for n, table in powers.items():
             roots = [x for x in range(F.q) if table[x] == a]
             assert F.is_nth_power(a, n) == bool(roots)
-            if a and roots and n in (2, 3):
-                assert residue_root(F, a, n) == roots[0]
+            if a and n in (2, 3):
+                assert gp_roots(F, [F.neg(a)] + [0] * (n - 1) + [1]) == roots
 
 
 @pytest.mark.parametrize("pk", sorted(MODULI))

@@ -3,8 +3,8 @@
 - The Frobenius-orbit enumeration against the Rabin test run on every
   monic candidate, and against the necklace count.
 - TowerResidueField against the coefficient-tuple ResidueField(P) on every
-  result that leaves the field: lifts, roots, power tests, the element
-  order, gp_roots and Kummer factor types.
+  result that leaves the field: lifts, p-th roots, power tests, the
+  element order, gp_roots and Kummer factor types.
 - signature_at on tower places against signature_at on ResidueField places.
 - The rows of ZetaData.finite, whose places get their towers from the
   enumeration, against signature_at through residue_field, and the traces
@@ -36,8 +36,8 @@ from funcfields.poly import (
     TowerResidueField,
     gp_irreducible,
     gp_roots,
+    pth_root,
     residue_field,
-    residue_root,
 )
 from funcfields.signature import _inert_square
 from oracles import count_monic_irreducibles_necklace, is_irreducible
@@ -95,11 +95,9 @@ def _agree_on_place(P, rng, thorough):
     for t, r in sample:
         assert T.is_square(t) == R.is_square(r)
         assert T.is_cube(t) == R.is_cube(r)
+        assert same(pth_root(T, t), pth_root(R, r))
         if t:
             assert same(T.inv(t), R.inv(r))
-            for n in (2, 3):
-                if T.is_nth_power(t, n):
-                    assert same(residue_root(T, t, n), residue_root(R, r, n))
     for _ in range(draws):
         coeffs = [_rand_poly(rng, F, T.deg) for _ in range(rng.choice((2, 3)))] + [FqPoly.one(F)]
         roots_t = gp_roots(T, [T.embed(c) for c in coeffs])
@@ -120,27 +118,12 @@ def test_tower_agrees_with_tuple_residue_field(pk):
     for d in range(1, CELLS[pk] + 1):
         places = monic_irreducibles(F, d)
         residue_field.cache_clear()  # drop tuple fields cached before the enumeration
-        # on ResidueField the cube roots (gp_roots) and the Kummer factor
-        # types run on tuples, so in the fields of 343 and 625 elements three
-        # places get every element and ten draws, the others a sample
+        # on ResidueField gp_roots and the Kummer factor types run on
+        # tuples, so in the fields of 343 and 625 elements three places get
+        # every element and ten draws, the others a sample
         small = F.q ** d <= 100
         for i, P in enumerate(places):
             _agree_on_place(P, rng, small or i % (len(places) // 3) == 0)
-
-
-@pytest.mark.parametrize("pk, d", [((2, 1), 3), ((3, 1), 2), ((7, 1), 2), ((2, 2), 2), ((5, 2), 1)])
-def test_residue_root_is_the_first_root_in_gp_roots_order(pk, d):
-    F = GF(*pk)
-    P = monic_irreducibles(F, d)[-1]
-    residue_field.cache_clear()  # drop tuple fields cached before the enumeration
-    T = residue_field(P)
-    assert isinstance(T, TowerResidueField)
-    for K in (T, ResidueField(P)):
-        for r in K.iter_elements():
-            for n in (2, 3):
-                if not K.is_zero(r) and K.is_nth_power(r, n):
-                    f = [K.neg(r)] + [K.zero] * (n - 1) + [K.one]
-                    assert residue_root(K, r, n) == gp_roots(K, f)[0]
 
 
 def test_any_sqrt_of_zero_is_zero_on_both_kinds():
