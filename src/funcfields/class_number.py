@@ -37,7 +37,6 @@ from .poly import (
     gp_derivative,
     gp_gcd,
     gp_roots,
-    monic_irreducibles,
     poly_gcd,
     tower_fields,
 )
@@ -745,8 +744,8 @@ def _is_power_in_order(model, alpha, p, d, spent):
     """
     F = model.field
     for deg in (1, 2):
-        for P in monic_irreducibles(F, deg):
-            K = FinitePlace(P).residue_field
+        for P, K in tower_fields(F, deg):
+            K = FinitePlace(P, K).residue_field
             if (K.order - 1) % p:
                 continue
             red = [K.embed(model.B), K.embed(-model.A), K.zero, K.one]

@@ -18,8 +18,8 @@ from .poly import (
     HypothesisRefused,
     InternalFault,
     UnknownSignature,
-    monic_irreducibles,
     parse_poly,
+    tower_fields,
 )
 from .places import FinitePlace
 from .models import CubicModel, QuarticModel, model_from_text
@@ -164,8 +164,8 @@ def cmd_places(args):
     rows.append({"place": "infinity", "result": inf.to_json()})
     lines.append("infinity: %s" % (inf.signature if inf.known else "unknown"))
     for d in range(1, args.max_deg + 1):
-        for P in monic_irreducibles(model.field, d):
-            res = signature_at(model, FinitePlace(P))
+        for P, K in tower_fields(model.field, d):
+            res = signature_at(model, FinitePlace(P, K))
             rows.append({"place": str(P), "result": res.to_json()})
             lines.append("%s: %s" % (P, res.signature if res.known else "unknown (%s)" % res.unknown_reason))
             blocked = blocked or not res.known

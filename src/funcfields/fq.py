@@ -34,7 +34,7 @@ an optional embedding of a subfield, in one call: on plain ints mod p for
 k = 1, in the log domain with Zech additions (XOR for p = 2) when there
 are tables, and by add/mul above them.  FqPoly.evaluate and every residue
 of a polynomial at a place whose residue field is an evaluation tower
-(poly.residue_field) are this loop.
+(poly.tower_fields, and poly.residue_field at degree 1) are this loop.
 """
 
 import operator
@@ -165,7 +165,7 @@ def tonelli_shanks(K, a, nonsquare):
     """A square root of a in the finite field K, or None when a is not a square.
 
     0 for 0, the Frobenius inverse a^(|K|/2) in characteristic 2, else
-    Euler's criterion and then Tonelli-Shanks on K's mul and pow.
+    K's square test and then Tonelli-Shanks on K's mul and pow.
     nonsquare() returns a fixed non-square and is called only when
     |K| = 1 mod 4.  The root is a function of a and that non-square alone.
     """
@@ -174,7 +174,7 @@ def tonelli_shanks(K, a, nonsquare):
         return a
     if K.char == 2:
         return pow_(a, q // 2)
-    if pow_(a, (q - 1) // 2) != one:
+    if not K.is_square(a):
         return None
     if q % 4 == 3:
         return pow_(a, (q + 1) // 4)

@@ -12,15 +12,15 @@ residue() is the workhorse of the signature tables: every "A-bar is a
 square mod P" test and every "sgn(A) is a square" test is the same call.
 
 A finite place's residue field is F_q or F_{q^d} = GF(p, k d) with the
-residue map f -> f(alpha), at degree 1 and at the places that the
-enumeration of monic irreducibles reached as Frobenius orbits, because
-the class-number and zeta computations spend their time in one signature
-per place at exactly these places; otherwise coefficient tuples mod P.
-The sweep over the places of one degree (ZetaData.finite) takes its towers
-from the enumeration (poly.tower_fields) and hands each place its field;
-every other place asks poly.residue_field(P), a cache keyed by P, on first
-use.  Either kind gives the residue of f as K.embed(f), and the two agree
-through x -> alpha, so results do not depend on which kind a place gets.
+residue map f -> f(alpha) at degree 1 and in the sweeps over all places
+of one degree (ZetaData.finite, the places command, the residue tests of
+the divisor search), because the class-number and zeta computations spend
+their time in one signature per place there; a sweep takes its towers
+from the enumeration (poly.tower_fields) and hands each place its field.
+Every other place asks poly.residue_field(P), a cache keyed by P, on
+first use, and gets coefficient tuples mod P when deg P >= 2.  Either
+kind gives the residue of f as K.embed(f), and the two agree through
+x -> alpha, so results do not depend on which kind a place gets.
 The infinite place's residue field is F_q as the degree-1 field of the
 place x.
 
@@ -42,7 +42,7 @@ class FinitePlace:
     __slots__ = ("P", "field", "_rf", "_split")
 
     def __init__(self, P, residue_field=None):
-        """residue_field, when given, is k(P) (from poly.tower_fields); else residue_field(P) on first use."""
+        """residue_field, when given, is k(P) from poly.tower_fields; else residue_field(P) on first use."""
         if P.sgn != 1:
             P = P.monic()
         self.P = P

@@ -28,39 +28,36 @@ addition.  Every result is the same reduced int that the per-term
 K.add/K.mul loop gives, so no output changes.  Polynomials over a tuple
 residue field, and over a field above the tables, keep that loop.
 
-Residue fields come in two kinds.  When
+Residue fields come in two kinds, and which one a place gets follows
+from its degree and its caller, never from what ran before.  When
 monic_irreducibles enumerates the places of degree d >= 2 with q^d <=
 fq.TABLE_MAX_ORDER, it walks the Frobenius orbits of E = GF(p, k d)
 instead of testing every monic candidate, and records the tower: an
-embedding F_q -> E and a root alpha in E of each place P.  It then clears
-the cache of residue_field, so a place asked for earlier gets the tower
-too.  Those places and every place of degree 1 (E = F_q, alpha = -P(0))
-get a TowerResidueField, which is E with the residue map f -> f(alpha),
-so every operation of the Kummer factor types that dominate class-number
-work is a table lookup, and a residue f(alpha) is one call of E's Horner
-kernel (fq.FqField.horner: plain ints mod p, or logarithms with Zech
-additions, so one step is a few list lookups).  The tower is fixed once
-per (q, d) and built only by enumeration; a place that no enumeration
-reached (a place over D of degree >= 2, say) or with q^d above the
-threshold gets the tuple ResidueField, whose few operations would not
-repay building E.  Its residues are the coefficient tuples of the lifts
-(FqPoly.coeffs of f mod P), and its arithmetic is the engine's over F_q
-modulo P, so it has no product or Euclid of its own.  Both agree through
-x -> alpha on every result that leaves the field.  The sweep over the
-places of one degree gets its TowerResidueFields from tower_fields(F, d),
-which reads the tower once and copies one field per place;
-residue_field(P), cached by P, serves every other caller.
+embedding F_q -> E and a root alpha in E of each place P.  A sweep over
+all places of one degree takes its fields from tower_fields(F, d), which
+reads that tower once and copies one TowerResidueField per place: E with
+the residue map f -> f(alpha), so every operation of the Kummer factor
+types that dominate class-number work is a table lookup, and a residue
+f(alpha) is one call of E's Horner kernel (fq.FqField.horner: plain ints
+mod p, or logarithms with Zech additions, so one step is a few list
+lookups).  residue_field(P), cached by P, serves every other caller: the
+degree-1 TowerResidueField (E = F_q, alpha = -P(0)) at deg P = 1, and
+otherwise the tuple ResidueField, whose few operations at a place over D
+would not repay building E.  Its residues are the coefficient tuples of
+the lifts (FqPoly.coeffs of f mod P), its arithmetic is the engine's over
+F_q modulo P, and its square test is a Euclid, by quadratic reciprocity.
+The two kinds agree through x -> alpha on every result leaving a field.
 
 Both kinds present one protocol on top of the engine's: embed (the
-residue of an FqPoly, zero exactly when P divides it), lift, from_base,
-pow, the power tests and any_sqrt (a square root where the choice of root
-does not matter).  pow, the power tests and any_sqrt are also FqField's
-names.  The one root that leaves a field, pth_root, is unique, so it
-needs no rule for choosing it.  Places and signatures use that protocol
-only, so no other module names either class.
+residue of an FqPoly, zero exactly when P divides it), from_base, pow,
+the power tests and any_sqrt (a square root where the choice of root
+does not matter), and lift and iter_elements on every field that
+residue_field gives.  pow, the power tests and any_sqrt are also
+FqField's names.  The one root that leaves a field, pth_root, is unique,
+so it needs no rule for choosing it.  Places and signatures use that
+protocol only, so no other module names either class.
 """
 
-import operator
 import random
 import re
 from functools import lru_cache
@@ -267,10 +264,9 @@ def crt(residues, moduli):
 # Generic finite-field polynomial engine.
 #
 # A "field protocol" object K provides: zero, one, char, order, add, sub,
-# neg, mul, inv, from_rand, and optionally sort_key (the order gp_roots
-# returns roots in; the elements' own order without it).  FqField,
-# ResidueField and TowerResidueField are such objects.  Polynomials over K
-# are little-endian lists of elements with no trailing zeros.
+# neg, mul, inv, from_rand.  FqField, ResidueField and TowerResidueField
+# are such objects.  Polynomials over K are little-endian lists of
+# elements with no trailing zeros.
 # ---------------------------------------------------------------------------
 
 
@@ -631,7 +627,7 @@ def gp_equal_degree_split(K, f, d, rng):
 
 
 def gp_roots(K, f):
-    """Distinct roots of f in K (via gcd with x^order - x, then split)."""
+    """Distinct roots of f in K, ascending (via gcd with x^order - x, then split)."""
     if not f:
         raise ValueError("zero polynomial")
     x = [K.zero, K.one]
@@ -642,7 +638,7 @@ def gp_roots(K, f):
     rng = random.Random(0xF0F0)
     linears = gp_equal_degree_split(K, g, 1, rng)
     # factors are monic x + c
-    return sorted((K.neg(l[0]) for l in linears), key=getattr(K, "sort_key", None))
+    return sorted(K.neg(l[0]) for l in linears)
 
 
 def gp_count_roots(K, f):
@@ -674,8 +670,8 @@ def gp_irreducible(K, f):
 # ---------------------------------------------------------------------------
 # Residue fields k(P) = F_q[x]/(P) as field-protocol objects.  ResidueField
 # holds the coefficient tuples of the lifts and serves every P;
-# TowerResidueField (below) serves the places that enumeration reached as
-# Frobenius orbits, and the places of degree 1.
+# TowerResidueField (below) serves the sweeps over all places of one
+# degree (tower_fields) and the places of degree 1.
 # ---------------------------------------------------------------------------
 
 
@@ -685,8 +681,8 @@ class ResidueField:
     A residue is the coefficient tuple of its lift, the remainder mod P with
     no trailing zeros (FqPoly.coeffs), so () is 0 and (1,) is 1.  Sums are
     gp_add and gp_sub over F_q, products and powers gp_mul and gp_pow_mod
-    modulo P, inverses gp_inverse_mod, so they run on the F_p or log-table
-    kernels wherever F_q's polynomials do.
+    modulo P, inverses gp_inverse_mod and the square test gp_mod steps, so
+    they run on the F_p or log-table kernels wherever F_q's polynomials do.
     """
 
     E = None  # its elements are tuples, so polynomials over it take the per-term loop
@@ -702,7 +698,7 @@ class ResidueField:
 
     def embed(self, poly):
         """Reduce an FqPoly mod P into a residue element."""
-        return (poly % self.P).coeffs
+        return tuple(gp_mod(self.base, poly.coeffs, self.P.coeffs))
 
     def lift(self, elem):
         """Canonical lift (degree < deg P)."""
@@ -748,9 +744,22 @@ class ResidueField:
         return self.pow(a, (self.order - 1) // g) == self.one
 
     def is_square(self, a):
-        if self.char == 2:
+        """The Jacobi symbol (a / P) by quadratic reciprocity in F_q[x]: a Euclid, no power.
+
+        For monic coprime A, B and chi the square character of F_q, (c A / B)
+        = chi(c)^deg B (A / B), and (A / B) = (B mod A / A), negated when
+        q = 3 mod 4 and deg A, deg B are both odd.
+        """
+        F, s, b = self.base, True, self.P.coeffs
+        if F.p == 2 or not a:
             return True
-        return self.is_nth_power(a, 2)
+        while len(b) > 1:  # gcd(a, b) = 1 throughout, as P is irreducible
+            a = gp_mod(F, a, b)
+            s ^= len(b) % 2 == 0 and not F.is_square(a[-1])
+            a = gp_monic(F, a)
+            s ^= F.q % 4 == 3 and len(a) % 2 == 0 and len(b) % 2 == 0
+            a, b = b, a
+        return s
 
     def is_cube(self, a):
         return self.is_nth_power(a, 3)
@@ -776,12 +785,10 @@ class TowerResidueField:
     alpha is a root of P in E and F_q sits in E through the embedding
     `emb` (an indexable map from F_q encodings to E encodings), so k(P) is
     E itself and its elements are E's ints: add, mul, inv, pow and the
-    power tests are E's table operations.  x^i mod P corresponds to
-    alpha^i, so iter_elements, lift and sort_key follow the coefficient
-    tuples of ResidueField(P) (padded to length d here, which orders them
-    as the trimmed tuples are ordered), and every result that leaves the
-    field (a lift, a root order, the first element with a property) is the
-    image of the one ResidueField(P) gives.
+    power tests are E's table operations.  A field of degree d >= 2 comes
+    only from tower_fields, for the sweeps over all places of one degree,
+    and none of its elements leaves it; lift and iter_elements exist only
+    at d = 1, where E is F_q and x = alpha.
     """
 
     def __init__(self, P, E, emb, alpha):
@@ -793,7 +800,6 @@ class TowerResidueField:
         self.zero, self.one = 0, 1
         self.alpha = alpha
         self._emb = emb
-        self._solve = None  # inverse basis matrix over F_p, built by the first lift
         self.add, self.sub, self.neg = E.add, E.sub, E.neg
         self.mul, self.inv, self.pow = E.mul, E.inv, E.pow
         self.is_nth_power, self.is_square, self.is_cube = E.is_nth_power, E.is_square, E.is_cube
@@ -811,7 +817,7 @@ class TowerResidueField:
         """
         K = object.__new__(TowerResidueField)
         K.__dict__.update(self.__dict__)
-        K.P, K.alpha, K._solve = P, alpha, None
+        K.P, K.alpha = P, alpha
         return K
 
     def embed(self, poly):
@@ -821,65 +827,18 @@ class TowerResidueField:
     def from_base(self, c):
         return self._emb[c]
 
-    def _from_coords(self, cs):
-        # sum c_i alpha^i, the image of the ResidueField tuple cs
-        return self.E.horner(cs, self.alpha, self._emb)
-
-    def coords(self, a):
-        """F_q encodings c_i with a = sum c_i alpha^i (the ResidueField tuple)."""
-        if self.deg == 1:
-            return [a]  # E is F_q
-        if self._solve is None:
-            self._solve = self._basis_inverse()
-        p, F = self.char, self.base
-        ds = self.E._dec(a)
-        x = [sum(map(operator.mul, row, ds)) % p for row in self._solve]
-        k = F.k
-        return [F._enc(x[i * k:(i + 1) * k]) for i in range(self.deg)]
-
-    def _basis_inverse(self):
-        # columns: base-p digits of beta^j alpha^i, beta the image of F's
-        # generator x (encoding p^j is x^j); the inverse maps E's digits to
-        # the coordinates in that F_p-basis, (i, j) in column i k + j
-        E, F, p = self.E, self.base, self.char
-        powers = [E.pow(self.alpha, i) for i in range(self.deg)]
-        cols = [E._dec(E.mul(self._emb[p ** j], ap)) for ap in powers for j in range(F.k)]
-        return _fp_inverse([list(r) for r in zip(*cols)], p)
-
     def lift(self, elem):
-        """Canonical lift (degree < deg P)."""
-        return FqPoly(self.base, self.coords(elem))
-
-    def sort_key(self, a):
-        return tuple(self.coords(a))
+        return FqPoly(self.base, (elem,))
 
     def is_zero(self, a):
         return a == 0
 
     def iter_elements(self):
-        q, d = self.base.q, self.deg
-        for idx in range(self.order):
-            yield self._from_coords(digits(idx, q, d))
-
-
-def _fp_inverse(M, p):
-    """Inverse of an invertible square matrix over F_p (rows of ints), Gauss-Jordan."""
-    n = len(M)
-    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
-    for c in range(n):
-        r = next(r for r in range(c, n) if rows[r][c])
-        rows[c], rows[r] = rows[r], rows[c]
-        inv = pow(rows[c][c], p - 2, p)
-        rows[c] = [v * inv % p for v in rows[c]]
-        for r in range(n):
-            f = rows[r][c]
-            if r != c and f:
-                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[c])]
-    return [row[n:] for row in rows]
+        return iter(range(self.order))
 
 
 # (F_q, d) -> (E, emb, {coefficient tuple of P: alpha}), recorded by the
-# Frobenius-orbit enumeration of the places of degree d, read by residue_field
+# Frobenius-orbit enumeration of the places of degree d, read by tower_fields
 _TOWERS = {}
 
 
@@ -887,35 +846,22 @@ _TOWERS = {}
 def residue_field(P):
     """Shared residue fields; places are constructed freely.
 
-    A TowerResidueField when deg P = 1 (E = F_q, alpha = -P(0)) or when
-    monic_irreducibles recorded a tower for (F_q, deg P); otherwise, for
-    places of higher degree over D that no enumeration reached and for
-    q^deg P above fq.TABLE_MAX_ORDER, the tuple ResidueField.
+    The degree-1 TowerResidueField (E = F_q, alpha = -P(0)) when deg P = 1,
+    else the tuple ResidueField: the kind follows from deg P alone.
     """
     F = P.field
-    d = len(P.coeffs) - 1
-    if d == 1:
+    if len(P.coeffs) == 2:
         return TowerResidueField(P, F, range(F.q), F.neg(F.div(P.coeffs[0], P.coeffs[1])))
-    tower = _TOWERS.get((F, d))
-    if tower is not None:
-        E, emb, roots = tower
-        alpha = roots.get(P.coeffs)
-        if alpha is not None:
-            return TowerResidueField(P, E, emb, alpha)
     return ResidueField(P)
-
-
-# bound once, so it still clears the cache when a profiler rebinds the
-# module name residue_field to a wrapper
-_clear_residue_fields = residue_field.cache_clear
 
 
 def tower_fields(F, d):
     """[(P, k(P))] over monic_irreducibles(F, d), from the tower the enumeration recorded.
 
-    E = F_q with alpha = -P(0) for d = 1; otherwise E, its embedding of F_q
-    and the roots come from _TOWERS, read once.  Every field is a sibling of
-    the first, and no place is hashed or looked up through residue_field's
+    The one source of TowerResidueFields of degree d >= 2.  E = F_q with
+    alpha = -P(0) for d = 1; otherwise E, its embedding of F_q and the
+    roots come from _TOWERS, read once.  Every field is a sibling of the
+    first, and no place is hashed or looked up through residue_field's
     cache.  Where (F, d) has no tower (q^d above fq.TABLE_MAX_ORDER) k(P)
     is None, and the place asks residue_field for its field.
     """
@@ -1089,8 +1035,6 @@ def _orbit_irreducibles(F, d):
             cs = [mul(r, cs[0])] + [add(a, mul(r, b)) for a, b in zip(cs, cs[1:])] + [1]
         roots[tuple(pull[c] for c in cs)] = min(orbit)
     _TOWERS[F, d] = (E, emb, roots)
-    # residue fields cached before the tower existed are tuple ResidueFields
-    _clear_residue_fields()
     # base-q order of the index sum c_i q^i is the order of (c_(d-1), ..., c_0)
     return tuple(FqPoly(F, cs) for cs in sorted(roots, key=lambda cs: cs[-2::-1]))
 

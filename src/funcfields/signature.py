@@ -28,6 +28,7 @@ from .poly import (
     gp_gcd,
     gp_derivative,
     pth_root,
+    residue_field,
 )
 from .places import InfinitePlace
 from .models import CubicModel, minimal_polynomial_fq
@@ -366,8 +367,8 @@ def _cubic_iteration(model, place, trace, depth):
     if place.is_infinite:
         f0 = FqPoly(F, [pth_root(F, c) for c in f.coeffs[::p]])
     else:
-        K = place.residue_field
-        f0 = K.lift(pth_root(K, place.residue(f, 0)))
+        K = residue_field(place.P)  # a sweep's tower has no lift
+        f0 = K.lift(pth_root(K, K.embed(f)))
     if f0.is_zero():
         return _unknown(place, "char%d-iteration-stagnated" % p,
                         trace + ["decomposition has no %s part" % ("square" if p == 2 else "cube")])

@@ -29,7 +29,6 @@ from funcfields import (
     integral_basis_quartic,
     kummer_signature,
     max_value,
-    monic_irreducibles,
     norm_cubic,
     parse_poly,
     signature_at,
@@ -37,7 +36,7 @@ from funcfields import (
 )
 from funcfields.integral_basis import IntegralBasis
 from funcfields.models import OrderElement
-from funcfields.poly import HypothesisRefused, UnknownSignature, is_squarefree
+from funcfields.poly import HypothesisRefused, UnknownSignature, is_squarefree, tower_fields
 from funcfields.units import construct_rank1, construct_rank2, regulator
 
 
@@ -92,8 +91,8 @@ def test_criterion_1_signature_oracle_equivalence(corpus):
     for model in cubics + quartics:
         F = model.field
         for d in (1, 2):
-            for P in monic_irreducibles(F, d):
-                res = signature_at(model, FinitePlace(P))
+            for P, K in tower_fields(F, d):
+                res = signature_at(model, FinitePlace(P, K))
                 if res.known:
                     emitted += 1
                 if res.known and res.kummer_reduction is not None:
@@ -445,8 +444,8 @@ def test_criterion_10_iteration_cases_meet_core_criteria():
             except Exception:
                 continue
             for d in (1, 2):
-                for P in monic_irreducibles(F, d):
-                    res = signature_at(m, FinitePlace(P))
+                for P, K in tower_fields(F, d):
+                    res = signature_at(m, FinitePlace(P, K))
                     if not res.known:
                         continue
                     assert sum(e * f for e, f in res.signature.pairs) == 3

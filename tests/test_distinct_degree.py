@@ -27,9 +27,9 @@ from funcfields.poly import (
     gp_gcd,
     gp_pow_mod,
     gp_trim,
-    monic_irreducibles,
     parse_poly,
     residue_field,
+    tower_fields,
 )
 from oracles import distinct_degree_by_powers, is_irreducible
 
@@ -160,9 +160,7 @@ def test_factor_degrees_agree_on_both_residue_field_kinds(P):
     # the same reductions, embedded in the tower and in the tuple field of
     # one place of GF(7) of degree 2 and one of degree 3
     P = parse_poly(GF(7), P)
-    monic_irreducibles(P.field, P.degree)  # records the towers of degree deg P
-    residue_field.cache_clear()
-    T, R = residue_field(P), ResidueField(P)
+    T, R = dict(tower_fields(P.field, P.degree))[P], ResidueField(P)
     assert is_irreducible(P) and isinstance(T, TowerResidueField) and type(R) is ResidueField
     rng = random.Random(P.degree)
     for n in range(1, 7):

@@ -27,6 +27,7 @@ from funcfields.poly import (
     pth_root,
     residue_field,
     squarefree_decomposition,
+    tower_fields,
 )
 from oracles import count_monic_irreducibles_necklace, factorization_value, is_irreducible
 
@@ -364,6 +365,29 @@ def test_residue_nonresidue_by_scan():
         assert K.is_square(K.embed(FqPoly.const(F5, a))) == expect
 
 
+# (p, k) -> place degrees: q = 1 and 3 mod 4, prime and extension bases,
+# odd and even degrees, and GF(3^5), a base field above the tables
+JACOBI_CELLS = {(3, 1): (1, 2, 3, 6), (5, 1): (2, 3, 4), (7, 1): (2, 3), (11, 1): (3,), (3, 2): (2, 3),
+                (5, 2): (2,), (3, 5): (2,)}
+
+
+@pytest.mark.parametrize("pk", sorted(JACOBI_CELLS), ids=["GF(%d^%d)" % pk for pk in sorted(JACOBI_CELLS)])
+def test_tuple_square_test_matches_euler(pk):
+    # ResidueField.is_square takes the Jacobi symbol by reciprocity; the
+    # oracle is Euler's criterion a^((Q - 1)/2) = 1
+    F = GF(*pk)
+    rng = random.Random(F.q)
+    for d in JACOBI_CELLS[pk]:
+        for _ in range(3):
+            cs = [rng.randrange(F.q) for _ in range(d)] + [1]
+            while not gp_irreducible(F, cs):
+                cs = [rng.randrange(F.q) for _ in range(d)] + [1]
+            K = ResidueField(FqPoly(F, cs))
+            for _ in range(60):
+                a = K.from_rand(rng)
+                assert K.is_square(a) == (not a or K.pow(a, (K.order - 1) // 2) == K.one), (cs, a)
+
+
 def test_residue_square_mod_P_squared_with_witness():
     # in characteristic 2 the squares are the p-th powers: 1 + x^3 = 1 mod
     # x^2 is a square there (w = 1), 1 + x is not
@@ -393,12 +417,15 @@ ABOVE_THE_TABLES = {(2, 1): 17, (3, 1): 11, (2, 2): 9, (3, 2): 6}
 
 
 def _place(F, kind):
-    """A tower place of degree 2 or 3 (from the enumeration), or a tuple place above the tables."""
+    """(P, its sweep's tower) for a place of degree 2 or 3, or (P, None) for a tuple place above the tables.
+
+    pth_power_witness itself takes k(P) from residue_field, a tuple field
+    at both places.
+    """
     if kind == "tower":
-        P = monic_irreducibles(F, 3 if F.q == 2 else 2)[-1]
-        residue_field.cache_clear()  # drop tuple fields cached before the enumeration
-        assert isinstance(residue_field(P), TowerResidueField)
-        return P
+        P, T = tower_fields(F, 3 if F.q == 2 else 2)[-1]
+        assert isinstance(T, TowerResidueField) and isinstance(residue_field(P), ResidueField)
+        return P, T
     d = ABOVE_THE_TABLES[F.p, F.k]
     rng = random.Random(F.q)
     while True:
@@ -406,17 +433,18 @@ def _place(F, kind):
         if gp_irreducible(F, cs):
             P = FqPoly(F, cs)
             assert isinstance(residue_field(P), ResidueField)
-            return P
+            return P, None
 
 
 @pytest.mark.parametrize("kind", ["tower", "tuple"])
 @pytest.mark.parametrize("pk", sorted(ABOVE_THE_TABLES), ids=["GF(%d^%d)" % pk for pk in sorted(ABOVE_THE_TABLES)])
 def test_pth_power_witness(pk, kind):
     # p-th powers mod P^2 are b^p + P^2 t; b^p + P u with P not dividing u is
-    # a p-th power mod P but not mod P^2, and a multiple of P is refused
+    # a p-th power mod P but not mod P^2, and a multiple of P is refused;
+    # at a tower place the witness's residue is the tower's p-th root
     F = GF(*pk)
     p = F.p
-    P = _place(F, kind)
+    P, T = _place(F, kind)
     P2 = P * P
     rng = random.Random(F.q + P.degree)
     checked = 0
@@ -429,6 +457,7 @@ def test_pth_power_witness(pk, kind):
         w = pth_power_witness(a, P)
         assert w is not None and w.degree < P.degree
         assert ((w ** p - a) % P2).is_zero() and ((w - b) % P).is_zero()
+        assert T is None or T.embed(w) == pth_root(T, T.embed(a))
         assert pth_power_witness(b ** p + P * u, P) is None
         with pytest.raises(ValueError):
             pth_power_witness(P * u, P)

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import funcfields.poly as poly_module
-from funcfields import GF, FqPoly, factorize, monic_irreducibles
-from funcfields.poly import gp_divmod, gp_gcd, gp_mul, gp_pow_mod, residue_field
+from funcfields import GF, FqPoly, factorize
+from funcfields.poly import gp_divmod, gp_gcd, gp_mul, gp_pow_mod, tower_fields
 from oracles import factorization_value
 
 FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (2, 8), (3, 5)]
@@ -62,9 +62,7 @@ def _fields():
     out = [(GF(*pk), "GF(%d^%d)" % pk) for pk in FIELDS]
     for (p, k), d in TOWERS:
         F = GF(p, k)
-        P = monic_irreducibles(F, d)[1]  # records the tower
-        residue_field.cache_clear()
-        K = residue_field(P)
+        K = tower_fields(F, d)[1][1]  # the second place's field in the sweep
         assert K.E.k == k * d and K.E._log is not None
         out.append((K, "tower GF(%d^%d)" % (F.q, d)))
     return out

@@ -31,7 +31,7 @@ from funcfields import (
     parse_poly,
     zeta_tuple_for_signature,
 )
-from funcfields.poly import InternalFault, TowerResidueField, residue_field
+from funcfields.poly import InternalFault, TowerResidueField, tower_fields
 from oracles import local_factor
 
 
@@ -66,9 +66,7 @@ def test_horner_matches_add_mul_loop(pk, seed):
 
 
 def _tower(F, d, i):
-    P = monic_irreducibles(F, d)[i]
-    residue_field.cache_clear()  # drop fields cached before the enumeration
-    K = residue_field(P)
+    K = tower_fields(F, d)[i][1]
     assert isinstance(K, TowerResidueField)
     return K
 

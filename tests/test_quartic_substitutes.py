@@ -20,7 +20,7 @@ import funcfields.signature as signature_module
 from funcfields import GF, FqPoly, QuarticModel, model_from_text, monic_irreducibles, signature_at
 from funcfields.models import _binom_shift, _standard_form_divisor, minimal_polynomial_fq, quartic_disc, reduce_coeffs
 from funcfields.places import FinitePlace, InfinitePlace
-from funcfields.poly import FuncFieldError, InternalFault, factorize
+from funcfields.poly import FuncFieldError, InternalFault, factorize, tower_fields
 from test_signature import LEDGER_QUARTICS, _seeded_quartics
 
 
@@ -284,7 +284,7 @@ def test_3by_dispatches_as_the_model():
         cases.append((model, InfinitePlace(F)))
     for q in (7, 13):
         F = GF(q)
-        places = [FinitePlace(P) for d in (1, 2) for P in monic_irreducibles(F, d)] + [InfinitePlace(F)]
+        places = [FinitePlace(P, K) for d in (1, 2) for P, K in tower_fields(F, d)] + [InfinitePlace(F)]
         cases += [(m, place) for m in _seeded_quartics(q, 3, rng) for place in places]
     leftover = 0
     for model, place in cases:

@@ -2,9 +2,12 @@
 
 - The Frobenius-orbit enumeration against the Rabin test run on every
   monic candidate, and against the necklace count.
-- TowerResidueField against the coefficient-tuple ResidueField(P) on every
-  result that leaves the field: lifts, p-th roots, power tests, the
-  element order, gp_roots and Kummer factor types.
+- TowerResidueField, as tower_fields hands it to a sweep, against the
+  coefficient-tuple ResidueField(P), each tuple residue r mapped to the
+  tower by T.embed(R.lift(r)): residues, p-th roots, inverses, power
+  tests, gp_roots (as sets) and Kummer factor types.
+- residue_field(P) gives a kind that follows from deg P alone, and no
+  sweep lifts or iterates a tower of degree at least 2.
 - signature_at on tower places against signature_at on ResidueField places.
 - The rows of ZetaData.finite, whose places get their towers from the
   enumeration, against signature_at through residue_field, and the traces
@@ -17,6 +20,7 @@ import random
 
 import pytest
 
+import funcfields.cli as cli_module
 import funcfields.places as places_module
 import funcfields.poly as poly_module
 from funcfields import (
@@ -38,6 +42,7 @@ from funcfields.poly import (
     gp_roots,
     pth_root,
     residue_field,
+    tower_fields,
 )
 from funcfields.signature import _inert_square
 from oracles import count_monic_irreducibles_necklace, is_irreducible
@@ -73,24 +78,29 @@ def _rand_poly(rng, F, deg):
     return FqPoly(F, [rng.randrange(F.q) for _ in range(deg + 1)])
 
 
-def _agree_on_place(P, rng, thorough):
-    T, R = residue_field(P), ResidueField(P)
-    assert isinstance(T, TowerResidueField)
+def _to_tower(T, R, r):
+    """The tower element of the tuple residue r: the residue of its lift."""
+    return T.embed(R.lift(r))
+
+
+def _agree_on_place(P, T, rng, thorough):
+    R = ResidueField(P)
+    assert isinstance(T, TowerResidueField) and T.P == P
     F = P.field
-    pairs = list(zip(T.iter_elements(), R.iter_elements()))
-    assert len(pairs) == T.order == R.order
-    # same order of the elements: the index-th lifts coincide
-    assert [T.lift(t) for t, _ in pairs] == [R.lift(r) for _, r in pairs]
+    pairs = [(_to_tower(T, R, r), r) for r in R.iter_elements()]
+    # x -> alpha is a bijection onto E
+    assert len({t for t, _ in pairs}) == len(pairs) == T.order == R.order
     for _ in range(20):
         f = _rand_poly(rng, F, rng.randrange(3 * T.deg + 4))
-        assert T.lift(T.embed(f)) == R.lift(R.embed(f)) == f % P
+        assert R.lift(R.embed(f)) == f % P
+        assert T.embed(f) == _to_tower(T, R, R.embed(f))
     sample = pairs if thorough else rng.sample(pairs, 8)
     draws = 10 if thorough else 1
 
     def same(x, y):
         if x is None or y is None:
             return x is None and y is None
-        return T.lift(x) == R.lift(y)
+        return x == _to_tower(T, R, y)
 
     for t, r in sample:
         assert T.is_square(t) == R.is_square(r)
@@ -102,7 +112,8 @@ def _agree_on_place(P, rng, thorough):
         coeffs = [_rand_poly(rng, F, T.deg) for _ in range(rng.choice((2, 3)))] + [FqPoly.one(F)]
         roots_t = gp_roots(T, [T.embed(c) for c in coeffs])
         roots_r = gp_roots(R, [R.embed(c) for c in coeffs])
-        assert [T.lift(x) for x in roots_t] == [R.lift(x) for x in roots_r]
+        assert len(roots_t) == len(roots_r)
+        assert set(roots_t) == {_to_tower(T, R, x) for x in roots_r}
     for n in (3, 4):
         for _ in range(draws):
             coeffs = [_rand_poly(rng, F, T.deg) for _ in range(n)] + [FqPoly.one(F)]
@@ -116,20 +127,17 @@ def test_tower_agrees_with_tuple_residue_field(pk):
     F = GF(*pk)
     rng = random.Random(F.q)
     for d in range(1, CELLS[pk] + 1):
-        places = monic_irreducibles(F, d)
-        residue_field.cache_clear()  # drop tuple fields cached before the enumeration
+        places = tower_fields(F, d)
         # on ResidueField gp_roots and the Kummer factor types run on
         # tuples, so in the fields of 343 and 625 elements three places get
         # every element and ten draws, the others a sample
         small = F.q ** d <= 100
-        for i, P in enumerate(places):
-            _agree_on_place(P, rng, small or i % (len(places) // 3) == 0)
+        for i, (P, T) in enumerate(places):
+            _agree_on_place(P, T, rng, small or i % (len(places) // 3) == 0)
 
 
 def test_any_sqrt_of_zero_is_zero_on_both_kinds():
-    P = monic_irreducibles(GF(7), 2)[0]
-    residue_field.cache_clear()  # drop tuple fields cached before the enumeration
-    T = residue_field(P)
+    P, T = tower_fields(GF(7), 2)[0]
     assert isinstance(T, TowerResidueField)
     for K in (T, ResidueField(P)):
         s = K.any_sqrt(K.zero)
@@ -174,12 +182,11 @@ def test_any_sqrt_on_f_q_above_the_tables(pk):
 @pytest.mark.parametrize("pk, d", [((13, 1), 2), ((2, 1), 3), ((3, 2), 2)], ids=["GF(13)-d2", "GF(2)-d3", "GF(9)-d2"])
 def test_any_sqrt_on_both_residue_field_kinds(pk, d):
     F = GF(*pk)
-    P = monic_irreducibles(F, d)[0]
-    residue_field.cache_clear()  # drop tuple fields cached before the enumeration
-    T = residue_field(P)
+    P, T = tower_fields(F, d)[0]
+    R = ResidueField(P)
     assert isinstance(T, TowerResidueField)
-    for K in (T, ResidueField(P)):
-        _check_any_sqrt(K, list(K.iter_elements()))
+    _check_any_sqrt(T, [_to_tower(T, R, r) for r in R.iter_elements()])
+    _check_any_sqrt(R, list(R.iter_elements()))
 
 
 def test_residue_field_choice(monkeypatch):
@@ -190,12 +197,12 @@ def test_residue_field_choice(monkeypatch):
     try:
         assert isinstance(residue_field(parse_poly(F, "x + 5")), TowerResidueField)
         assert residue_field(parse_poly(F, "x + 5")).alpha == 8
-        # a place no enumeration reached keeps the tuple type
+        # degree 2 gets the tuple type, with or without a tower for it
         assert type(residue_field(P)) is ResidueField
         residue_field.cache_clear()
         poly_module._orbit_irreducibles(F, 2)
-        assert isinstance(residue_field(P), TowerResidueField)
-        # above fq.TABLE_MAX_ORDER there is no tower: 13^5 > 2^16
+        assert type(residue_field(P)) is ResidueField
+        # above fq.TABLE_MAX_ORDER: 13^5 > 2^16
         Q = parse_poly(F, "x^5 + 8*x + 1")
         assert is_irreducible(Q)
         assert type(residue_field(Q)) is ResidueField
@@ -203,17 +210,20 @@ def test_residue_field_choice(monkeypatch):
         residue_field.cache_clear()
 
 
-def test_residue_field_cache_follows_a_new_tower(monkeypatch):
-    # a place asked for before its degree is enumerated gets the tower after it
+@pytest.mark.parametrize("P", ["x + 2", "x^2 + 1", "x^3 + 2*x + 1"])
+def test_residue_field_kind_does_not_follow_the_enumeration(monkeypatch, P):
+    # the kind of residue_field(P) is the same before and after the places
+    # of degree deg P are enumerated and their tower recorded
     F = GF(3)
-    P = parse_poly(F, "x^2 + 1")
+    P = parse_poly(F, P)
     monkeypatch.setattr(poly_module, "_TOWERS", {})
     monic_irreducibles.cache_clear()
     residue_field.cache_clear()
     try:
-        assert type(residue_field(P)) is ResidueField
-        assert P in monic_irreducibles(F, 2)
-        assert isinstance(residue_field(P), TowerResidueField)
+        before = type(residue_field(P))
+        assert P in monic_irreducibles(F, P.degree)
+        assert type(residue_field(P)) is before
+        assert before is (TowerResidueField if P.degree == 1 else ResidueField)
     finally:
         monic_irreducibles.cache_clear()
         residue_field.cache_clear()
@@ -248,21 +258,20 @@ def _result_key(res):
     return (res.signature, res.method, res.trace, res.unknown_reason)
 
 
-def test_signature_at_agrees_with_tuple_residue_fields(monkeypatch):
+def test_signature_at_agrees_with_tuple_residue_fields():
     for model in _models():
         F = model.field
         top = 3 if F.q < 25 else 2
-        places = [P for d in range(1, top + 1) for P in monic_irreducibles(F, d)]
-        tower = [_result_key(signature_at(model, FinitePlace(P))) for P in places]
-        monkeypatch.setattr(places_module, "residue_field", ResidueField)
-        tuple_ = [_result_key(signature_at(model, FinitePlace(P))) for P in places]
-        monkeypatch.undo()
+        places = [pk for d in range(1, top + 1) for pk in tower_fields(F, d)]
+        tower = [_result_key(signature_at(model, FinitePlace(P, K))) for P, K in places]
+        tuple_ = [_result_key(signature_at(model, FinitePlace(P, ResidueField(P)))) for P, _ in places]
         assert tower == tuple_
 
 
 def test_sweep_rows_equal_signature_at_through_residue_field(monkeypatch):
     # ZetaData.finite takes every place's field from the tower the
-    # enumeration recorded; residue_field, asked place by place, must agree
+    # enumeration recorded; residue_field, asked place by place (a tuple
+    # field from degree 2 on), must agree
     for model in _models():
         F = model.field
         if model.degree == 4 and not model.biquadratic:
@@ -294,6 +303,33 @@ def test_sweep_without_a_tower_asks_residue_field(monkeypatch):
         ]
     finally:
         residue_field.cache_clear()
+
+
+def test_no_sweep_lifts_or_iterates_a_tower_of_degree_two_or_more(monkeypatch, capsys):
+    # a tower of degree >= 2 has no map back to F_q[x]: the sweeps of
+    # ZetaData (char-2/3 iterations and leftover quartics included), the
+    # places command and the divisor search's residue tests never ask it
+    def at_degree_one(method):
+        def guarded(self, *args):
+            assert self.deg == 1, "%s on a tower of degree %d" % (method.__name__, self.deg)
+            return method(self, *args)
+        return guarded
+
+    for name in ("lift", "iter_elements"):
+        monkeypatch.setattr(TowerResidueField, name, at_degree_one(getattr(TowerResidueField, name)))
+    for model in _models():
+        if model.degree == 4 and not model.biquadratic:
+            model.substitutes()
+        zeta = ZetaData(model)
+        for d in range(1, (3 if model.field.q < 25 else 2) + 1):
+            zeta.finite(d)
+    # the golden runs places_quartic_q7_deg3 and search_divisor_pure_q7 of test_golden_output.py
+    for argv, code in (
+        (["places", "--quartic", "--q", "7", "--A", "x", "--B", "x^2+1", "--C", "x^3+2", "--max-deg", "3"], 4),
+        (["search-divisor", "--pure-B", "x^2+x", "--q", "7", "--p", "3", "--budget", "1"], 0),
+    ):
+        assert cli_module.run(argv + ["--format", "json"]) == code
+    capsys.readouterr()
 
 
 def test_sweep_formats_traces_only_when_read(monkeypatch):
@@ -333,10 +369,10 @@ def _quad_ext_is_square(K, rho, x, y):
 def test_inert_norm_test_matches_power_test(pk, d):
     F = GF(*pk)
     rng = random.Random(d)
-    for P in rng.sample(monic_irreducibles(F, d), 2):
-        K = residue_field(P)
-        rho = next(e for e in K.iter_elements() if e and not K.is_square(e))
-        elems = list(K.iter_elements())
+    for P, K in rng.sample(tower_fields(F, d), 2):
+        R = ResidueField(P)
+        elems = [_to_tower(K, R, r) for r in R.iter_elements()]
+        rho = next(e for e in elems if e and not K.is_square(e))
         for x in elems:
             for y in rng.sample(elems, min(len(elems), 12)):
                 assert _inert_square(K, rho, x, y) == _quad_ext_is_square(K, rho, x, y)

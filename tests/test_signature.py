@@ -19,7 +19,16 @@ from funcfields import (
     parse_poly,
     signature_at,
 )
-from funcfields.poly import POS_INF, FuncFieldError, InternalFault, ResidueField, UnknownSignature, factorize, pth_root
+from funcfields.poly import (
+    POS_INF,
+    FuncFieldError,
+    InternalFault,
+    ResidueField,
+    UnknownSignature,
+    factorize,
+    pth_root,
+    tower_fields,
+)
 from funcfields.signature import signature_quartic
 
 F3 = GF(3)
@@ -354,7 +363,7 @@ def _balanced_rule_cases():
     rng = random.Random(20261019)
     for q in (7, 11, 13):
         F = GF(q)
-        places = [FinitePlace(P) for d in (1, 2) for P in monic_irreducibles(F, d)] + [InfinitePlace(F)]
+        places = [FinitePlace(P, K) for d in (1, 2) for P, K in tower_fields(F, d)] + [InfinitePlace(F)]
         for m in _seeded_quartics(q, 3, rng):
             for place in places:
                 yield m, place
@@ -414,8 +423,8 @@ def test_ramified_places_divide_D():
             tried += 1
             D = m.discriminant()
             for d in (1, 2):
-                for P in monic_irreducibles(F, d):
-                    r = signature_at(m, FinitePlace(P))
+                for P, K in tower_fields(F, d):
+                    r = signature_at(m, FinitePlace(P, K))
                     if any(e > 1 for e, _ in r.signature.pairs):
                         assert FinitePlace(P).val(D) > 0
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import funcfields
 import funcfields.signature as signature_module
 from funcfields import GF, CubicModel, FinitePlace, FqPoly, kummer_signature, monic_irreducibles, parse_poly
-from funcfields.poly import POS_INF, ResidueField, TowerResidueField, gp_factor_degrees, residue_field
+from funcfields.poly import POS_INF, ResidueField, TowerResidueField, gp_factor_degrees, tower_fields
 from funcfields.signature import _depressed_cubic_type, signature_at
 from oracles import is_irreducible
 
@@ -26,10 +26,8 @@ GENERIC_LINE = "3u1=2u0, disc at generic level: Kummer on T^3 - Abar T + Bbar"
 
 
 def _tower(F, d, i=0):
-    """The residue field of the i-th place of degree d, as a tower."""
-    P = monic_irreducibles(F, d)[i]
-    residue_field.cache_clear()  # drop fields cached before the enumeration
-    K = residue_field(P)
+    """The residue field of the i-th place of degree d, as a sweep's tower."""
+    K = tower_fields(F, d)[i][1]
     assert isinstance(K, TowerResidueField)
     return K
 
@@ -123,11 +121,9 @@ def test_every_place_to_degree_3_matches_kummer(name, monkeypatch):
     monkeypatch.setattr(signature_module, "gp_factor_degrees", factor_degrees)
     generic = {"closed": 0, "factor": 0}
     for d in range(1, 4):
-        places = monic_irreducibles(F, d)
-        residue_field.cache_clear()
-        for P in places:
+        for P, K in tower_fields(F, d):
             del calls[:]
-            res = signature_at(model, FinitePlace(P))
+            res = signature_at(model, FinitePlace(P, K))
             route = list(calls)
             assert "kummer" not in route
             if res.kummer_reduction is not None:
@@ -164,15 +160,18 @@ def _val_reference(P, f):
 
 
 def _places():
+    """name -> ([(P, k(P) or None)], kind): sweep towers, and tuple fields from residue_field."""
     out = {}
     for pk, top in (((7, 1), 3), ((3, 2), 3)):
         F = GF(*pk)
         for d in range(1, top + 1):
-            out["GF(%d^%d) deg %d" % (pk + (d,))] = (monic_irreducibles(F, d), TowerResidueField)
-    # 13^5 and 25^4 > fq.TABLE_MAX_ORDER: no tower, the tuple field, over a
-    # prime base and over an extension base
-    out["GF(13) deg 5, tuple"] = ([parse_poly(GF(13), "x^5 + 8*x + 1")], ResidueField)
-    out["GF(5^2) deg 4, tuple"] = ([parse_poly(GF(5, 2), "x^4 + 6*x + 1")], ResidueField)
+            out["GF(%d^%d) deg %d" % (pk + (d,))] = (tower_fields(F, d), TowerResidueField)
+    # a place of degree 2 outside a sweep, and 13^5 and 25^4 >
+    # fq.TABLE_MAX_ORDER (no tower): the tuple field, over a prime base and
+    # over an extension base
+    out["GF(7) deg 2, tuple"] = ([(P, None) for P in monic_irreducibles(GF(7), 2)], ResidueField)
+    out["GF(13) deg 5, tuple"] = ([(parse_poly(GF(13), "x^5 + 8*x + 1"), None)], ResidueField)
+    out["GF(5^2) deg 4, tuple"] = ([(parse_poly(GF(5, 2), "x^4 + 6*x + 1"), None)], ResidueField)
     return out
 
 
@@ -184,13 +183,12 @@ PLACES = _places()
 def test_val_and_residue_match_division(name, seed, residue_first):
     candidates, kind = PLACES[name]
     rng = random.Random(seed)
-    P = rng.choice(candidates)
+    P, K = rng.choice(candidates)
     F = P.field
-    residue_field.cache_clear()
     k = rng.randrange(4)
     g = FqPoly(F, [rng.randrange(F.q) for _ in range(rng.randrange(1, 3 * len(P.coeffs)))])
     f = P ** k * g
-    place = FinitePlace(P)
+    place = FinitePlace(P, K)
     assert type(place.residue_field) is kind
     if f.is_zero():
         assert place.val(f) == POS_INF
@@ -203,7 +201,7 @@ def test_val_and_residue_match_division(name, seed, residue_first):
         assert place.val(f) == v
     for s in levels:
         want = cof % P if s == v else FqPoly.zero(F)
-        assert place.residue_field.lift(place.residue(f, s)) == want
+        assert place.residue(f, s) == place.residue_field.embed(want)
     assert place.val(f) == v
     with pytest.raises(ValueError):
         place.residue(f, v + 1)
@@ -212,7 +210,7 @@ def test_val_and_residue_match_division(name, seed, residue_first):
 def test_tuple_places_are_irreducible():
     for name, (candidates, kind) in PLACES.items():
         if kind is ResidueField:
-            assert all(is_irreducible(P) for P in candidates), name
+            assert all(is_irreducible(P) for P, _ in candidates), name
 
 
 def test_only_poly_names_the_residue_field_classes():
@@ -224,7 +222,7 @@ def test_only_poly_names_the_residue_field_classes():
 
 def test_val_of_zero_is_infinite():
     for candidates, _ in PLACES.values():
-        place = FinitePlace(candidates[0])
+        place = FinitePlace(*candidates[0])
         zero = FqPoly.zero(place.field)
         assert place.val(zero) == POS_INF
         assert place.residue_field.is_zero(place.residue(zero, 5))
