@@ -14,11 +14,11 @@ root-modulus condition.
 
 Both need one signature per place, and nothing more of a place: the place
 counts, the power sums S_m(j) and the Euler factors depend only on how many
-places of each degree have each signature.  ZetaData computes the
-signatures once and keeps that census per degree (a Counter of shared
-Signature values) with the exact Euler factor of the degree, so after the
-place sweep a class-number computation costs one step per distinct
-signature.
+places of each degree have each signature.  ZetaData keeps that census per
+degree (a Counter of shared Signature values) with the exact Euler factor
+of the degree, so a class-number computation costs one step per distinct
+signature once it is taken.  Taking it builds no place: off D the
+signature is the factor type of the reduction (Dedekind-Kummer).
 """
 
 import math
@@ -39,10 +39,12 @@ from .poly import (
     gp_roots,
     poly_gcd,
     tower_fields,
+    tower_roots,
 )
 from .places import FinitePlace, InfinitePlace
 from .models import closed_norm_cubic, minimal_polynomial_fq
-from .signature import element_valuations, infinite_signature, signature_at
+from . import signature
+from .signature import element_valuations, infinite_signature, signature_at, unramified_signature
 from .invariants import genus
 
 
@@ -104,17 +106,18 @@ def _zeta_tuple(sig):
 
 
 class ZetaData:
-    """Signatures of all places up to a degree bound, and their census per degree.
+    """The census of signatures per degree, and the rows of the places behind it.
 
-    finite(d) holds one (P, SignatureResult) row per place of degree d;
-    the places get their residue fields from the tower the enumeration
-    recorded (poly.tower_fields).  The class numbers read the census
-    instead: census(d) counts the places of degree d per signature (shared
-    values, Signature.shared), and the places of one degree fall into a
-    handful of classes.  place_count, S and the Euler factor of estimate_h
-    then cost one step per distinct signature, and the exact Euler factor
-    of each degree is kept, so the estimates for lambda = 1, ..., g and the
-    sides of eq. (3.10) for n = 1, ..., g walk no place twice.
+    census(d) counts the places of degree d per signature (shared values,
+    Signature.shared); place_count, S and the Euler factor of estimate_h
+    cost one step per distinct signature, and the exact Euler factor of
+    each degree is kept, so the estimates for lambda = 1, ..., g and the
+    sides of eq. (3.10) for n = 1, ..., g walk no place twice.  The census
+    builds no place: at a place P that does not divide D it takes the
+    factor type of the reduction from the residues of the coefficients
+    (signature.unramified_signature), and only the places over D go
+    through signature_at.  finite(d) holds one (P, SignatureResult) row
+    per place, from signature_at, for the callers that read rows.
     """
 
     def __init__(self, model):
@@ -134,26 +137,68 @@ class ZetaData:
             ]
         return rows
 
-    def require_finite(self, degree):
-        rows = self.finite(degree)
-        for P, res in rows:
-            if not res.known:
-                raise UnknownSignature(
-                    res.unknown_reason or "unknown",
-                    "signature of P = %s unresolved (needed to degree %d)" % (P, degree),
-                )
-        return rows
-
     def census(self, degree):
         """Counter: signature -> number of places of this degree with it.
 
-        Raises UnknownSignature like require_finite while a place of the
-        degree is undecided.
+        Raises UnknownSignature at the first place of the degree whose
+        signature is undecided.  Under signature.SELF_CHECK the signature
+        of every place is compared with its row in finite(degree).
         """
         counts = self._census.get(degree)
         if counts is None:
-            counts = self._census[degree] = Counter(res.signature for _, res in self.require_finite(degree))
+            sigs = self._signatures(degree)
+            if signature.SELF_CHECK:
+                sigs = list(sigs)
+                rows = self.finite(degree)
+                for sig, (P, res) in zip(sigs, rows):
+                    if sig != res.signature:
+                        raise InternalFault("census/row mismatch at %s: %s != %s" % (P, sig, res.signature))
+            counts = self._census[degree] = Counter(sigs)
         return counts
+
+    def _signatures(self, degree):
+        """The signature of each place of the degree, in the order of tower_fields.
+
+        The residues a, b (, c) of the coefficients are Horner evaluations
+        at alpha, and the residue of D follows from them by the formula of
+        D (evaluation at alpha is a ring map).  Where it is nonzero, P does
+        not divide D.  The places over D, and every place of a degree
+        without a tower, take signature_at.  (A quartic in characteristic 3
+        has no census: ZetaData's infinite signature raises for it.)
+        """
+        model, F = self.model, self.field
+        places, K, alphas = tower_roots(F, degree)
+        if K is None:
+            for P in places:
+                yield self._dispatch(P, None, degree)
+            return
+        E, emb = K.E, K._emb
+        horner, add, sub, mul = E.horner, E.add, E.sub, E.mul
+        four, t16, t27, t144 = (K.from_base(F.from_int(n)) for n in (4, 16, 27, 144))
+        A, B = model.A.coeffs, model.B.coeffs
+        C = model.C.coeffs if model.degree == 4 else None
+        for P, x in zip(places, alphas):
+            a, b = horner(A, x, emb), horner(B, x, emb)
+            d = sub(mul(four, mul(a, mul(a, a))), mul(t27, mul(b, b)))  # 4a^3 - 27b^2, the cubic D
+            c = None
+            if C is not None:
+                c = horner(C, x, emb)
+                s = sub(mul(a, a), mul(four, c))
+                # quartic_disc's first form: 16 c (a^2 - 4c)^2 + b^2 (4a^3 - 27b^2 - 144ac)
+                d = add(mul(t16, mul(c, mul(s, s))), mul(mul(b, b), sub(d, mul(t144, mul(a, c)))))
+            if d:
+                yield unramified_signature(K, a, b, c)
+            else:
+                yield self._dispatch(P, K.sibling(P, x), degree)
+
+    def _dispatch(self, P, K, degree):
+        res = signature_at(self.model, FinitePlace(P, K))
+        if not res.known:
+            raise UnknownSignature(
+                res.unknown_reason or "unknown",
+                "signature of P = %s unresolved (needed to degree %d)" % (P, degree),
+            )
+        return res.signature
 
     def S(self, m, j):
         """S_m(j) = sum over deg P = m of the tuple power sums at exponent j."""

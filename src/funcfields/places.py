@@ -13,10 +13,11 @@ square mod P" test and every "sgn(A) is a square" test is the same call.
 
 A finite place's residue field is F_q or F_{q^d} = GF(p, k d) with the
 residue map f -> f(alpha) at degree 1 and in the sweeps over all places
-of one degree (ZetaData.finite, the places command, the residue tests of
-the divisor search), because the class-number and zeta computations spend
-their time in one signature per place there; a sweep takes its towers
-from the enumeration (poly.tower_fields) and hands each place its field.
+of one degree (the rows of ZetaData.finite, the places command, the
+residue tests of the divisor search); a sweep takes its towers from the
+enumeration (poly.tower_fields) and hands each place its field.  The
+class-number census walks the same towers without building places, and
+builds one only at a place over D.
 Every other place asks poly.residue_field(P), a cache keyed by P, on
 first use, and gets coefficient tuples mod P when deg P >= 2.  Either
 kind gives the residue of f as K.embed(f), and the two agree through

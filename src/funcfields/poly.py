@@ -40,7 +40,10 @@ the residue map f -> f(alpha), so every operation of the Kummer factor
 types that dominate class-number work is a table lookup, and a residue
 f(alpha) is one call of E's Horner kernel (fq.FqField.horner: plain ints
 mod p, or logarithms with Zech additions, so one step is a few list
-lookups).  residue_field(P), cached by P, serves every other caller: the
+lookups).  tower_roots(F, d), which tower_fields reads, gives the places,
+the field of the first and the roots: the class-number census evaluates
+at the roots and copies a field only for a place over D.
+residue_field(P), cached by P, serves every other caller: the
 degree-1 TowerResidueField (E = F_q, alpha = -P(0)) at deg P = 1, and
 otherwise the tuple ResidueField, whose few operations at a place over D
 would not repay building E.  Its residues are the coefficient tuples of
@@ -61,7 +64,7 @@ protocol only, so no other module names either class.
 import random
 import re
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 from .fq import GF, TABLE_MAX_ORDER, FqField, _fp_trim, _prime_factors, digits, fp_divmod, fp_gcd, fp_mul, tonelli_shanks
 
@@ -769,8 +772,11 @@ class ResidueField:
         return tonelli_shanks(self, a, self._first_nonsquare)
 
     def _first_nonsquare(self):
+        """The first non-square of iter_elements.  At even deg P, F_q lies in
+        the squares of k(P), so the scan starts after the q constants, at x."""
         if self._nonsquare is None:
-            self._nonsquare = next(e for e in self.iter_elements() if e and not self.is_square(e))
+            elems = islice(self.iter_elements(), 0 if self.deg % 2 else self.base.q, None)
+            self._nonsquare = next(e for e in elems if e and not self.is_square(e))
         return self._nonsquare
 
     def iter_elements(self):
@@ -855,15 +861,13 @@ def residue_field(P):
     return ResidueField(P)
 
 
-def tower_fields(F, d):
-    """[(P, k(P))] over monic_irreducibles(F, d), from the tower the enumeration recorded.
+def tower_roots(F, d):
+    """(monic_irreducibles(F, d), k(P) of the first place, the root alpha of each place).
 
     The one source of TowerResidueFields of degree d >= 2.  E = F_q with
     alpha = -P(0) for d = 1; otherwise E, its embedding of F_q and the
-    roots come from _TOWERS, read once.  Every field is a sibling of the
-    first, and no place is hashed or looked up through residue_field's
-    cache.  Where (F, d) has no tower (q^d above fq.TABLE_MAX_ORDER) k(P)
-    is None, and the place asks residue_field for its field.
+    roots come from _TOWERS, read once.  Where (F, d) has no tower (q^d
+    above fq.TABLE_MAX_ORDER) the field and the roots are None.
     """
     places = monic_irreducibles(F, d)
     if d == 1:
@@ -872,10 +876,22 @@ def tower_fields(F, d):
     else:
         tower = _TOWERS.get((F, d))
         if tower is None:
-            return [(P, None) for P in places]
+            return places, None, None
         E, emb, roots = tower
         alphas = [roots[P.coeffs] for P in places]
-    first = TowerResidueField(places[0], E, emb, alphas[0])
+    return places, TowerResidueField(places[0], E, emb, alphas[0]), alphas
+
+
+def tower_fields(F, d):
+    """[(P, k(P))] over monic_irreducibles(F, d), from tower_roots.
+
+    Every field is a sibling of the first, and no place is hashed or looked
+    up through residue_field's cache.  Where (F, d) has no tower k(P) is
+    None, and the place asks residue_field for its field.
+    """
+    places, first, alphas = tower_roots(F, d)
+    if first is None:
+        return [(P, None) for P in places]
     return [(P, first.sibling(P, alpha)) for P, alpha in zip(places, alphas)]
 
 

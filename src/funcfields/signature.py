@@ -183,8 +183,12 @@ def kummer_signature(reduction, K, n):
     d = gp_derivative(K, f)
     if not d or len(gp_gcd(K, f, d)) > 1:
         return None
-    degs = gp_factor_degrees(K, f)
-    return Signature.shared(tuple((1, d_) for d_ in degs), n)
+    return _factor_type(K, f)
+
+
+def _factor_type(K, red):
+    """The Signature of the factor degrees of a squarefree monic reduction over K."""
+    return Signature.shared(tuple((1, d) for d in gp_factor_degrees(K, red)), len(red) - 1)
 
 
 def _finish(place, sig_flat_or_pairs, n, method, trace, reduction=None, K=None):
@@ -205,9 +209,7 @@ def _finish(place, sig_flat_or_pairs, n, method, trace, reduction=None, K=None):
 
 def _squarefree_kummer(place, trace, red, K):
     """Kummer result of a degree-n reduction that its case proves squarefree: its factor degrees."""
-    n = len(red) - 1
-    sig = Signature.shared(tuple((1, d) for d in gp_factor_degrees(K, red)), n)
-    return _finish(place, sig, n, "Kummer", trace, red, K)
+    return _finish(place, _factor_type(K, red), len(red) - 1, "Kummer", trace, red, K)
 
 
 def _unknown(place, reason, trace):
@@ -267,13 +269,9 @@ def signature_cubic(model, place, _depth=0):
             return _cubic_iteration(model, place, trace, _depth)
         b = place.residue(B, int(u0))
         red = [b, K.zero, K.zero, K.one]  # T^3 + Bbar
-        cube = K.is_cube(K.neg(b))
-        trace.append("3u1>2u0, 3|u0: reduction T^3 + Bbar, -Bbar cube=%s" % cube)
-        if not cube:
-            return _finish(place, (1, 3), 3, "Kummer", trace, red, K)
-        if (K.order - 1) % 3 == 0:
-            return _finish(place, (1, 1, 1, 1, 1, 1), 3, "Kummer", trace, red, K)
-        return _finish(place, (1, 1, 1, 2), 3, "Kummer", trace, red, K)
+        sig = _cube_type(K, b)
+        trace.append("3u1>2u0, 3|u0: reduction T^3 + Bbar, -Bbar cube=%s" % (sig != (1, 3)))
+        return _finish(place, sig, 3, "Kummer", trace, red, K)
 
     # 3u1 == 2u0
     u1 = int(u1)
@@ -309,6 +307,23 @@ def signature_cubic(model, place, _depth=0):
     return _finish(place, sig, 3, "TransformChain", trace, red, K)
 
 
+def _int(K, n):
+    """The image of the integer n in K."""
+    return K.from_base(K.base.from_int(n))
+
+
+def _cube_type(K, b):
+    """Flat signature of the factor type of T^3 + b over K, b != 0, char K != 3.
+
+    -b a non-cube gives (3).  A cube root r of -b gives the roots r times
+    the cube roots of unity: three of them in K when |K| = 1 mod 3, else
+    only r, and the quotient is an irreducible quadratic.
+    """
+    if not K.is_cube(K.neg(b)):
+        return (1, 3)
+    return (1, 1, 1, 1, 1, 1) if K.order % 3 == 1 else (1, 1, 1, 2)
+
+
 def _depressed_cubic_type(K, a, b):
     """Flat signature of the factor type of T^3 - a T + b over K, or None.
 
@@ -323,20 +338,55 @@ def _depressed_cubic_type(K, a, b):
     so either square root gives the same answer, and when one is 0 (a = 0)
     the other, -b, is used.
     """
-    def c(n):
-        return K.from_base(K.base.from_int(n))
-
-    disc = K.sub(K.mul(c(4), K.pow(a, 3)), K.mul(c(27), K.mul(b, b)))
+    disc = K.sub(K.mul(_int(K, 4), K.pow(a, 3)), K.mul(_int(K, 27), K.mul(b, b)))
     if K.is_zero(disc):
         return None
     if not K.is_square(disc):
         return (1, 1, 1, 2)
-    s = K.any_sqrt(K.mul(K.neg(disc), K.inv(c(108))))
-    half_b = K.mul(b, K.inv(c(2)))
+    s = K.any_sqrt(K.mul(K.neg(disc), K.inv(_int(K, 108))))
+    half_b = K.mul(b, K.inv(_int(K, 2)))
     u3 = K.sub(s, half_b)
     if K.is_zero(u3):
         u3 = K.neg(b)
     return (1, 1, 1, 1, 1, 1) if K.is_cube(u3) else (1, 3)
+
+
+def _biquadratic_type(K, a, c):
+    """Flat signature of the factor type of squarefree T^4 - a T^2 + c over K, char K odd.
+
+    It is (T^2 - r)(T^2 - r') with r, r' = (a +- sqrt s)/2, s = a^2 - 4c.
+    When s is a square, r and r' lie in K and T^2 - r splits exactly when
+    r is a square.  Otherwise r lies in the quadratic extension L of K,
+    and the roots +-sqrt r, +-sqrt r' lie in L, as two quadratic factors,
+    exactly when r is a square in L, i.e. when its norm r r' = c is a
+    square in K; else they generate the quartic extension.
+    """
+    root = K.any_sqrt(K.sub(K.mul(a, a), K.mul(_int(K, 4), c)))
+    if root is None:
+        return (1, 2, 1, 2) if K.is_square(c) else (1, 4)
+    half = K.inv(_int(K, 2))
+    split = K.is_square(K.mul(K.add(a, root), half)) + K.is_square(K.mul(K.sub(a, root), half))
+    return ((1, 2, 1, 2), (1, 1, 1, 1, 1, 2), (1, 1, 1, 1, 1, 1, 1, 1))[split]
+
+
+def unramified_signature(K, a, b, c=None):
+    """Signature at a place P that does not divide D, from the residues of the coefficients.
+
+    By Dedekind-Kummer it is the factor type of the reduction over K = k(P),
+    T^3 - a T + b (c None) or T^4 - a T^2 - b T + c, squarefree as P does
+    not divide D.  Closed forms decide T^3 + b, T^3 - a T + b for
+    char K >= 5 and |K| = 1 mod 3, and T^4 - a T^2 + c (odd
+    characteristic); every other reduction is factored.
+    """
+    if c is None:
+        if K.is_zero(a):
+            return Signature.from_flat(_cube_type(K, b), 3)
+        if K.char >= 5 and K.order % 3 == 1:
+            return Signature.from_flat(_depressed_cubic_type(K, a, b), 3)
+        return _factor_type(K, [b, K.neg(a), K.zero, K.one])
+    if K.is_zero(b):
+        return Signature.from_flat(_biquadratic_type(K, a, c), 4)
+    return _factor_type(K, [c, K.neg(b), K.neg(a), K.zero, K.one])
 
 
 def _max_finite_degree(*polys):

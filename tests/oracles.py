@@ -3,7 +3,8 @@
 Each restates a count, a definition or an identity directly: the necklace
 count of monic irreducibles, distinct-degree factoring by repeated powers,
 a factorization multiplied out, Tr(alpha) as a fraction, the local Euler
-factor of a zeta tuple, h' = h f / R and the valuation sum over the places
+factor of a zeta tuple, the rows of a ZetaData degree with every
+signature decided, h' = h f / R and the valuation sum over the places
 above P.  The tests compare the package's
 own paths with them; no command needs them, so they live here.
 """
@@ -17,6 +18,7 @@ from funcfields import (
     InfinitePlace,
     InternalFault,
     RationalFunction,
+    UnknownSignature,
     newton_slopes,
     signature_at,
 )
@@ -149,6 +151,18 @@ def local_factor(tup, q, m):
     for f in tup.degrees:
         den *= 1 - u ** f
     return num / den
+
+
+def require_finite(zeta, degree):
+    """zeta.finite(degree), raising UnknownSignature at its first undecided row."""
+    rows = zeta.finite(degree)
+    for P, res in rows:
+        if not res.known:
+            raise UnknownSignature(
+                res.unknown_reason or "unknown",
+                "signature of P = %s unresolved (needed to degree %d)" % (P, degree),
+            )
+    return rows
 
 
 def h_prime(h, R, f):

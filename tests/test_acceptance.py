@@ -38,6 +38,7 @@ from funcfields.integral_basis import IntegralBasis
 from funcfields.models import OrderElement
 from funcfields.poly import HypothesisRefused, UnknownSignature, is_squarefree, tower_fields
 from funcfields.units import construct_rank1, construct_rank2, regulator
+from oracles import require_finite
 
 
 def _rand_poly(rng, F, max_deg, nonzero=False):
@@ -233,7 +234,7 @@ def interval_corpus():
                     continue
                 zd = ZetaData(model)
                 for d in range(1, 5):
-                    zd.require_finite(d)
+                    require_finite(zd, d)
                 oracle = exact_h(model, zeta=zd, genus_value=g)
             except (HypothesisRefused, UnknownSignature):
                 continue

@@ -388,6 +388,16 @@ def test_tuple_square_test_matches_euler(pk):
                 assert K.is_square(a) == (not a or K.pow(a, (K.order - 1) // 2) == K.one), (cs, a)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_first_nonsquare_matches_the_full_scan(d):
+    # at even degree the scan skips the constants, which are all squares there
+    F = GF(7)
+    K = ResidueField(monic_irreducibles(F, d)[2])
+    full = next(e for e in K.iter_elements() if e and not K.is_square(e))
+    assert K._first_nonsquare() == full
+    assert (len(full) > 1) == (d % 2 == 0)
+
+
 def test_residue_square_mod_P_squared_with_witness():
     # in characteristic 2 the squares are the p-th powers: 1 + x^3 = 1 mod
     # x^2 is a square there (w = 1), 1 + x is not

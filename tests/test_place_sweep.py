@@ -7,12 +7,15 @@
 - Signature.from_flat and Signature.shared hand out one instance per
   value, and a flat signature that breaks the fundamental identity raises
   every time it is asked for.
-- ZetaData's census against the per-place sums it replaced, for
-  place_count, S and the Eprime of estimate_h, on the demo models and on
-  one extension-field model per characteristic.
+- ZetaData's census against the rows of finite(d) and the per-place sums
+  it replaced, for place_count, S and the Eprime of estimate_h, on the demo
+  models, one extension-field model per characteristic and one model per
+  branch of the census's factor types; with a degree's tower dropped, every
+  place takes signature_at; and exact_h dispatches only the places over D.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,13 +29,17 @@ from funcfields import (
     Signature,
     ZetaData,
     estimate_h,
+    exact_h,
     genus,
     monic_irreducibles,
     parse_poly,
     zeta_tuple_for_signature,
 )
-from funcfields.poly import InternalFault, TowerResidueField, tower_fields
-from oracles import local_factor
+import funcfields.class_number as class_number_module
+import funcfields.signature as signature_module
+from funcfields import poly
+from funcfields.poly import InternalFault, TowerResidueField, UnknownSignature, tower_fields
+from oracles import local_factor, require_finite
 
 
 def horner_reference(E, coeffs, x, emb=None):
@@ -148,6 +155,19 @@ def _census_models():
                            ((5, 2), ([8, 23], [18, 3, 10]))):
         F = GF(p, k)
         out["cubic over GF(%d)" % F.q] = CubicModel(FqPoly(F, coeffs[0]), FqPoly(F, coeffs[1]))
+    # one model per branch of the census's factor types, by encodings: the
+    # cube test at |E| = 1 and 2 mod 3 (GF(8) at odd degree), factoring in
+    # characteristic 2 and 3, a quartic with B != 0, T^4 - a T^2 + c
+    for name, (p, k), coeffs in (
+        ("pure cubic over GF(11)", (11, 1), ([], [6, 6, 0, 5])),
+        ("pure cubic over GF(8)", (2, 3), ([], [6, 6, 0, 4, 5])),
+        ("cubic over GF(4), A nonconstant", (2, 2), ([3, 2], [0, 2, 3, 3, 2])),
+        ("cubic over GF(9), g = 2", (3, 2), ([0, 7, 5, 5], [7, 0, 7])),
+        ("quartic over GF(13)", (13, 1), ([2, 5], [2, 2], [9, 12, 5])),
+        ("biquadratic over GF(25)", (5, 2), ([12, 14], [], [1, 8, 17])),
+    ):
+        F = GF(p, k)
+        out[name] = (CubicModel if len(coeffs) == 2 else QuarticModel)(*(FqPoly(F, cs) for cs in coeffs))
     return out
 
 
@@ -158,13 +178,13 @@ def _reference_place_count(zeta, m):
     count = list(zeta.infinite.require().relative_degrees()).count(m)
     for d in range(1, m + 1):
         if m % d == 0:
-            for _, res in zeta.require_finite(d):
+            for _, res in require_finite(zeta, d):
                 count += list(res.signature.relative_degrees()).count(m // d)
     return count
 
 
 def _reference_S(zeta, m, j):
-    return sum(zeta_tuple_for_signature(res.signature).power_sum(j) for _, res in zeta.require_finite(m))
+    return sum(zeta_tuple_for_signature(res.signature).power_sum(j) for _, res in require_finite(zeta, m))
 
 
 def _reference_Eprime(model, zeta, lam, g):
@@ -175,7 +195,7 @@ def _reference_Eprime(model, zeta, lam, g):
         den *= 1 - u ** f
     E = Fraction(q) ** g * (1 - u) / den
     for m in range(1, lam + 1):
-        for _, res in zeta.require_finite(m):
+        for _, res in require_finite(zeta, m):
             E *= local_factor(zeta_tuple_for_signature(res.signature), q, m)
     return E
 
@@ -187,9 +207,50 @@ def test_census_matches_per_place_sums(name):
     assert 1 <= g <= 3
     zeta = ZetaData(model)
     for m in range(1, g + 1):
-        assert sum(zeta.census(m).values()) == len(zeta.finite(m))
+        assert zeta.census(m) == Counter(res.signature for _, res in zeta.finite(m))
         assert zeta.place_count(m) == _reference_place_count(zeta, m)
         for j in range(1, 13):
             assert zeta.S(m, j) == _reference_S(zeta, m, j)
         est = estimate_h(model, m, zeta=zeta, genus_value=g)
         assert est.Eprime == _reference_Eprime(model, zeta, m, g)
+
+
+# quartics whose degree-1 rows hold an Unknown at a place over D where B is a unit
+UNDECIDED = {"GF(7)": (7, ([0, 1, 1], [3, 2], [4, 0, 5])), "GF(13)": (13, ([0, 2, 2], [7, 4], [8, 1, 10]))}
+
+
+@pytest.mark.parametrize("name", sorted(UNDECIDED))
+def test_census_raises_at_the_first_undecided_place(name):
+    q, coeffs = UNDECIDED[name]
+    zeta = ZetaData(QuarticModel(*(FqPoly(GF(q), cs) for cs in coeffs)))
+    with pytest.raises(UnknownSignature) as census:
+        zeta.census(1)
+    with pytest.raises(UnknownSignature) as rows:
+        require_finite(zeta, 1)
+    assert str(census.value) == str(rows.value)
+
+
+def test_census_without_a_tower_dispatches_every_place(monkeypatch):
+    model = CENSUS_MODELS["cubic over GF(9), g = 2"]
+    want = ZetaData(model).census(2)
+    monkeypatch.delitem(poly._TOWERS, (model.field, 2))
+    assert all(K is None for _, K in tower_fields(model.field, 2))
+    zeta = ZetaData(model)
+    assert zeta.census(2) == want == Counter(res.signature for _, res in zeta.finite(2))
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_MODELS))
+def test_class_numbers_dispatch_only_the_places_over_D(name, monkeypatch):
+    """exact_h reaches signature_at at the places P | D alone; the others are factor types."""
+    model = CENSUS_MODELS[name]
+    places, signature_at = [], class_number_module.signature_at
+
+    def counted(model_, place):
+        places.append(place)
+        return signature_at(model_, place)
+
+    monkeypatch.setattr(signature_module, "SELF_CHECK", False)  # it would build finite(d) too
+    monkeypatch.setattr(class_number_module, "signature_at", counted)
+    exact_h(model)
+    D = model.discriminant()
+    assert all((D % place.P).is_zero() for place in places)

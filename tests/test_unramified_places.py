@@ -2,6 +2,9 @@
 
 - The closed-form factor type of T^3 - a T + b (Stickelberger's parity and
   Cardano's cube test) against gp_factor_degrees on random (a, b).
+- unramified_signature, the census's factor type at a place off D, against
+  kummer_signature on random squarefree cubic and quartic reductions over
+  towers of characteristic 2, 3, 5, 7 and 11.
 - signature_at at every place up to degree 3 of the demo cubic and of one
   non-pure cubic per field of characteristic >= 5 of the class-number
   corpus, against kummer_signature on the place's reduction.
@@ -19,7 +22,7 @@ import funcfields
 import funcfields.signature as signature_module
 from funcfields import GF, CubicModel, FinitePlace, FqPoly, kummer_signature, monic_irreducibles, parse_poly
 from funcfields.poly import POS_INF, ResidueField, TowerResidueField, gp_factor_degrees, tower_fields
-from funcfields.signature import _depressed_cubic_type, signature_at
+from funcfields.signature import _depressed_cubic_type, signature_at, unramified_signature
 from oracles import is_irreducible
 
 GENERIC_LINE = "3u1=2u0, disc at generic level: Kummer on T^3 - Abar T + Bbar"
@@ -79,6 +82,37 @@ def test_closed_cubic_type_exhaustive_small_field():
                 assert got == _flat_type(K, a, b)
                 seen.add(got)
     assert seen == {(1, 1, 1, 1, 1, 1), (1, 1, 1, 2), (1, 3)}
+
+
+# towers of degree >= 2, characteristics 2, 3, 5, 7 and 11; |E| = 1 mod 3
+# over GF(7)/2 and GF(2)/4, 2 mod 3 over GF(11)/3 and GF(5)/2
+UNRAMIFIED_TOWERS = {"GF(7)/2": (7, 2), "GF(11)/3": (11, 3), "GF(2)/4": (2, 4), "GF(3)/3": (3, 3),
+                     "GF(5)/2": (5, 2)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(UNRAMIFIED_TOWERS)), st.integers(0, 10 ** 9))
+def test_unramified_signature_matches_kummer(name, seed):
+    """The census's factor types against factoring, on squarefree T^3 - a T + b and T^4 - a T^2 - b T + c."""
+    p, d = UNRAMIFIED_TOWERS[name]
+    rng = random.Random(seed)
+    F = GF(p)
+    K = _tower(F, d, rng.randrange(len(monic_irreducibles(F, d))))
+
+    def draw():
+        return K.zero if rng.random() < 0.3 else K.from_rand(rng)
+
+    a, b, c = draw(), draw(), draw()
+    quartic = p > 2 and rng.random() < 0.5
+    if quartic:
+        if rng.random() < 0.6:
+            b = K.zero  # T^4 - a T^2 + c
+        red, args = [c, K.neg(b), K.neg(a), K.zero, K.one], (a, b, c)
+    else:
+        red, args = [b, K.neg(a), K.zero, K.one], (a, b)
+    want = kummer_signature(red, K, len(red) - 1)
+    if want is not None:  # squarefree
+        assert unramified_signature(K, *args) is want
 
 
 def _cubic(pk, A, B):
