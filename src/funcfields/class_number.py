@@ -253,6 +253,8 @@ def check_place_budget(q, d, name):
 
     q^d is not formed: d is compared with the largest e with q^e <= PLACE_BUDGET.
     """
+    if d < 0:
+        raise ValueError("the %s bound %d is negative" % (name, d))
     e, qe = 0, q
     while qe <= PLACE_BUDGET:
         e, qe = e + 1, qe * q
@@ -510,6 +512,8 @@ class ExactClassNumber:
 
 def exact_h(model, zeta=None, genus_value=None, max_genus=8):
     """L-polynomial and h = L(1) from place counts up to degree g."""
+    if max_genus < 0:
+        raise ValueError("the genus budget %d is negative" % max_genus)
     if zeta is None:
         zeta = ZetaData(model)
     q = model.field.q

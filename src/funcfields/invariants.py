@@ -4,11 +4,15 @@ The model discriminant D and the field discriminant Delta are tied by
 D = I^2 Delta with I = ind(y).  For tame places (always, in characteristic
 at least 5) v_P(Delta) is the ramification defect of the P-signature; wild
 cubic places in characteristic 2 and 3 use one case table instead, and
-the quartic leftover cases fall back to parity rules on v_P(D).
+the quartic leftover cases fall back to parity rules on v_P(D).  The genus
+needs only deg Delta: without a report it comes from the squarefree
+decomposition of D, where a part of multiplicity 1 adds its degree and
+only the places with v_P(D) >= 2 are factored and signed.
 """
 
 from dataclasses import dataclass, field as dc_field
 
+from . import signature
 from .poly import (
     FqPoly,
     HypothesisRefused,
@@ -19,6 +23,7 @@ from .poly import (
     gp_divmod,
     gp_gcd,
     gp_trim,
+    irreducible_factors,
     pth_power_witness,
     squarefree_decomposition,
 )
@@ -197,10 +202,7 @@ class DiscriminantReport:
 
     def require_complete(self):
         if not self.complete:
-            raise UnknownSignature(
-                "partial-discriminant",
-                "unresolved places: %s" % ", ".join(str(p) for p in self.unknown_places),
-            )
+            raise _unresolved(self.unknown_places)
         return self
 
     def to_json(self):
@@ -223,6 +225,26 @@ class DiscriminantReport:
         }
 
 
+def _unresolved(places):
+    return UnknownSignature("partial-discriminant", "unresolved places: %s" % ", ".join(map(str, places)))
+
+
+def _place_valuations(model, P, vD, wild):
+    """(v_P(Delta), v_P(I), P-signature) where v_P(D) = vD > 0; raises where the
+    place is undecided, and InternalFault when v_P(D) != 2 v_P(I) + v_P(Delta)."""
+    place = FinitePlace(P)
+    sig_res = signature_at(model, place)
+    if wild:
+        vDelta, vI = _disc_val_cubic_wild(model, place, sig_res)
+    else:
+        valuation = disc_valuation_cubic if model.degree == 3 else disc_valuation_quartic
+        vDelta = valuation(model, place, sig_res)
+        vI = (vD - vDelta) // 2
+    if vD != 2 * vI + vDelta:
+        raise InternalFault("v_P(D) = %d but 2 v_P(I) + v_P(Delta) = %d at P = %s" % (vD, 2 * vI + vDelta, P))
+    return vDelta, vI, sig_res
+
+
 def field_discriminant(model):
     """Delta and I = ind(y) from the per-place case analysis; may be partial."""
     F = model.field
@@ -236,22 +258,11 @@ def field_discriminant(model):
     Delta = FqPoly.one(F)
     index = FqPoly.one(F)
     for P, vD in factorize(D):
-        place = FinitePlace(P)
         try:
-            sig_res = signature_at(model, place)
-            if wild:
-                vDelta, vI = _disc_val_cubic_wild(model, place, sig_res)
-            else:
-                valuation = disc_valuation_cubic if model.degree == 3 else disc_valuation_quartic
-                vDelta = valuation(model, place, sig_res)
-                vI = (vD - vDelta) // 2
+            vDelta, vI, sig_res = _place_valuations(model, P, vD, wild)
         except (UnknownSignature, HypothesisRefused):
             unknown.append(P)
             continue
-        if vD != 2 * vI + vDelta:
-            raise InternalFault(
-                "v_P(D) = %d but 2 v_P(I) + v_P(Delta) = %d at P = %s" % (vD, 2 * vI + vDelta, P)
-            )
         rows.append(PlaceRow(P, vD, vI, vDelta, sig_res,
                              tame=bool(sig_res.known and sig_res.signature.is_tame(p))))
         Delta = Delta * P ** vDelta
@@ -276,11 +287,44 @@ class GenusReport:
         }
 
 
-def genus(model, report=None, infinite=None):
-    """Hurwitz genus from deg(Delta) and the infinite ramification defect."""
-    if report is None:
+def _delta_degree(model):
+    """deg Delta from the squarefree decomposition of D, with field_discriminant's checks.
+
+    Where v_P(D) = 1, D = I^2 Delta gives v_P(Delta) = 1, so that part adds
+    its degree unfactored; only the places with v_P(D) >= 2 are signed.  Under
+    signature.SELF_CHECK the degree and the unresolved places are field_discriminant's.
+    """
+    wild = model.degree == 3 and model.field.p < 5
+    if wild:
+        _check_wild_hypotheses(model)
+    n, unknown = 0, []
+    for vD, part in squarefree_decomposition(model.discriminant()):
+        if vD == 1:
+            n += part.degree
+            continue
+        for P in irreducible_factors(part):
+            try:
+                n += P.degree * _place_valuations(model, P, vD, wild)[0]
+            except (UnknownSignature, HypothesisRefused):
+                unknown.append(P)
+    unknown.sort(key=FqPoly.sort_key)
+    if signature.SELF_CHECK:
         report = field_discriminant(model)
-    report.require_complete()
+        if unknown != report.unknown_places or (not unknown and n != report.Delta.degree):
+            raise InternalFault("deg Delta = %d, unresolved %s from the squarefull part of D; %d, %s from the ledger"
+                                % (n, unknown, report.Delta.degree, report.unknown_places))
+    if unknown:
+        raise _unresolved(unknown)
+    return n
+
+
+def genus(model, report=None, infinite=None):
+    """Hurwitz genus from deg(Delta) and the infinite ramification defect.
+
+    Without a report deg Delta comes from _delta_degree, which factors D only
+    where v_P(D) >= 2.
+    """
+    disc_degree = _delta_degree(model) if report is None else report.require_complete().Delta.degree
     if infinite is None:
         infinite = infinite_signature(model)
     sig = infinite.require()
@@ -290,7 +334,7 @@ def genus(model, report=None, infinite=None):
         # need the true different degree, which the tables do not provide
         raise UnknownSignature("wild-infinite-place", "genus needs a tame infinite place")
     d_inf = sig.ramification_defect()
-    num = report.Delta.degree + d_inf - 2 * model.degree
+    num = disc_degree + d_inf - 2 * model.degree
     if num % 2:
         raise InternalFault("Hurwitz numerator is odd")
     g = num // 2 + 1
@@ -300,7 +344,7 @@ def genus(model, report=None, infinite=None):
         raise HypothesisRefused(
             "constant-field", "Hurwitz genus is negative; constants must extend F_q"
         )
-    return GenusReport(genus=g, delta_infinity=d_inf, disc_degree=int(report.Delta.degree))
+    return GenusReport(genus=g, delta_infinity=d_inf, disc_degree=int(disc_degree))
 
 
 def unit_rank(model, infinite=None):

@@ -953,17 +953,20 @@ def factorize(f):
     """Complete factorization of nonzero f over F_q; a constant has no factors."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    F = f.field
     unit = f.sgn
     if f.degree < 1:
         return Factorization(unit, [])
     rng = random.Random(0)
-    factors = []
-    for mult, part in squarefree_decomposition(f):
-        for d, g in gp_distinct_degree(F, list(part.monic().coeffs)):
-            for piece in gp_equal_degree_split(F, g, d, rng):
-                factors.append((FqPoly(F, piece), mult))
-    return Factorization(unit, factors)
+    return Factorization(unit, [(P, mult) for mult, part in squarefree_decomposition(f)
+                                for P in irreducible_factors(part, rng)])
+
+
+def irreducible_factors(g, rng=None):
+    """The monic irreducible factors of a monic squarefree g, unsorted."""
+    F = g.field
+    rng = rng or random.Random(0)
+    return [FqPoly(F, piece) for d, h in gp_distinct_degree(F, list(g.coeffs))
+            for piece in gp_equal_degree_split(F, h, d, rng)]
 
 
 def is_squarefree(f):

@@ -266,6 +266,26 @@ def test_search_divisor_refuses_a_negative_budget(capsys, budget):
     assert err == "error: the coordinate degree bound %s is negative\n" % budget
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["places", "--cubic", "--q", "7", "--A", "x^2", "--B", "1", "--max-deg", "-1"], "the max-deg bound -1 is negative"),
+    (["hexact", "--pure-B", "x^5+x+1", "--q", "7", "--max-genus", "-1"], "the genus budget -1 is negative"),
+])
+def test_negative_sweep_bounds_are_usage_errors(capsys, argv, message):
+    # places used to print infinity alone and exit 0, hexact to refuse the genus with exit 3
+    code, out, err = _capture(capsys, argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: %s\n" % message
+
+
+def test_zero_sweep_bounds_stay_valid(capsys):
+    code, out, _ = _capture(capsys, ["places", "--cubic", "--q", "7", "--A", "x^2", "--B", "1", "--max-deg", "0"])
+    assert code == EXIT_OK and out == "infinity: (1,1,1,1,1,1)\n"
+    code, out, _ = _capture(capsys, ["hexact", "--pure-B", "x+1", "--q", "7", "--max-genus", "0"])
+    assert code == EXIT_OK and out.startswith("h = 1\n")
+    code, _, err = _capture(capsys, ["hexact", "--pure-B", "x^5+x+1", "--q", "7", "--max-genus", "0"])
+    assert code == EXIT_REFUSED and "genus 3 exceeds the oracle budget 0" in err
+
+
 @pytest.mark.parametrize("p", ["0", "1", "-3", "4"])
 def test_search_divisor_refuses_a_non_prime(capsys, p):
     code, out, err = _capture(

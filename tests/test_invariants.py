@@ -1,10 +1,14 @@
 """Discriminant valuations, field discriminant ledger, genus, unit rank."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import funcfields.invariants as invariants_module
+import funcfields.signature as signature_module
 from funcfields import (
     GF,
     CubicModel,
@@ -278,6 +282,67 @@ def test_genus_refuses_wild_infinite_place():
     m = CubicModel(parse_poly(F2, "x^3"), parse_poly(F2, "x"))  # (1,1,2,1) wild at infinity
     with pytest.raises(UnknownSignature):
         genus(m)
+
+
+# -- genus from the squarefull part of D ---------------------------------------------
+
+# The zeta and ledger corpora of the benchmark (perfbench/workloads.py) on seeds
+# 1, 2 and 20261017: [workload, seed, p, k, coefficient lists of A, B (, C)].
+CORPUS = json.loads((Path(__file__).parent / "data" / "genus_corpus.json").read_text())["models"]
+
+
+def _outcome(run):
+    try:
+        return run()
+    except FuncFieldError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_genus_is_the_ledgers(model):
+    # genus(model) factors and signs only the places with v_P(D) >= 2.  The
+    # ledger decides every place with v_P(D) = 1 as well (a cubic in
+    # characteristic >= 5 has u(A) = u(B) = 0 and an odd offset there, the
+    # quartic falls back on v_P(D) < 2, and a wild cubic has none), so the
+    # two agree in value or in refusal, reason and listed places included.
+    assert _outcome(lambda: genus(model)) == _outcome(lambda: genus(model, field_discriminant(model)))
+
+
+@pytest.mark.parametrize("workload", ["zeta", "ledger"])
+@pytest.mark.parametrize("seed", [1, 2, 20261017])
+def test_genus_from_the_squarefull_part_matches_the_ledger_on_the_corpora(monkeypatch, workload, seed):
+    monkeypatch.setattr(signature_module, "SELF_CHECK", False)  # genus would run the comparison itself
+    rows = [r for r in CORPUS if r[:2] == [workload, seed]]
+    assert len(rows) == (97 if workload == "zeta" else 42)
+    for _, _, p, k, coeffs in rows:
+        F = GF(p, k)
+        polys = [FqPoly(F, cs) for cs in coeffs]
+        _assert_genus_is_the_ledgers(CubicModel(*polys) if len(polys) == 2 else QuarticModel(*polys))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_genus_from_the_squarefull_part_matches_the_ledger_on_square_factors(data):
+    # every coefficient carries S^e, so v_S(D) >= 2; the cofactor of D adds
+    # places of every multiplicity.  Quartics need characteristic >= 5 (in
+    # characteristic 3 their discriminant refuses before any place).
+    p, k = data.draw(st.sampled_from([(2, 2), (3, 2), (7, 1), (13, 1), (5, 2)]))
+    F = GF(p, k)
+
+    def poly(lo, hi, monic=False):
+        low = data.draw(st.lists(st.integers(0, F.q - 1), min_size=lo, max_size=hi))
+        return FqPoly(F, low + [1 if monic else data.draw(st.integers(1, F.q - 1))])
+
+    S, e = poly(1, 2, monic=True), data.draw(st.integers(1, 2))
+    quartic = p >= 5 and data.draw(st.booleans())
+    cofactors = [poly(0, 2), poly(0, 3)] + ([poly(0, 3)] if quartic else [])
+    if not quartic and p != 3 and data.draw(st.booleans()):
+        cofactors[0] = FqPoly.zero(F)  # y^3 = -B
+    coeffs = [S ** e * c for c in cofactors]
+    try:
+        model = QuarticModel(*coeffs) if quartic else CubicModel(*coeffs)
+    except FuncFieldError:
+        return
+    _assert_genus_is_the_ledgers(model)
 
 
 # -- unit rank -----------------------------------------------------------------------
