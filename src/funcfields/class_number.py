@@ -33,11 +33,13 @@ from .poly import (
     HypothesisRefused,
     InternalFault,
     UnknownSignature,
-    factorize,
     gp_derivative,
+    gp_factor_degrees,
     gp_gcd,
     gp_roots,
+    is_squarefree,
     poly_gcd,
+    squarefree_decomposition,
     tower_fields,
     tower_roots,
 )
@@ -603,15 +605,17 @@ def pure_cubic_rhs(model):
 
 
 def divisibility_certificates(model):
-    """Certified divisors of h for models matching the purely cubic shapes."""
+    """Certified divisors of h for models matching the purely cubic shapes.
+
+    Both need B squarefree; only then is r, the number of irreducible
+    factors of B, read from its factor degrees (no equal-degree split)."""
     out = []
     B = pure_cubic_rhs(model)
     if B is None:
         return out
     F = model.field
-    fac = list(factorize(B))
-    squarefree = all(m == 1 for _, m in fac)
-    r = len(fac)
+    squarefree = is_squarefree(B)
+    r = len(gp_factor_degrees(F, list(B.monic().coeffs))) if squarefree else 0
     checks = {
         "B-squarefree": squarefree,
         "3-not-divides-degB": int(B.degree) % 3 != 0,
@@ -740,18 +744,15 @@ def search_h_divisor(model, p, max_coord_degree=1):
 
 
 def _is_pth_power_up_to_unit(f, p):
-    if f.degree == 0:
-        return True
-    if int(f.degree) % p:
-        return False
+    """f is a unit times a p-th power: p divides every multiplicity of its
+    squarefree decomposition (in characteristic p too, by p-th roots).  First
+    p | deg f and deg gcd(f, f') >= (p - 1) deg f / p, necessary for u^p,
+    reject most norms of the divisor search at a fraction of the cost."""
     g = f.monic()
     d = g.derivative()
-    if not d.is_zero():
-        h = poly_gcd(g, d)
-        # a p-th power u^p has gcd(g, g') of degree >= (p-1) deg u
-        if p * int(h.degree) < (p - 1) * int(g.degree):
-            return False
-    return all(m % p == 0 for _, m in factorize(f))
+    if int(f.degree) % p or not d.is_zero() and p * int(poly_gcd(g, d).degree) < (p - 1) * int(g.degree):
+        return False
+    return all(m % p == 0 for m, _ in squarefree_decomposition(f))
 
 
 def _check_witness(model, alpha, nrm, p, inf, single_infinite, d, spent):

@@ -5,9 +5,10 @@ congruences and glued by CRT; the two congruence families are the
 characteristic >= 5 one and the wild one shared by characteristics 2 and
 3.  Quartic: {1, y, y^2, (y^3 + U y^2 + V y + W)/I} for squarefree I, with
 (U, V, W) chosen per place from the case table and verified against the
-full congruence system mod I^2 afterwards.  verify_basis re-checks
-integrality, the discriminant match and the change-of-basis degree from
-scratch.
+full congruence system mod I^2 afterwards.  The places of I and their
+v_P(I) are read off the discriminant report's rows, the places of D that
+field_discriminant signed.  verify_basis re-checks integrality, the
+discriminant match and the change-of-basis degree from scratch.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ from .poly import (
     HypothesisRefused,
     InternalFault,
     crt,
-    factorize,
     gp_roots,
     is_squarefree,
     poly_gcd,
@@ -114,19 +114,19 @@ def _cubic_uv_wild(model, report):
                 raise HypothesisRefused(
                     "signature-%s" % str(wild).replace(" ", ""), "place %s has signature %s" % (row.P, sig)
                 )
-    if not is_squarefree(I):
+    if any(row.vI > 1 for row in report.rows):
         raise InternalFault("index must be squarefree under the stated hypotheses")
     G = poly_gcd(I, c)
     IG = I.exact_div(G)
     parts_r, parts_m = [], []
-    for P, _ in factorize(IG):
-        w = pth_power_witness(c, P)
-        if w is None:
-            raise InternalFault("c must be a p-th power mod P^2 whenever P | I/G")
+    for P in [row.P for row in report.rows if row.vI]:
+        if (c % P).is_zero():  # P | G
+            w = FqPoly.zero(F)
+        else:
+            w = pth_power_witness(c, P)
+            if w is None:
+                raise InternalFault("c must be a p-th power mod P^2 whenever P | I/G")
         parts_r.append(w)
-        parts_m.append(P)
-    for P, _ in factorize(G):
-        parts_r.append(FqPoly.zero(F))
         parts_m.append(P)
     U = crt(parts_r, parts_m) if parts_r else FqPoly.zero(F)
     V = FqPoly.zero(F) if p == 2 else (U * U) % I
@@ -156,7 +156,7 @@ def integral_basis_quartic(model, report=None):
             model.element(zero, zero, zero, one),
         ]
         return IntegralBasis(model, basis, one, {})
-    if not is_squarefree(I):
+    if any(row.vI > 1 for row in report.rows):
         raise HypothesisRefused("index-squarefree", "quartic basis requires squarefree ind(y)")
     A, B, C = model.A, model.B, model.C
     third = F.inv(F.from_int(3))
@@ -164,7 +164,7 @@ def integral_basis_quartic(model, report=None):
     inv2 = F.inv(F.from_int(2))
     parts = {"U": ([], []), "V": ([], []), "W": ([], [])}
     case_used = {}
-    for P, _ in factorize(I):
+    for P in [row.P for row in report.rows if row.vI]:
         if (crit % P).is_zero():
             raise HypothesisRefused(
                 "excluded-case", "v_P(I)=1 with A^2/3 + 4C = 0 mod %s (Lemma case 3)" % P

@@ -25,8 +25,8 @@ from .poly import (
     parse_poly,
     poly_gcd,
     poly_sqrt,
+    squarefree_decomposition,
 )
-from .places import FinitePlace
 
 
 class RationalFunction:
@@ -370,33 +370,32 @@ def model_from_text(text):
 def _standard_form_divisor(*coeffs):
     """Largest monic Q with Q^2 | A, Q^3 | B (and Q^4 | C) for coeffs (A, B[, C]).
 
-    Q = prod P^e over the P dividing every nonzero coefficient, with
-    e = min v_P(f) // k over the nonzero f and weights k = 2, 3, 4.
+    The largest R with R^k | f is the product of the parts g^(m // k) of
+    f's squarefree decomposition (k = 2, 3, 4).  Q is the gcd of these R,
+    started from the gcd of the coefficients, so coprime ones take one
+    pass and no decomposition.
     """
     nonzero = [(f, k) for k, f in enumerate(coeffs, 2) if not f.is_zero()]
     if not nonzero:
         raise FuncFieldError("zero model")
-    basis = nonzero[0][0]
+    out = nonzero[0][0].monic()
     for f, _ in nonzero[1:]:
-        if basis.degree < 1:
+        out = poly_gcd(out, f)
+    for f, k in nonzero:
+        if out.degree < 1:
             break
-        basis = poly_gcd(basis, f)
-    out = FqPoly.one(basis.field)
-    if basis.degree < 1:
-        return out
-    for P, _ in factorize(basis):
-        place = FinitePlace(P)
-        e = min(place.val(f) // k for f, k in nonzero)
-        if e > 0:
-            out = out * P ** e
+        R = FqPoly.one(f.field)
+        for m, g in squarefree_decomposition(f):
+            R = R * g ** (m // k)
+        out = poly_gcd(out, R)
     return out
 
 
 def reduce_coeffs(*coeffs):
     """Divide out the standard-form divisor Q; returns (A / Q^2, B / Q^3[, C / Q^4], Q).
 
-    One division reaches standard form: P^e with e = min v_P(f) // k
-    divides Q exactly, so the quotients leave e = 0 at every P.
+    One division reaches standard form: Q = prod P^e with e = min v_P(f) // k
+    over the nonzero f, so the quotients leave e = 0 at every P.
     """
     q = _standard_form_divisor(*coeffs)
     return tuple(_exact_div_power(f, q, k) for k, f in enumerate(coeffs, 2)) + (q,)

@@ -1128,27 +1128,20 @@ def parse_poly(field, text):
         if t is None:
             raise ValueError("unexpected end of polynomial")
         if t == "x":
-            idx += 1
-            if peek() == "^":
-                idx += 1
-                t2 = peek()
-                if t2 is None or not t2.isdigit():
-                    raise ValueError("exponent expected after ^")
-                idx += 1
-                return FqPoly.x(field) ** int(t2)
-            return FqPoly.x(field)
-        if t.isdigit():
-            idx += 1
+            base = FqPoly.x(field)
+        elif t.isdigit():
             base = FqPoly(field, (field.from_encoding(int(t)),))
-            if peek() == "^":
-                idx += 1
-                t2 = peek()
-                if t2 is None or not t2.isdigit():
-                    raise ValueError("exponent expected after ^")
-                idx += 1
-                return base ** int(t2)
+        else:
+            raise ValueError("unexpected token %r" % t)
+        idx += 1
+        if peek() != "^":
             return base
-        raise ValueError("unexpected token %r" % t)
+        idx += 1
+        t2 = peek()
+        if t2 is None or not t2.isdigit():
+            raise ValueError("exponent expected after ^")
+        idx += 1
+        return base ** int(t2)
 
     def parse_term():
         nonlocal idx

@@ -87,9 +87,11 @@ class UnitCertificate:
         }
 
 
-def _refuse(checks, name, detail=""):
-    checks[name] = False
-    raise HypothesisRefused(name, detail)
+def _require(checks, name, ok, detail=""):
+    """Record hypothesis `name` as held, or refuse with HypothesisRefused(name, detail)."""
+    if not ok:
+        raise HypothesisRefused(name, detail)
+    checks[name] = True
 
 
 def construct_rank1(field, A, a, kappa, variant):
@@ -98,53 +100,34 @@ def construct_rank1(field, A, a, kappa, variant):
     checks = {}
     if variant not in ("Thm245", "Thm246"):
         raise ValueError("variant must be Thm245 or Thm246")
-    if F.p < 5:
-        _refuse(checks, "characteristic>=5")
-    checks["characteristic>=5"] = True
-    if kappa == 0:
-        _refuse(checks, "kappa-nonzero")
-    checks["kappa-nonzero"] = True
-    if a.is_zero():
-        _refuse(checks, "a-nonzero")
-    checks["a-nonzero"] = True
+    _require(checks, "characteristic>=5", F.p >= 5)
+    _require(checks, "kappa-nonzero", kappa != 0)
+    _require(checks, "a-nonzero", not a.is_zero())
     n1 = A.degree
     case = None
     if variant == "Thm245":
-        if not (n1 > 0):
-            _refuse(checks, "degA-positive")
-        checks["degA-positive"] = True
-        if 2 * a.degree >= n1:
-            _refuse(checks, "deg-a<degA/2")
-        checks["deg-a<degA/2"] = True
+        _require(checks, "degA-positive", n1 > 0)
+        _require(checks, "deg-a<degA/2", 2 * a.degree < n1)
         if n1 % 2:
             case = "a"
             checks["degA-odd"] = True
         else:
-            if F.is_square(A.sgn):
-                _refuse(checks, "sgnA-nonsquare", "even deg A requires a nonsquare leading coefficient")
-            checks["sgnA-nonsquare"] = True
+            _require(checks, "sgnA-nonsquare", not F.is_square(A.sgn),
+                     "even deg A requires a nonsquare leading coefficient")
             case = "b"
     else:
-        if F.q % 3 != 2:
-            _refuse(checks, "q=-1-mod-3")
-        checks["q=-1-mod-3"] = True
-        if 2 * a.degree <= n1:
-            _refuse(checks, "deg-a>degA/2")
-        checks["deg-a>degA/2"] = True
+        _require(checks, "q=-1-mod-3", F.q % 3 == 2)
+        _require(checks, "deg-a>degA/2", 2 * a.degree > n1)
     B = a * (a * a - A) + FqPoly(F, (kappa,))
     D = FqPoly.const(F, F.from_int(4)) * A ** 3 - FqPoly.const(F, F.from_int(27)) * B * B
     parts = {} if D.is_zero() else dict(squarefree_decomposition(D))
-    if D.is_zero() or max(parts, default=1) > 2:
-        _refuse(checks, "D-squarefree-split", "D is not of the form D1 * D2^2")
-    D2 = parts.get(2, FqPoly.one(F))
-    if not (B % D2).is_zero():
-        _refuse(checks, "D2-divides-B")
-    checks["D-squarefree-split"] = True
-    checks["D2-divides-B"] = True
+    _require(checks, "D-squarefree-split", not D.is_zero() and max(parts, default=1) <= 2,
+             "D is not of the form D1 * D2^2")
+    _require(checks, "D2-divides-B", (B % parts.get(2, FqPoly.one(F))).is_zero())
     try:
         model = CubicModel(A, B)
     except Exception as exc:
-        _refuse(checks, "irreducible", str(exc))
+        raise HypothesisRefused("irreducible", str(exc))
     checks["irreducible"] = True
     eps = model.element(a, FqPoly.one(F))
     n = norm_cubic(eps)
@@ -170,26 +153,16 @@ def construct_rank2(field, A):
     """Thm 2.4.7 family y^3 = A^2 y + 1 with fundamental system {y, A + y}."""
     F = field
     checks = {}
-    if F.p < 5:
-        _refuse(checks, "characteristic>=5")
-    checks["characteristic>=5"] = True
-    if A.degree < 1:
-        _refuse(checks, "A-nonconstant")
-    checks["A-nonconstant"] = True
+    _require(checks, "characteristic>=5", F.p >= 5)
+    _require(checks, "A-nonconstant", A.degree >= 1)
     D = FqPoly.const(F, F.from_int(4)) * A ** 6 - FqPoly.const(F, F.from_int(27))
-    if not is_squarefree(D):
-        _refuse(checks, "D-squarefree")
-    checks["D-squarefree"] = True
+    _require(checks, "D-squarefree", is_squarefree(D))
     # model: y^3 - A^2 y - 1 = 0, so B = -1 in the y^3 - Ay + B convention
     model = CubicModel(A * A, FqPoly.const(F, F.neg(F.one)))
     n1 = model.n1  # = 2 deg A, even
     witness = _intermediate_unit_search(model, A)
-    if witness is not None:
-        checks["no-intermediate-unit"] = False
-        raise HypothesisRefused(
-            "no-intermediate-unit", "found alpha = %s with intermediate maximum value" % (witness,)
-        )
-    checks["no-intermediate-unit"] = True
+    _require(checks, "no-intermediate-unit", witness is None,
+             "found alpha = %s with intermediate maximum value" % (witness,))
     eps1 = model.y()
     eps2 = model.element(A, FqPoly.one(F))
     for eps in (eps1, eps2):

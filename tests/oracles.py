@@ -2,10 +2,10 @@
 
 Each restates a count, a definition or an identity directly: the necklace
 count of monic irreducibles, distinct-degree factoring by repeated powers,
-a factorization multiplied out, Tr(alpha) as a fraction, the local Euler
-factor of a zeta tuple, the rows of a ZetaData degree with every
-signature decided, h' = h f / R and the valuation sum over the places
-above P.  The tests compare the package's
+a factorization multiplied out, the standard-form divisor place by place,
+Tr(alpha) as a fraction, the local Euler factor of a zeta tuple, the rows
+of a ZetaData degree with every signature decided, h' = h f / R and the
+valuation sum over the places above P.  The tests compare the package's
 own paths with them; no command needs them, so they live here.
 """
 
@@ -24,7 +24,7 @@ from funcfields import (
 )
 from funcfields.fq import _prime_factors
 from funcfields.models import norm, trace_coords
-from funcfields.poly import gp_divmod, gp_gcd, gp_irreducible, gp_mod, gp_pow_mod, gp_sub
+from funcfields.poly import factorize, gp_divmod, gp_gcd, gp_irreducible, gp_mod, gp_pow_mod, gp_sub, poly_gcd
 from funcfields.signature import valuation_assignments
 
 
@@ -80,6 +80,20 @@ def factorization_value(fac, field):
     out = FqPoly(field, (fac.unit,))
     for f, m in fac.factors:
         out = out * f ** m
+    return out
+
+
+def standard_form_divisor_by_places(*coeffs):
+    """Largest monic Q with Q^k | f (k = 2, 3, 4) for nonzero-not-all (A, B[, C]):
+    prod P^e over the P dividing every nonzero f, e = min v_P(f) // k."""
+    nonzero = [(f, k) for k, f in enumerate(coeffs, 2) if not f.is_zero()]
+    basis = nonzero[0][0]
+    for f, _ in nonzero[1:]:
+        basis = poly_gcd(basis, f)
+    out = FqPoly.one(basis.field)
+    for P, _ in factorize(basis):
+        place = FinitePlace(P)
+        out = out * P ** min(place.val(f) // k for f, k in nonzero)
     return out
 
 

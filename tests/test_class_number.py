@@ -24,6 +24,7 @@ from funcfields import (
     eq_310_sides,
     estimate_h,
     exact_h,
+    factorize,
     genus,
     monic_irreducibles,
     parse_poly,
@@ -31,6 +32,7 @@ from funcfields import (
     unit_rank,
     zeta_tuple_for_signature,
 )
+from funcfields.class_number import _is_pth_power_up_to_unit
 from funcfields.cli import EXIT_OK, run
 from funcfields.poly import HypothesisRefused, InternalFault, UnknownSignature
 from funcfields.units import construct_rank1, regulator
@@ -417,6 +419,22 @@ def test_search_requires_purely_cubic():
     m = CubicModel(pp("x"), pp("x^3 + x + 1"))
     with pytest.raises(HypothesisRefused):
         search_h_divisor(m, 3)
+
+
+@pytest.mark.parametrize("pk", [(2, 2), (2, 3), (3, 2), (7, 1), (5, 2)],
+                         ids=["GF(4)", "GF(8)", "GF(9)", "GF(7)", "GF(25)"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pth_power_test_matches_the_factorization(pk, data):
+    # unit * prod g^e with e drawn so that p-th powers, and in characteristic
+    # p the g(x^p) the derivative misses, are common
+    F = GF(*pk)
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    f = FqPoly(F, [data.draw(st.integers(1, F.q - 1), label="unit")])
+    for _ in range(data.draw(st.integers(0, 3))):
+        g = FqPoly(F, data.draw(st.lists(st.integers(0, F.q - 1), min_size=1, max_size=3)) + [1])
+        f = f * g ** data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 10]), label="e")
+    assert _is_pth_power_up_to_unit(f, p) == all(m % p == 0 for _, m in factorize(f))
 
 
 # -- valuation sums ------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Base field and polynomial ring: construction, factorization, residues, CRT."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -514,10 +515,16 @@ def test_parser_reduces_large_coefficients():
 
 
 def test_parser_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_poly(F7, "x^")
-    with pytest.raises(ValueError):
-        parse_poly(F7, "y + 1")
+    # the messages reach the command line as "error: ..." with exit 2
+    for text, message in [
+        ("x^", "exponent expected after ^"),
+        ("3^", "exponent expected after ^"),
+        ("x^x", "exponent expected after ^"),
+        ("x x", "expected + or - between terms"),
+        ("y + 1", "bad polynomial"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_poly(F7, text)
 
 
 def test_zero_degree_sentinel_orders_below_integers():

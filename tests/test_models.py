@@ -1,9 +1,10 @@
 """Models, standard forms, order arithmetic, norms and minimal polynomials."""
 
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from funcfields import (
     GF,
@@ -15,6 +16,10 @@ from funcfields import (
     RationalFunction,
     cubic_disc,
     cubic_standard_form,
+    factorize,
+    field_discriminant,
+    integral_basis_cubic,
+    integral_basis_quartic,
     is_integral,
     minimal_polynomial,
     minimal_polynomial_fq,
@@ -24,6 +29,7 @@ from funcfields import (
     parse_poly,
     quartic_disc,
     quartic_standard_form,
+    verify_basis,
 )
 from funcfields.models import (
     _binom_shift,
@@ -37,7 +43,7 @@ from funcfields.models import (
     reduce_coeffs,
 )
 from funcfields.poly import FuncFieldError, gp_roots, is_squarefree
-from oracles import Frac, fracs, pole_divisor_degree, trace
+from oracles import Frac, fracs, pole_divisor_degree, standard_form_divisor_by_places, trace
 
 F5 = GF(5)
 F7 = GF(7)
@@ -167,6 +173,67 @@ def test_standard_form_divisor_refuses_the_zero_model(n):
         _standard_form_divisor(*[zero] * n)
     with pytest.raises(FuncFieldError, match="zero model"):
         reduce_coeffs(*[zero] * n)
+
+
+ORACLE_FIELDS = [(2, 2), (2, 3), (3, 2), (7, 1), (5, 2)]
+ORACLE_FIELD_IDS = ["GF(4)", "GF(8)", "GF(9)", "GF(7)", "GF(25)"]
+
+
+def _draw_poly(data, F, max_degree):
+    return FqPoly(F, data.draw(st.lists(st.integers(0, F.q - 1), max_size=max_degree + 1)))
+
+
+@pytest.mark.parametrize("pk", ORACLE_FIELDS, ids=ORACLE_FIELD_IDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_standard_form_divisor_matches_the_place_by_place_reference(pk, data):
+    # (A, B) or (A, B, C), some zero but not all, each times S^e with e <= 5:
+    # e = 2, 4 in characteristic 2 and e = 3 in characteristic 3 give p-th-power parts
+    F = GF(*pk)
+    S = FqPoly(F, data.draw(st.lists(st.integers(0, F.q - 1), min_size=1, max_size=2)) + [1])
+    coeffs = [
+        _draw_poly(data, F, 4) * S ** data.draw(st.integers(0, 5), label="e")
+        for _ in range(data.draw(st.sampled_from([2, 3]), label="n"))
+    ]
+    assume(any(not f.is_zero() for f in coeffs))
+    assert _standard_form_divisor(*coeffs) == standard_form_divisor_by_places(*coeffs)
+
+
+def _factorize_callers(build):
+    """(names of the functions that call poly.factorize, build()), counted through every module binding."""
+    callers = []
+
+    def counted(f):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return factorize(f)
+
+    bound = [m for name, m in sys.modules.items()
+             if name.split(".")[0] == "funcfields" and getattr(m, "factorize", None) is factorize]
+    for m in bound:
+        m.factorize = counted
+    try:
+        return callers, build()
+    finally:
+        for m in bound:
+            m.factorize = factorize
+
+
+def test_factorize_runs_only_where_the_factors_are_the_output():
+    def build():
+        # gcd(A, B) = x is nonconstant, yet no Q has Q^2 | A and Q^3 | B
+        cubic = CubicModel(pp("x"), pp("x^2 + x"))
+        quartic = QuarticModel(pp("x^2 + 3*x + 4", F5), pp("2", F5), pp("4*x^3 + 2*x^2 + 4*x", F5))
+        indices = []
+        for m, basis_of in ((cubic, integral_basis_cubic), (quartic, integral_basis_quartic)):
+            report = field_discriminant(m)
+            assert verify_basis(basis_of(m, report), m, report)
+            indices.append(report.index)
+        return indices
+
+    callers, indices = _factorize_callers(build)
+    assert indices[1] == pp("x + 4", F5)  # a nonconstant squarefree index
+    assert "field_discriminant" in callers
+    assert set(callers) <= {"field_discriminant", "_monic_divisors"}, callers
 
 
 def test_quartic_char2_refused():
