@@ -18,7 +18,8 @@ places of each degree have each signature.  ZetaData keeps that census per
 degree (a Counter of shared Signature values) with the exact Euler factor
 of the degree, so a class-number computation costs one step per distinct
 signature once it is taken.  Taking it builds no place: off D the
-signature is the factor type of the reduction (Dedekind-Kummer).
+signature is the factor type of the reduction (Dedekind-Kummer), read off
+discrete logarithms in k(P), with the dispatcher's closed forms as oracle.
 """
 
 import math
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .fq import digits, is_prime
+from .fq import digits, is_prime, log_horner
 from .poly import (
     FqPoly,
     HypothesisRefused,
@@ -115,11 +116,11 @@ class ZetaData:
     cost one step per distinct signature, and the exact Euler factor of
     each degree is kept, so the estimates for lambda = 1, ..., g and the
     sides of eq. (3.10) for n = 1, ..., g walk no place twice.  The census
-    builds no place: at a place P that does not divide D it takes the
-    factor type of the reduction from the residues of the coefficients
-    (signature.unramified_signature), and only the places over D go
-    through signature_at.  finite(d) holds one (P, SignatureResult) row
-    per place, from signature_at, for the callers that read rows.
+    builds no place: off D it reads the factor type of the reduction off
+    the logs of the residues of the coefficients (signature.log_rule), and
+    only the places over D go through signature_at.  finite(d) holds one
+    (P, SignatureResult) row per place from signature_at, whose closed
+    forms on values are the census's oracle under SELF_CHECK.
     """
 
     def __init__(self, model):
@@ -161,37 +162,35 @@ class ZetaData:
     def _signatures(self, degree):
         """The signature of each place of the degree, in the order of tower_fields.
 
-        The residues a, b (, c) of the coefficients are Horner evaluations
-        at alpha, and the residue of D follows from them by the formula of
-        D (evaluation at alpha is a ring map).  Where it is nonzero, P does
-        not divide D.  The places over D, and every place of a degree
-        without a tower, take signature_at.  (A quartic in characteristic 3
-        has no census: ZetaData's infinite signature raises for it.)
+        One pass in the logs of E = k(P): the coefficients become logs once,
+        each residue is fq.log_horner at the root alpha, and log_rule reads
+        the factor type or "P divides D" off them.  The places over D, and
+        every place of a degree without a tower with tables, take
+        signature_at.  (A quartic in characteristic 3 has no census:
+        ZetaData's infinite signature raises for it.)
         """
         model, F = self.model, self.field
         places, K, alphas = tower_roots(F, degree)
-        if K is None:
+        tables = K and K.E.log_tables()
+        if not tables:
             for P in places:
                 yield self._dispatch(P, None, degree)
             return
-        E, emb = K.E, K._emb
-        horner, add, sub, mul = E.horner, E.add, E.sub, E.mul
-        four, t16, t27, t144 = (K.from_base(F.from_int(n)) for n in (4, 16, 27, 144))
-        A, B = model.A.coeffs, model.B.coeffs
-        C = model.C.coeffs if model.degree == 4 else None
+        exp, log, zech = tables
+        quartic = model.degree == 4
+        n, rule = K.E.q - 1, signature.log_rule(K.E, quartic)
+        # A, B (, C) as the logs of their coefficients in E, highest first
+        coeffs = (model.A, model.B, model.C) if quartic else (model.A, model.B)
+        polys = [[log[K._emb[c]] for c in reversed(f.coeffs)] for f in coeffs]
         for P, x in zip(places, alphas):
-            a, b = horner(A, x, emb), horner(B, x, emb)
-            d = sub(mul(four, mul(a, mul(a, a))), mul(t27, mul(b, b)))  # 4a^3 - 27b^2, the cubic D
-            c = None
-            if C is not None:
-                c = horner(C, x, emb)
-                s = sub(mul(a, a), mul(four, c))
-                # quartic_disc's first form: 16 c (a^2 - 4c)^2 + b^2 (4a^3 - 27b^2 - 144ac)
-                d = add(mul(t16, mul(c, mul(s, s))), mul(mul(b, b), sub(d, mul(t144, mul(a, c)))))
-            if d:
-                yield unramified_signature(K, a, b, c)
-            else:
-                yield self._dispatch(P, K.sibling(P, x), degree)
+            lx = log[x]
+            logs = [log_horner(f, lx, zech, n) for f in polys]
+            sig = rule(*logs)
+            if sig is None:
+                sig = self._dispatch(P, K.sibling(P, x), degree)
+            elif sig is signature.FACTOR:
+                sig = unramified_signature(K, *(0 if l is None else exp[l % n] for l in logs))
+            yield sig
 
     def _dispatch(self, P, K, degree):
         res = signature_at(self.model, FinitePlace(P, K))
@@ -669,9 +668,9 @@ def _cubic_side_splits(F, gamma):
 # ---------------------------------------------------------------------------
 
 
-# most coordinate triples search_h_divisor will walk: it walked about
-# 15,000 a second on a 2.1 GHz Xeon vCPU (all 117,649 of q = 7, d = 1 took
-# 8 s), so this refuses what would run past about 13 s
+# most coordinate triples search_h_divisor will walk: it walked 35,000 to
+# 105,000 a second on a 2-vCPU Xeon host (all 117,649 of q = 7, d = 1 took
+# 1.1-3.4 s), so this refuses what would run past a few seconds
 DIVISOR_SEARCH_BUDGET = 200_000
 
 
@@ -723,15 +722,18 @@ def search_h_divisor(model, p, max_coord_degree=1):
     inf_sig = inf.require()
     single_infinite = inf_sig.place_count == 1
     spent = [0]  # triples the p-th root searches of step 4 have taken so far
-    for c_idx in range(size):
-        c = FqPoly(F, digits(c_idx, q, d + 1))
-        for b_idx in range(size):
-            bb = FqPoly(F, digits(b_idx, q, d + 1))
+    coords = [FqPoly(F, digits(i, q, d + 1)) for i in range(size)]
+    cubes, M = [], model.B  # a^3 for the a of coords taken so far; the model is y^3 + M = 0
+    for c in coords:
+        for bb in coords:
             if bb.is_zero() and c.is_zero():
                 continue  # alpha in F_q[x] never passes the gcd step
-            for a_idx in range(size):
-                a = FqPoly(F, digits(a_idx, q, d + 1))
-                nrm = closed_norm_cubic(model, a, bb, c)
+            # closed_norm_cubic at A = 0: N = a^3 - M (b^3 - c^3 M) + a (3 M b c)
+            rest, mixed = M * (bb ** 3 - c ** 3 * M), (M * bb * c).scale(F.from_int(3))
+            for i, a in enumerate(coords):
+                if i == len(cubes):
+                    cubes.append(a ** 3)
+                nrm = cubes[i] - rest + a * mixed
                 if nrm.is_zero():
                     continue
                 if not _is_pth_power_up_to_unit(nrm, p):

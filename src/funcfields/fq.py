@@ -16,9 +16,9 @@ For k > 1 and q <= TABLE_MAX_ORDER (2^16) the constructor builds, once:
 - exp, of length 2(q - 1), with exp[i] the encoding of g^(i mod (q - 1)),
   where g is the primitive element of least encoding, and log, its inverse
   on the nonzero elements (log[0] is None);
-- for odd p, Zech logarithms zech[n] = log(1 + g^n), None where
-  1 + g^n = 0 (Huber, "Some comments on Zech's logarithms", IEEE Trans.
-  Inf. Theory 36(4), 1990), and a negation table.
+- Zech logarithms zech[n] = log(1 + g^n), None where 1 + g^n = 0 (Huber,
+  "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36(4),
+  1990), and for odd p a negation table.
 
 Products, quotients, inverses, powers, n-th power tests and any_sqrt (the
 square root that half the log gives) are then one to three list lookups,
@@ -29,10 +29,14 @@ the base-p digit arithmetic, which builds the tables and serves the
 fields above the threshold.  FqField also serves
 the generic polynomial protocol of poly (zero, one, char, order, from_rand).
 
+log_tables() hands (exp, log, zech) to the class-number census.  For k = 1
+it builds F_p's on the first call (p <= TABLE_MAX_ORDER), which no k = 1
+operation reads: they stay on ints mod p.
+
 FqField.horner evaluates a polynomial, given by coefficient encodings and
 an optional embedding of a subfield, in one call: on plain ints mod p for
-k = 1, in the log domain with Zech additions (XOR for p = 2) when there
-are tables, and by add/mul above them.  FqPoly.evaluate and every residue
+k = 1, by log_horner (Zech additions in the log domain) when there are
+tables, and by add/mul above them.  FqPoly.evaluate and every residue
 of a polynomial at a place whose residue field is an evaluation tower
 (poly.tower_fields, and poly.residue_field at degree 1) are this loop.
 """
@@ -216,7 +220,7 @@ class FqField:
 
     __slots__ = (
         "p", "k", "q", "modulus", "zero", "one", "char", "order",
-        "_inv_cache", "_exp", "_log", "_zech", "_neg", "_nonsquare",
+        "_inv_cache", "_exp", "_log", "_zech", "_neg", "_nonsquare", "_prime_logs",
     )
 
     def __init__(self, p, k=1):
@@ -230,9 +234,9 @@ class FqField:
         self.zero, self.one = 0, 1
         self.modulus = None if k == 1 else self._least_irreducible(p, k)
         self._inv_cache = {}
-        self._exp = self._log = self._zech = self._neg = self._nonsquare = None
+        self._exp = self._log = self._zech = self._neg = self._nonsquare = self._prime_logs = None
         if k > 1 and self.q <= TABLE_MAX_ORDER:
-            self._build_tables()
+            self._exp, self._log, self._zech, self._neg = self._build_tables()
 
     @staticmethod
     def _least_irreducible(p, k):
@@ -275,8 +279,8 @@ class FqField:
     def _least_primitive(self):
         n = self.q - 1
         cofactors = [n // r for r in set(_prime_factors(n))]
-        for g in range(2, self.q):
-            if all(self._digit_pow(g, c) != 1 for c in cofactors):
+        for g in range(1, self.q):  # 1 only for q = 2
+            if all(self.pow(g, c) != 1 for c in cofactors):
                 return g
         raise RuntimeError("no primitive element found")  # pragma: no cover
 
@@ -296,14 +300,19 @@ class FqField:
         log = [None] * q
         for i, a in enumerate(exp):
             log[a] = i
-        if p != 2:
-            # 1 + g^i differs from g^i in the lowest digit only; log[0] is
-            # None, so zech[i] is None exactly where 1 + g^i = 0
-            self._zech = [log[a - a % p + (a + 1) % p] for a in exp]
-            # -1 = g^(n/2)
-            self._neg = [0] + [exp[(log[a] + n // 2) % n] for a in range(1, q)]
-        self._exp = exp + exp
-        self._log = log
+        # 1 + g^i differs from g^i in the lowest digit only; log[0] is None,
+        # so zech[i] is None exactly where 1 + g^i = 0; -1 = g^(n/2) for odd p
+        zech = [log[a - a % p + (a + 1) % p] for a in exp]
+        neg = None if p == 2 else [0] + [exp[(log[a] + n // 2) % n] for a in range(1, q)]
+        return exp + exp, log, zech, neg
+
+    def log_tables(self):
+        """(exp, log, zech) as above, or None above TABLE_MAX_ORDER; F_p's for k = 1."""
+        if self.k > 1:
+            return self._log and (self._exp, self._log, self._zech)
+        if self._prime_logs is None and self.q <= TABLE_MAX_ORDER:
+            self._prime_logs = self._build_tables()[:3]
+        return self._prime_logs
 
     # -- ring operations ---------------------------------------------------
     def add(self, a, b):
@@ -385,10 +394,9 @@ class FqField:
         emb maps the encodings of a subfield into this field (a residue
         field's embedding of F_q).  The loop runs on plain ints mod p for
         k = 1, where the only subfield is F_p and emb can only be the
-        identity; with tables it keeps the accumulator as a logarithm, so
-        a step is an addition of log x and a Zech lookup (XOR for p = 2);
-        above the tables it steps through add and mul.  Same ints as the
-        add/mul loop in every case.
+        identity; with tables it is log_horner on the logs of the
+        coefficients; above the tables it steps through add and mul.  Same
+        ints as the add/mul loop in every case.
         """
         if self.k == 1:
             p, acc = self.p, 0
@@ -403,37 +411,9 @@ class FqField:
             for c in reversed(coeffs):
                 acc = add(mul(acc, x), emb[c])
             return acc
-        if not x:
-            return emb[coeffs[0]] if coeffs else 0
-        exp, lx = self._exp, log[x]
-        if self.p == 2:
-            acc = 0
-            for c in reversed(coeffs):
-                if acc:
-                    acc = exp[log[acc] + lx]
-                acc ^= emb[c]
-            return acc
-        # la is the log of the accumulator, in range(n), or None while it is 0
-        zech, n, la = self._zech, self.q - 1, None
-        for c in reversed(coeffs):
-            if la is not None:
-                la += lx
-                if la >= n:
-                    la -= n
-            e = emb[c]
-            if e:
-                if la is None:
-                    la = log[e]
-                else:
-                    # g^la + g^le = g^la (1 + g^(le - la)); a negative index wraps mod n
-                    z = zech[log[e] - la]
-                    if z is None:
-                        la = None
-                    else:
-                        la += z
-                        if la >= n:
-                            la -= n
-        return 0 if la is None else exp[la]
+        n = self.q - 1
+        la = log_horner([log[emb[c]] for c in reversed(coeffs)], log[x], self._zech, n)
+        return 0 if la is None else self._exp[la % n]
 
     def from_int(self, n):
         """Image of the integer n under the ring homomorphism Z -> F_q."""
@@ -485,6 +465,25 @@ class FqField:
 
     def describe(self):
         return "%d" % self.p if self.k == 1 else "%d^%d" % (self.p, self.k)
+
+
+def log_horner(lcs, lx, zech, n):
+    """The log of f(x), any representative mod n = q - 1 (None for 0, as in log),
+    from the logs lcs of f's coefficients, highest first, and lx = log x: a step
+    multiplies by x, la += lx, and adds g^lc as g^la (1 + g^(lc - la))."""
+    if lx is None:
+        return lcs[-1] if lcs else None
+    la = None
+    for lc in lcs:
+        if la is not None:
+            la += lx
+        if lc is not None:
+            if la is None:
+                la = lc
+            else:
+                z = zech[(lc - la) % n]
+                la = None if z is None else la + z
+    return la
 
 
 @lru_cache(maxsize=None)

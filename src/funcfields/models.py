@@ -106,7 +106,8 @@ class CubicModel:
             q = _standard_form_divisor(A, B)
             if q.degree > 0:
                 raise HypothesisRefused("standard-form", "Q=%s with Q^2|A, Q^3|B" % q)
-            if not _cubic_irreducible(A, B):
+            # at A = 0 a root r (r^3 = -B) is a Q refused above, or a constant that leaves B constant
+            if not (A.is_zero() or _cubic_irreducible(A, B)):
                 raise FuncFieldError("T^3 - (%s) T + (%s) is not irreducible" % (A, B))
 
     @property

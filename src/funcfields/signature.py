@@ -17,6 +17,7 @@ for every call via the SELF_CHECK flag in test builds).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .poly import (
     FqPoly,
@@ -351,42 +352,89 @@ def _depressed_cubic_type(K, a, b):
     return (1, 1, 1, 1, 1, 1) if K.is_cube(u3) else (1, 3)
 
 
-def _biquadratic_type(K, a, c):
-    """Flat signature of the factor type of squarefree T^4 - a T^2 + c over K, char K odd.
+FACTOR = object()  # log_rule's answer where the reduction must be factored
 
-    It is (T^2 - r)(T^2 - r') with r, r' = (a +- sqrt s)/2, s = a^2 - 4c.
-    When s is a square, r and r' lie in K and T^2 - r splits exactly when
-    r is a square.  Otherwise r lies in the quadratic extension L of K,
-    and the roots +-sqrt r, +-sqrt r' lie in L, as two quadratic factors,
-    exactly when r is a square in L, i.e. when its norm r r' = c is a
-    square in K; else they generate the quartic extension.
+
+@lru_cache(maxsize=None)
+def log_rule(E, quartic):
+    """rule(la, lb, lc=None): the Signature of T^3 - a T + b, or T^4 - a T^2 - b T + c, over E.
+
+    la, lb, lc: the logs of a, b, c in E.log_tables(), None for 0.  The
+    answer is None where the residue of D is 0, FACTOR where the reduction
+    must be factored (a != 0 in a cubic of characteristic 2 or 3 or with
+    |E| = 2 mod 3, b != 0 in a quartic), else the closed form, read off an
+    even log (a square) or a log divisible by 3 (a cube), of _cube_type,
+    _depressed_cubic_type, or T^4 - a T^2 + c = (T^2 - r)(T^2 - r') with
+    r, r' = (a +- sqrt s)/2, s = a^2 - 4c: for s a square, T^2 - r splits
+    when r is a square, and r r' = c; else the roots lie in E(sqrt s), as
+    two quadratic factors, exactly when the norm c of r is a square.
     """
-    root = K.any_sqrt(K.sub(K.mul(a, a), K.mul(_int(K, 4), c)))
-    if root is None:
-        return (1, 2, 1, 2) if K.is_square(c) else (1, 4)
-    half = K.inv(_int(K, 2))
-    split = K.is_square(K.mul(K.add(a, root), half)) + K.is_square(K.mul(K.sub(a, root), half))
-    return ((1, 2, 1, 2), (1, 1, 1, 1, 1, 2), (1, 1, 1, 1, 1, 1, 1, 1))[split]
+    _, log, zech = E.log_tables()
+    p, n, q3, m1 = E.p, E.q - 1, E.q % 3, log[E.neg(1)]  # -1 = g^m1
+    l2, l4, l16, l108 = (log[E.from_int(k)] for k in (2, 4, 16, 108))
+    l27, l144 = (log[E.neg(E.from_int(k))] for k in (27, 144))  # of -27, -144
+
+    def add(x, y):  # the log of g^x + g^y, None for 0
+        if x is None or y is None:
+            return y if x is None else x
+        z = zech[(y - x) % n]
+        return None if z is None else x + z
+
+    def mul(*xs):
+        return None if None in xs else sum(xs)
+
+    if quartic:
+        split, ones, twos, inert = (Signature.from_flat(f, 4) for f in ((1,) * 8, (1,) * 5 + (2,), (1, 2) * 2, (1, 4)))
+
+        def rule(la, lb, lc):
+            ls = add(mul(la, la), mul(l4, m1, lc))  # s = a^2 - 4c
+            if lb is not None:  # quartic_disc's first form: 16 c s^2 + b^2 (4a^3 - 27b^2 - 144ac)
+                inner = add(add(mul(l4, la, la, la), mul(l27, lb, lb)), mul(l144, la, lc))
+                return None if add(mul(l16, lc, ls, ls), mul(lb, lb, inner)) is None else FACTOR
+            if lc is None or ls is None:  # D = 16 c s^2
+                return None
+            if ls % 2:
+                return inert if lc % 2 else twos
+            if lc % 2:
+                return ones
+            return twos if (add(la, ls // 2) - l2) % 2 else split  # r = (a + sqrt s)/2
+
+        return rule
+    split, one_two, inert = (Signature.from_flat(f, 3) for f in ((1,) * 6, (1, 1, 1, 2), (1, 3)))
+
+    def cube(l):  # T^3 - g^l
+        return one_two if q3 == 2 else inert if l % 3 else split
+
+    def rule(la, lb, lc=None):
+        if p < 5:  # D = b^2 for p = 2, a^3 for p = 3
+            return None if (lb if p == 2 else la) is None else FACTOR if la is not None else cube(lb)
+        if la is None:  # T^3 + b, -b = g^(lb + m1)
+            return None if lb is None else cube(lb + m1)
+        ld = add(l4 + 3 * la, None if lb is None else l27 + 2 * lb)  # D = 4a^3 - 27b^2
+        if ld is None or q3 == 2:
+            return None if ld is None else FACTOR
+        if ld % 2:
+            return one_two
+        lu = add((ld + m1 - l108) % n // 2, None if lb is None else lb + m1 - l2)  # sqrt(-D/108) - b/2
+        return cube(lb + m1 if lu is None else lu)
+
+    return rule
 
 
 def unramified_signature(K, a, b, c=None):
     """Signature at a place P that does not divide D, from the residues of the coefficients.
 
-    By Dedekind-Kummer it is the factor type of the reduction over K = k(P),
-    T^3 - a T + b (c None) or T^4 - a T^2 - b T + c, squarefree as P does
-    not divide D.  Closed forms decide T^3 + b, T^3 - a T + b for
-    char K >= 5 and |K| = 1 mod 3, and T^4 - a T^2 + c (odd
-    characteristic); every other reduction is factored.
+    By Dedekind-Kummer, the factor type of T^3 - a T + b (c None) or
+    T^4 - a T^2 - b T + c over K = k(P), squarefree as P does not divide D:
+    log_rule's, or the factor degrees where it answers FACTOR or E has no tables.
     """
-    if c is None:
-        if K.is_zero(a):
-            return Signature.from_flat(_cube_type(K, b), 3)
-        if K.char >= 5 and K.order % 3 == 1:
-            return Signature.from_flat(_depressed_cubic_type(K, a, b), 3)
-        return _factor_type(K, [b, K.neg(a), K.zero, K.one])
-    if K.is_zero(b):
-        return Signature.from_flat(_biquadratic_type(K, a, c), 4)
-    return _factor_type(K, [c, K.neg(b), K.neg(a), K.zero, K.one])
+    tables = K.E.log_tables()
+    sig = log_rule(K.E, c is not None)(*(tables[1][r] for r in (a, b, c) if r is not None)) if tables else FACTOR
+    if sig is None:
+        raise ValueError("P divides D: the reduction is not squarefree")
+    if sig is FACTOR:
+        sig = _factor_type(K, [b, K.neg(a), K.zero, K.one] if c is None else [c, K.neg(b), K.neg(a), K.zero, K.one])
+    return sig
 
 
 def _max_finite_degree(*polys):

@@ -4,8 +4,9 @@ Each restates a count, a definition or an identity directly: the necklace
 count of monic irreducibles, distinct-degree factoring by repeated powers,
 a factorization multiplied out, the standard-form divisor place by place,
 Tr(alpha) as a fraction, the local Euler factor of a zeta tuple, the rows
-of a ZetaData degree with every signature decided, h' = h f / R and the
-valuation sum over the places above P.  The tests compare the package's
+of a ZetaData degree with every signature decided, h' = h f / R, the
+divisor search with the closed norm of every triple and the valuation sum
+over the places above P.  The tests compare the package's
 own paths with them; no command needs them, so they live here.
 """
 
@@ -22,8 +23,9 @@ from funcfields import (
     newton_slopes,
     signature_at,
 )
-from funcfields.fq import _prime_factors
-from funcfields.models import norm, trace_coords
+from funcfields.class_number import _check_witness, _is_pth_power_up_to_unit
+from funcfields.fq import _prime_factors, digits
+from funcfields.models import closed_norm_cubic, norm, trace_coords
 from funcfields.poly import factorize, gp_divmod, gp_gcd, gp_irreducible, gp_mod, gp_pow_mod, gp_sub, poly_gcd
 from funcfields.signature import valuation_assignments
 
@@ -165,6 +167,32 @@ def local_factor(tup, q, m):
     for f in tup.degrees:
         den *= 1 - u ** f
     return num / den
+
+
+def search_h_divisor_reference(model, p, max_coord_degree=1):
+    """search_h_divisor's walk over the triples (a, b, c), with N(a + b y + c y^2)
+    from closed_norm_cubic at every triple; no budget or hypothesis checks."""
+    F = model.field
+    q, d = F.q, max_coord_degree
+    size = q ** (d + 1)
+    inf = signature_at(model, InfinitePlace(F))
+    single_infinite = inf.require().place_count == 1
+    spent = [0]
+    for c_idx in range(size):
+        c = FqPoly(F, digits(c_idx, q, d + 1))
+        for b_idx in range(size):
+            bb = FqPoly(F, digits(b_idx, q, d + 1))
+            if bb.is_zero() and c.is_zero():
+                continue
+            for a_idx in range(size):
+                a = FqPoly(F, digits(a_idx, q, d + 1))
+                nrm = closed_norm_cubic(model, a, bb, c)
+                if nrm.is_zero() or not _is_pth_power_up_to_unit(nrm, p):
+                    continue
+                witness = _check_witness(model, model.element(a, bb, c), nrm, p, inf, single_infinite, d, spent)
+                if witness is not None:
+                    return witness
+    return None
 
 
 def require_finite(zeta, degree):

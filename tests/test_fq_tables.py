@@ -11,8 +11,8 @@ import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_gcdex, gf_mul, gf_neg, gf_rem, gf_sub
 
-from funcfields import GF
-from funcfields.fq import TABLE_MAX_ORDER
+from funcfields import GF, CubicModel, FqPoly, ZetaData
+from funcfields.fq import TABLE_MAX_ORDER, FqField
 from funcfields.poly import gp_roots
 
 EXHAUSTIVE = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)]
@@ -140,3 +140,31 @@ def test_roots_are_least_by_encoding(pk):
 @pytest.mark.parametrize("pk", sorted(MODULI))
 def test_modulus_unchanged(pk):
     assert GF(*pk).modulus == MODULI[pk]
+
+
+@pytest.mark.parametrize("pk", EXHAUSTIVE + [(7, 1), (11, 1), (13, 1), (2, 1)])
+def test_log_tables_index_the_field_operations(pk):
+    """log_tables() (F_p's for k = 1, built apart): g^i, its log, and zech[i] = log(1 + g^i), by F's own add and pow."""
+    F = FqField(*pk)
+    exp, log, zech = F.log_tables()
+    assert F.log_tables()[0] is exp
+    n = F.q - 1
+    for i in range(n):
+        assert exp[i] == F.pow(exp[1 % n], i) and log[exp[i]] == i
+        assert zech[i] == log[F.add(1, exp[i])]
+    assert log[0] is None and sorted(exp[:n]) == list(range(1, F.q))
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_prime_field_operations_do_not_read_the_census_tables(p):
+    """A census over GF(p) builds F_p's log tables; any_sqrt, inv and is_nth_power answer as before."""
+    F = FqField(p)
+
+    def answers():
+        return [(F.any_sqrt(a), a and F.inv(a), [F.is_nth_power(a, m) for m in (2, 3, 4, 6)]) for a in range(p)]
+
+    before = answers()
+    model = CubicModel(FqPoly(F, [0, 1]), FqPoly(F, [1, 1, 0, 1]))
+    ZetaData(model).census(1)
+    assert F._prime_logs is not None and F._log is None
+    assert answers() == before

@@ -604,6 +604,35 @@ def test_cubic_irreducible_pruned_matches_exhaustive(pk, seed, shape):
     assert _cubic_irreducible(A, B) == _cubic_irreducible_reference(A, B)
 
 
+@settings(max_examples=160, deadline=None)
+@given(st.sampled_from(IRREDUCIBILITY_FIELDS + [(2, 1), (3, 1)]), st.integers(0, 10 ** 9), st.booleans())
+def test_accepted_pure_cubics_are_irreducible(pk, seed, planted):
+    """CubicModel(0, B) skips the irreducibility search: whatever it accepts has no root."""
+    rng = random.Random(seed)
+    F = GF(*pk)
+    B = rand_poly(rng, F, rng.randrange(0, 5))
+    if planted:  # B = u r^3, and B = -r^3 exactly when u = -1
+        u = rand_poly(rng, F, rng.randrange(0, 2)) if rng.random() < 0.7 else FqPoly(F, [F.neg(1)])
+        B = u * rand_poly(rng, F, rng.randrange(0, 3)) ** 3
+    try:
+        CubicModel(FqPoly.zero(F), B)
+    except HypothesisRefused:
+        return
+    assert _cubic_irreducible_reference(FqPoly.zero(F), B)
+
+
+def test_only_models_with_a_nonzero_A_run_the_irreducibility_search(monkeypatch):
+    import funcfields.models as models_module
+
+    calls = []
+    monkeypatch.setattr(models_module, "_cubic_irreducible", lambda A, B: calls.append(A) or _cubic_irreducible(A, B))
+    CubicModel(FqPoly.zero(F7), pp("x^2 + x"))
+    CubicModel(FqPoly.zero(GF(3)), parse_poly(GF(3), "x^2 + x"))
+    assert calls == []
+    CubicModel(pp("x^2"), pp("1"))
+    assert calls == [pp("x^2")]
+
+
 def test_cubic_irreducible_certificate_skips_the_divisor_search(monkeypatch):
     import funcfields.models as models_module
 

@@ -10,8 +10,10 @@
 - ZetaData's census against the rows of finite(d) and the per-place sums
   it replaced, for place_count, S and the Eprime of estimate_h, on the demo
   models, one extension-field model per characteristic and one model per
-  branch of the census's factor types; with a degree's tower dropped, every
-  place takes signature_at; and exact_h dispatches only the places over D.
+  branch of the census's factor types, and on random models of every kind
+  over fields of characteristic 2, 3, 5, 7, 11 and 13, places of degree 1
+  to 3; with a degree's tower dropped, every place takes signature_at; and
+  exact_h dispatches only the places over D.
 """
 
 import random
@@ -19,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from funcfields import (
     GF,
@@ -38,7 +40,14 @@ from funcfields import (
 import funcfields.class_number as class_number_module
 import funcfields.signature as signature_module
 from funcfields import poly
-from funcfields.poly import InternalFault, TowerResidueField, UnknownSignature, tower_fields
+from funcfields.poly import (
+    FuncFieldError,
+    HypothesisRefused,
+    InternalFault,
+    TowerResidueField,
+    UnknownSignature,
+    tower_fields,
+)
 from oracles import local_factor, require_finite
 
 
@@ -51,8 +60,8 @@ def horner_reference(E, coeffs, x, emb=None):
 
 # -- Horner -------------------------------------------------------------------
 
-# (p, k): GF(7) on ints mod p, GF(4) and GF(8) by XOR, GF(9), GF(25) and
-# GF(7^3) by Zech logarithms, GF(2^17) by digit arithmetic
+# (p, k): GF(7) on ints mod p, GF(4), GF(8), GF(9), GF(25) and GF(7^3) by
+# Zech logarithms, GF(2^17) by digit arithmetic
 HORNER_FIELDS = ((7, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 3), (2, 17))
 
 
@@ -254,3 +263,51 @@ def test_class_numbers_dispatch_only_the_places_over_D(name, monkeypatch):
     exact_h(model)
     D = model.discriminant()
     assert all((D % place.P).is_zero() for place in places)
+
+
+# the census's fields; quartics only where p >= 5 (none exists in
+# characteristic 2, and a quartic in characteristic 3 has no census)
+CENSUS_FIELDS = [(2, 2), (2, 3), (3, 2), (7, 1), (11, 1), (13, 1), (5, 2)]
+CENSUS_KINDS = ["pure cubic", "cubic", "biquadratic", "quartic with B != 0"]
+
+
+def _random_model(rng, F, kind):
+    """A model of the kind, each coefficient times x with chance 0.4 (so that the
+    root 0 of the place x meets a = 0, b = 0 or c = 0), or None where refused."""
+    x, zero = FqPoly(F, [0, 1]), FqPoly.zero(F)
+
+    def coefficient(top):
+        f = FqPoly(F, [rng.randrange(F.q) for _ in range(rng.randrange(1, top + 2))])
+        return x * f if rng.random() < 0.4 else f
+
+    try:
+        if kind == "pure cubic":
+            return CubicModel(zero, coefficient(4))
+        if kind == "cubic":
+            return CubicModel(coefficient(2), coefficient(4))
+        return QuarticModel(coefficient(2), zero if kind == "biquadratic" else coefficient(2), coefficient(4))
+    except (HypothesisRefused, FuncFieldError):
+        return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(CENSUS_FIELDS), st.sampled_from(CENSUS_KINDS), st.integers(1, 3), st.integers(0, 10 ** 9))
+def test_census_in_logs_matches_the_rows_on_random_models(pk, kind, degree, seed):
+    """census(d) against the rows of finite(d), SELF_CHECK off so the comparison is this test's own."""
+    F = GF(*pk)
+    assume(F.q ** degree <= 1 << 16 and (kind.endswith("cubic") or F.p >= 5))
+    model = _random_model(random.Random(seed), F, kind)
+    assume(model is not None)
+    old, signature_module.SELF_CHECK = signature_module.SELF_CHECK, False
+    try:
+        zeta = ZetaData(model)
+        try:
+            census = zeta.census(degree)
+        except UnknownSignature as exc:
+            with pytest.raises(UnknownSignature) as rows:
+                require_finite(zeta, degree)
+            assert (rows.value.reason, str(rows.value)) == (exc.reason, str(exc))
+            return
+        assert census == Counter(res.signature for _, res in zeta.finite(degree))
+    finally:
+        signature_module.SELF_CHECK = old

@@ -4,7 +4,7 @@
   Cardano's cube test) against gp_factor_degrees on random (a, b).
 - unramified_signature, the census's factor type at a place off D, against
   kummer_signature on random squarefree cubic and quartic reductions over
-  towers of characteristic 2, 3, 5, 7 and 11.
+  towers of characteristic 2, 3, 5, 7, 11 and 13, degree-1 ones included.
 - signature_at at every place up to degree 3 of the demo cubic and of one
   non-pure cubic per field of characteristic >= 5 of the class-number
   corpus, against kummer_signature on the place's reduction.
@@ -84,10 +84,11 @@ def test_closed_cubic_type_exhaustive_small_field():
     assert seen == {(1, 1, 1, 1, 1, 1), (1, 1, 1, 2), (1, 3)}
 
 
-# towers of degree >= 2, characteristics 2, 3, 5, 7 and 11; |E| = 1 mod 3
-# over GF(7)/2 and GF(2)/4, 2 mod 3 over GF(11)/3 and GF(5)/2
+# towers of characteristics 2, 3, 5, 7, 11 and 13; |E| = 1 mod 3 over
+# GF(7)/2, GF(2)/4, GF(7)/1 and GF(13)/1, 2 mod 3 over GF(11)/3, GF(5)/2 and
+# GF(11)/1; at degree 1, E = F_p and the closed forms read F_p's log tables
 UNRAMIFIED_TOWERS = {"GF(7)/2": (7, 2), "GF(11)/3": (11, 3), "GF(2)/4": (2, 4), "GF(3)/3": (3, 3),
-                     "GF(5)/2": (5, 2)}
+                     "GF(5)/2": (5, 2), "GF(7)/1": (7, 1), "GF(11)/1": (11, 1), "GF(13)/1": (13, 1)}
 
 
 @settings(max_examples=300, deadline=None)
