@@ -15,11 +15,11 @@ root-modulus condition.
 Both need one signature per place, and nothing more of a place: the place
 counts, the power sums S_m(j) and the Euler factors depend only on how many
 places of each degree have each signature.  ZetaData keeps that census per
-degree (a Counter of shared Signature values) with the exact Euler factor
-of the degree, so a class-number computation costs one step per distinct
-signature once it is taken.  Taking it builds no place: off D the
+degree (a Counter of interned Signature values) with the exact Euler
+factor of the degree, so a class-number computation costs one step per
+distinct signature once it is taken.  Taking it builds no place: off D the
 signature is the factor type of the reduction (Dedekind-Kummer), read off
-discrete logarithms in k(P), with the dispatcher's closed forms as oracle.
+logarithms in k(P) or factored, with the dispatcher's closed forms as oracle.
 """
 
 import math
@@ -40,6 +40,7 @@ from .poly import (
     gp_roots,
     is_squarefree,
     poly_gcd,
+    residue_field,
     squarefree_decomposition,
     tower_fields,
     tower_roots,
@@ -47,7 +48,7 @@ from .poly import (
 from .places import FinitePlace, InfinitePlace
 from .models import closed_norm_cubic, minimal_polynomial_fq
 from . import signature
-from .signature import element_valuations, infinite_signature, signature_at, unramified_signature
+from .signature import element_valuations, infinite_signature, signature_at
 from .invariants import genus
 
 
@@ -94,7 +95,7 @@ def zeta_tuple_for_signature(sig):
 
 @lru_cache(maxsize=None)
 def _zeta_tuple(sig):
-    # one entry per distinct signature; Signature hashes and compares by pairs
+    # one entry per distinct signature; Signatures are interned, so keyed by identity
     tup = ZetaFactorTuple.from_signature(sig)
     # the tables guarantee |sum z_i^n| <= n - 1
     for n in range(1, 13):
@@ -111,16 +112,17 @@ def _zeta_tuple(sig):
 class ZetaData:
     """The census of signatures per degree, and the rows of the places behind it.
 
-    census(d) counts the places of degree d per signature (shared values,
-    Signature.shared); place_count, S and the Euler factor of estimate_h
-    cost one step per distinct signature, and the exact Euler factor of
-    each degree is kept, so the estimates for lambda = 1, ..., g and the
-    sides of eq. (3.10) for n = 1, ..., g walk no place twice.  The census
-    builds no place: off D it reads the factor type of the reduction off
-    the logs of the residues of the coefficients (signature.log_rule), and
-    only the places over D go through signature_at.  finite(d) holds one
-    (P, SignatureResult) row per place from signature_at, whose closed
-    forms on values are the census's oracle under SELF_CHECK.
+    census(d) counts the places of degree d per signature (interned
+    values, counted by identity); place_count, S and the Euler factor of
+    estimate_h cost one step per distinct signature, and the exact Euler
+    factor of each degree is kept, so the estimates for lambda = 1, ..., g
+    and the sides of eq. (3.10) for n = 1, ..., g walk no place twice.  The
+    census builds no place: off D its one rule, signature.log_rule, reads
+    the factor type of the reduction off the logs of the residues of the
+    coefficients, or factors it, and only the places over D go through
+    signature_at.  finite(d) holds one (P, SignatureResult) row per place
+    from signature_at, whose closed forms on values are the census's
+    oracle under SELF_CHECK.
     """
 
     def __init__(self, model):
@@ -163,8 +165,8 @@ class ZetaData:
         """The signature of each place of the degree, in the order of tower_fields.
 
         One pass in the logs of E = k(P): the coefficients become logs once,
-        each residue is fq.log_horner at the root alpha, and log_rule reads
-        the factor type or "P divides D" off them.  The places over D, and
+        each residue is fq.log_horner at the root alpha, and log_rule answers
+        with the Signature, or None where P divides D.  The places over D, and
         every place of a degree without a tower with tables, take
         signature_at.  (A quartic in characteristic 3 has no census:
         ZetaData's infinite signature raises for it.)
@@ -176,21 +178,16 @@ class ZetaData:
             for P in places:
                 yield self._dispatch(P, None, degree)
             return
-        exp, log, zech = tables
+        _, log, zech = tables
         quartic = model.degree == 4
         n, rule = K.E.q - 1, signature.log_rule(K.E, quartic)
         # A, B (, C) as the logs of their coefficients in E, highest first
         coeffs = (model.A, model.B, model.C) if quartic else (model.A, model.B)
-        polys = [[log[K._emb[c]] for c in reversed(f.coeffs)] for f in coeffs]
+        polys = [[log[K.from_base(c)] for c in reversed(f.coeffs)] for f in coeffs]
         for P, x in zip(places, alphas):
             lx = log[x]
-            logs = [log_horner(f, lx, zech, n) for f in polys]
-            sig = rule(*logs)
-            if sig is None:
-                sig = self._dispatch(P, K.sibling(P, x), degree)
-            elif sig is signature.FACTOR:
-                sig = unramified_signature(K, *(0 if l is None else exp[l % n] for l in logs))
-            yield sig
+            sig = rule(*[log_horner(f, lx, zech, n) for f in polys])
+            yield self._dispatch(P, K.sibling(P, x), degree) if sig is None else sig
 
     def _dispatch(self, P, K, degree):
         res = signature_at(self.model, FinitePlace(P, K))
@@ -797,7 +794,7 @@ def _is_power_in_order(model, alpha, p, d, spent):
     F = model.field
     for deg in (1, 2):
         for P, K in tower_fields(F, deg):
-            K = FinitePlace(P, K).residue_field
+            K = K or residue_field(P)
             if (K.order - 1) % p:
                 continue
             red = [K.embed(model.B), K.embed(-model.A), K.zero, K.one]

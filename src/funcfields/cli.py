@@ -19,15 +19,14 @@ from .poly import (
     InternalFault,
     UnknownSignature,
     parse_poly,
-    tower_fields,
 )
-from .places import FinitePlace
 from .models import CubicModel, QuarticModel, model_from_text
-from .signature import infinite_signature, signature_at
+from .signature import infinite_signature
 from .invariants import field_discriminant, genus, unit_rank
 from .integral_basis import integral_basis_cubic, integral_basis_quartic, verify_basis
 from .units import construct_rank1, construct_rank2
 from .class_number import (
+    ZetaData,
     check_place_budget,
     divisibility_certificates,
     estimate_h,
@@ -157,20 +156,18 @@ def cmd_analyze(args):
 def cmd_places(args):
     model = _model_from_args(args)
     check_place_budget(model.field.q, args.max_deg, "max-deg")
-    rows = []
-    lines = []
-    blocked = False
-    inf = infinite_signature(model)
-    rows.append({"place": "infinity", "result": inf.to_json()})
-    lines.append("infinity: %s" % (inf.signature if inf.known else "unknown"))
+    zeta = ZetaData(model)
+    inf = zeta.infinite
+    rows = [{"place": "infinity", "result": inf.to_json()}]
+    lines = ["infinity: %s" % (inf.signature if inf.known else "unknown")]
+    blocked = not inf.known
     for d in range(1, args.max_deg + 1):
-        for P, K in tower_fields(model.field, d):
-            res = signature_at(model, FinitePlace(P, K))
+        for P, res in zeta.finite(d):
             rows.append({"place": str(P), "result": res.to_json()})
             lines.append("%s: %s" % (P, res.signature if res.known else "unknown (%s)" % res.unknown_reason))
             blocked = blocked or not res.known
     _emit(args, {"places": rows}, lines)
-    return EXIT_UNKNOWN if (blocked or not inf.known) else EXIT_OK
+    return EXIT_UNKNOWN if blocked else EXIT_OK
 
 
 def cmd_basis(args):

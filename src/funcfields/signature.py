@@ -43,54 +43,43 @@ ITERATION_CAP = 32
 ITERATION_DEGREE_CAP = 600
 
 
-# (pairs or flat tuple, n) -> the one Signature built for it; see Signature.shared
+# (pairs as given or sorted, or flat tuple, n) -> the one Signature of it
 _SHARED = {}
 
 
 class Signature:
     """Sorted multiset of (ramification index e, relative degree f) pairs.
 
-    Signatures are values: the dispatcher takes them from `shared` and
-    `from_flat`, which build and check each (pairs, n) once and hand out
-    that instance from then on, so a class-number sweep over thousands of
-    places builds a handful of them.
+    Signatures are interned values: Signature(pairs, n) checks the
+    fundamental identity once per value and hands out that instance from
+    then on, for the pairs in any order, so equality and hashing are
+    identity and a sweep over thousands of places builds a handful of
+    them.  A key that breaks the identity raises every time: it is never stored.
     """
 
     __slots__ = ("pairs", "n")
 
-    def __init__(self, pairs, n):
-        pairs = tuple(sorted(tuple(p) for p in pairs))
-        total = sum(e * f for e, f in pairs)
-        if total != n:
-            raise InternalFault(
-                "fundamental identity violated: sum ef = %d != %d for %s" % (total, n, pairs)
-            )
-        self.pairs = pairs
-        self.n = n
-
-    @classmethod
-    def shared(cls, pairs, n):
-        """The shared Signature of a tuple of (e, f) pairs in any order.
-
-        A key that breaks the fundamental identity raises every time, as
-        it is never stored.
-        """
+    def __new__(cls, pairs, n):
+        pairs = tuple(map(tuple, pairs))
         sig = _SHARED.get((pairs, n))
         if sig is None:
-            sig = cls(pairs, n)
-            sig = _SHARED.setdefault((sig.pairs, n), sig)
-            _SHARED[pairs, n] = sig
+            key = tuple(sorted(pairs))
+            if sum(e * f for e, f in key) != n:
+                raise InternalFault("fundamental identity violated: sum ef != %d for %s" % (n, key))
+            sig = object.__new__(cls)
+            sig.pairs, sig.n = key, n
+            sig = _SHARED[pairs, n] = _SHARED.setdefault((key, n), sig)
         return sig
 
     @classmethod
     def from_flat(cls, flat, n):
-        """The shared Signature of the flat tuple notation, e.g. (1,1,2,1)."""
+        """The Signature of the flat tuple notation, e.g. (1,1,2,1)."""
         flat = tuple(flat)
         sig = _SHARED.get((flat, n))
         if sig is None:
             if len(flat) % 2:
                 raise ValueError("flat signature needs an even number of entries")
-            sig = _SHARED[flat, n] = cls.shared(tuple(zip(flat[::2], flat[1::2])), n)
+            sig = _SHARED[flat, n] = cls(zip(flat[::2], flat[1::2]), n)
         return sig
 
     def flat(self):
@@ -112,12 +101,6 @@ class Signature:
 
     def is_tame(self, p):
         return all(e % p != 0 for e, _ in self.pairs)
-
-    def __eq__(self, other):
-        return isinstance(other, Signature) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
 
     def __repr__(self):
         return "(" + ",".join(str(v) for v in self.flat()) + ")"
@@ -178,9 +161,12 @@ def kummer_signature(reduction, K, n):
     Returns a Signature when the reduction is squarefree (all e_i = 1 with
     f_i the factor degrees); None when a repeated factor leaves the splitting
     undecided.  The dispatchers know squarefreeness from the case and v(D);
-    this gcd test is their oracle in SELF_CHECK and the tests.
+    this gcd test is their oracle in SELF_CHECK and the tests.  n, the
+    degree of the field, must be that of the reduction.
     """
     f = list(reduction)
+    if n != len(f) - 1:
+        raise ValueError("a reduction of degree %d in a field of degree %d" % (len(f) - 1, n))
     d = gp_derivative(K, f)
     if not d or len(gp_gcd(K, f, d)) > 1:
         return None
@@ -189,7 +175,7 @@ def kummer_signature(reduction, K, n):
 
 def _factor_type(K, red):
     """The Signature of the factor degrees of a squarefree monic reduction over K."""
-    return Signature.shared(tuple((1, d) for d in gp_factor_degrees(K, red)), len(red) - 1)
+    return Signature(((1, d) for d in gp_factor_degrees(K, red)), len(red) - 1)
 
 
 def _finish(place, sig_flat_or_pairs, n, method, trace, reduction=None, K=None):
@@ -201,7 +187,7 @@ def _finish(place, sig_flat_or_pairs, n, method, trace, reduction=None, K=None):
     if SELF_CHECK and res.kummer_reduction is not None:
         K2, red = res.kummer_reduction
         oracle = kummer_signature(red, K2, n)
-        if oracle is None or oracle != sig:
+        if oracle is not sig:
             raise InternalFault(
                 "dispatch/Kummer mismatch at %s: table=%s oracle=%s" % (place.describe(), sig, oracle)
             )
@@ -352,24 +338,23 @@ def _depressed_cubic_type(K, a, b):
     return (1, 1, 1, 1, 1, 1) if K.is_cube(u3) else (1, 3)
 
 
-FACTOR = object()  # log_rule's answer where the reduction must be factored
-
-
 @lru_cache(maxsize=None)
 def log_rule(E, quartic):
     """rule(la, lb, lc=None): the Signature of T^3 - a T + b, or T^4 - a T^2 - b T + c, over E.
 
     la, lb, lc: the logs of a, b, c in E.log_tables(), None for 0.  The
-    answer is None where the residue of D is 0, FACTOR where the reduction
-    must be factored (a != 0 in a cubic of characteristic 2 or 3 or with
-    |E| = 2 mod 3, b != 0 in a quartic), else the closed form, read off an
-    even log (a square) or a log divisible by 3 (a cube), of _cube_type,
-    _depressed_cubic_type, or T^4 - a T^2 + c = (T^2 - r)(T^2 - r') with
-    r, r' = (a +- sqrt s)/2, s = a^2 - 4c: for s a square, T^2 - r splits
-    when r is a square, and r r' = c; else the roots lie in E(sqrt s), as
-    two quadratic factors, exactly when the norm c of r is a square.
+    answer is None where the residue of D is 0, else the factor type of
+    the reduction, squarefree by Dedekind-Kummer: its factor degrees
+    (_factor_type on the values) where no log decides it (a != 0 in a
+    cubic of characteristic 2 or 3 or with |E| = 2 mod 3, b != 0 in a
+    quartic), else the closed form, read off an even log (a square) or a
+    log divisible by 3 (a cube), of _cube_type, _depressed_cubic_type, or
+    T^4 - a T^2 + c = (T^2 - r)(T^2 - r') with r, r' = (a +- sqrt s)/2,
+    s = a^2 - 4c: for s a square, T^2 - r splits when r is a square, and
+    r r' = c; else the roots lie in E(sqrt s), as two quadratic factors,
+    exactly when the norm c of r is a square.
     """
-    _, log, zech = E.log_tables()
+    exp, log, zech = E.log_tables()
     p, n, q3, m1 = E.p, E.q - 1, E.q % 3, log[E.neg(1)]  # -1 = g^m1
     l2, l4, l16, l108 = (log[E.from_int(k)] for k in (2, 4, 16, 108))
     l27, l144 = (log[E.neg(E.from_int(k))] for k in (27, 144))  # of -27, -144
@@ -383,6 +368,10 @@ def log_rule(E, quartic):
     def mul(*xs):
         return None if None in xs else sum(xs)
 
+    def factor(la, lb, lc=None):  # the factor degrees of the reduction
+        a, b, c = (0 if l is None else exp[l % n] for l in (la, lb, lc))
+        return _factor_type(E, [c, E.neg(b), E.neg(a), 0, 1] if quartic else [b, E.neg(a), 0, 1])
+
     if quartic:
         split, ones, twos, inert = (Signature.from_flat(f, 4) for f in ((1,) * 8, (1,) * 5 + (2,), (1, 2) * 2, (1, 4)))
 
@@ -390,7 +379,7 @@ def log_rule(E, quartic):
             ls = add(mul(la, la), mul(l4, m1, lc))  # s = a^2 - 4c
             if lb is not None:  # quartic_disc's first form: 16 c s^2 + b^2 (4a^3 - 27b^2 - 144ac)
                 inner = add(add(mul(l4, la, la, la), mul(l27, lb, lb)), mul(l144, la, lc))
-                return None if add(mul(l16, lc, ls, ls), mul(lb, lb, inner)) is None else FACTOR
+                return None if add(mul(l16, lc, ls, ls), mul(lb, lb, inner)) is None else factor(la, lb, lc)
             if lc is None or ls is None:  # D = 16 c s^2
                 return None
             if ls % 2:
@@ -407,34 +396,18 @@ def log_rule(E, quartic):
 
     def rule(la, lb, lc=None):
         if p < 5:  # D = b^2 for p = 2, a^3 for p = 3
-            return None if (lb if p == 2 else la) is None else FACTOR if la is not None else cube(lb)
+            return None if (lb if p == 2 else la) is None else factor(la, lb) if la is not None else cube(lb)
         if la is None:  # T^3 + b, -b = g^(lb + m1)
             return None if lb is None else cube(lb + m1)
         ld = add(l4 + 3 * la, None if lb is None else l27 + 2 * lb)  # D = 4a^3 - 27b^2
         if ld is None or q3 == 2:
-            return None if ld is None else FACTOR
+            return None if ld is None else factor(la, lb)
         if ld % 2:
             return one_two
         lu = add((ld + m1 - l108) % n // 2, None if lb is None else lb + m1 - l2)  # sqrt(-D/108) - b/2
         return cube(lb + m1 if lu is None else lu)
 
     return rule
-
-
-def unramified_signature(K, a, b, c=None):
-    """Signature at a place P that does not divide D, from the residues of the coefficients.
-
-    By Dedekind-Kummer, the factor type of T^3 - a T + b (c None) or
-    T^4 - a T^2 - b T + c over K = k(P), squarefree as P does not divide D:
-    log_rule's, or the factor degrees where it answers FACTOR or E has no tables.
-    """
-    tables = K.E.log_tables()
-    sig = log_rule(K.E, c is not None)(*(tables[1][r] for r in (a, b, c) if r is not None)) if tables else FACTOR
-    if sig is None:
-        raise ValueError("P divides D: the reduction is not squarefree")
-    if sig is FACTOR:
-        sig = _factor_type(K, [b, K.neg(a), K.zero, K.one] if c is None else [c, K.neg(b), K.neg(a), K.zero, K.one])
-    return sig
 
 
 def _max_finite_degree(*polys):
@@ -744,7 +717,7 @@ def _biquadratic_signature(model, place):
             sq = K.is_square(cls)
             trace.append("ramified subfield place, even v(eta): unit class square=%s" % sq)
             level2(2, 1, 0, sq)
-        sig = Signature.shared(tuple(pairs), 4)
+        sig = Signature(pairs, 4)
         return SignatureResult(sig, "Biquadratic", trace, place=place)
 
     rho = place.residue(S, w)
@@ -756,12 +729,12 @@ def _biquadratic_signature(model, place):
         for z in branches:
             v_eta, cls = _eta_data(place, K, A, C, u2, u0, w, z, half)
             level2(1, 1, v_eta, K.is_square(cls))
-        sig = Signature.shared(tuple(pairs), 4)
+        sig = Signature(pairs, 4)
         return SignatureResult(sig, "Biquadratic", trace, place=place)
     trace.append("subfield inert")
     v_eta, (x, y) = _eta_data_inert(place, K, A, u2, w, half)
     level2(1, 2, v_eta, _inert_square(K, rho, x, y))
-    sig = Signature.shared(tuple(pairs), 4)
+    sig = Signature(pairs, 4)
     return SignatureResult(sig, "Biquadratic", trace, place=place)
 
 

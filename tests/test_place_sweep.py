@@ -4,9 +4,10 @@
   loop, on prime fields, table fields of characteristic 2, 3, 5 and 7,
   towers with a non-identity embedding of F_q, and GF(2^17) above the
   tables.
-- Signature.from_flat and Signature.shared hand out one instance per
-  value, and a flat signature that breaks the fundamental identity raises
-  every time it is asked for.
+- Signature(pairs, n) and Signature.from_flat hand out one instance per
+  value, for the pairs in any order, as lists or tuples, and a key that
+  breaks the fundamental identity raises every time it is asked for; every
+  signature of the seed-1 zeta and ledger corpora is that instance.
 - ZetaData's census against the rows of finite(d) and the per-place sums
   it replaced, for place_count, S and the Eprime of estimate_h, on the demo
   models, one extension-field model per characteristic and one model per
@@ -16,9 +17,11 @@
   exact_h dispatches only the places over D.
 """
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,6 +35,7 @@ from funcfields import (
     ZetaData,
     estimate_h,
     exact_h,
+    field_discriminant,
     genus,
     monic_irreducibles,
     parse_poly,
@@ -121,8 +125,11 @@ def test_from_flat_returns_the_shared_instance():
     s = Signature.from_flat((1, 1, 2, 1), 3)
     assert Signature.from_flat((1, 1, 2, 1), 3) is s
     assert Signature.from_flat([1, 1, 2, 1], 3) is s
-    assert Signature.shared(((2, 1), (1, 1)), 3) is s
-    assert Signature.shared(((1, 1), (2, 1)), 3) is s
+    assert Signature(((2, 1), (1, 1)), 3) is s
+    assert Signature(((1, 1), (2, 1)), 3) is s
+    assert Signature([[2, 1], [1, 1]], 3) is s
+    assert Signature([(1, 1), (2, 1)], 3) is s
+    assert Signature(s.pairs, 3) is s
     assert Signature.from_flat((2, 1, 1, 1), 3) is s
     assert Signature.from_flat((1, 1, 1, 2), 3) is not s
 
@@ -132,7 +139,9 @@ def test_bad_flat_signature_raises_every_time():
         with pytest.raises(InternalFault):
             Signature.from_flat((1, 1, 1, 1), 3)
         with pytest.raises(InternalFault):
-            Signature.shared(((1, 1), (1, 1)), 3)
+            Signature(((1, 1), (1, 1)), 3)
+        with pytest.raises(InternalFault):
+            Signature([(1, 1), (2, 1)], 4)
         with pytest.raises(ValueError):
             Signature.from_flat((1, 1, 2), 3)
 
@@ -141,7 +150,40 @@ def test_places_share_signature_instances():
     F = GF(7)
     mb = QuarticModel(parse_poly(F, "x^2 + x"), FqPoly.zero(F), parse_poly(F, "3*x^6 + x"))
     sigs = [res.signature for d in (1, 2) for _, res in ZetaData(mb).finite(d)]
-    assert len({id(s) for s in sigs}) == len(set(sigs)) < len(sigs)
+    assert all(s is Signature.from_flat(s.flat(), s.n) for s in sigs)
+    assert len({id(s) for s in sigs}) < len(sigs)
+
+
+# the seed-1 zeta and ledger corpora of the benchmark (perfbench/workloads.py):
+# [workload, seed, p, k, coefficient lists of A, B (, C)]
+CORPUS = json.loads((Path(__file__).parent / "data" / "genus_corpus.json").read_text())["models"]
+
+
+@pytest.mark.parametrize("workload", ["zeta", "ledger"])
+def test_every_corpus_signature_is_the_interned_instance(workload):
+    sigs = []
+    for _, _, p, k, coeffs in (r for r in CORPUS if r[:2] == [workload, 1]):
+        F = GF(p, k)
+        polys = [FqPoly(F, cs) for cs in coeffs]
+        model = CubicModel(*polys) if len(polys) == 2 else QuarticModel(*polys)
+        if workload == "ledger":
+            rows = field_discriminant(model).rows
+            sigs += [r.signature.signature for r in rows if r.signature is not None and r.signature.known]
+            continue
+        try:
+            g = genus(model).genus
+        except FuncFieldError:
+            continue  # the quartic over GF(9), whose genus is refused
+        zeta = ZetaData(model)
+        sigs.append(zeta.infinite.signature)
+        for d in range(1, g + 1):
+            sigs += [res.signature for _, res in zeta.finite(d) if res.known]
+            try:
+                sigs += list(zeta.census(d))  # under SELF_CHECK, checked against finite(d) place by place
+            except UnknownSignature:
+                break
+    assert len(sigs) > 50
+    assert all(s is Signature.from_flat(s.flat(), s.n) for s in sigs)
 
 
 # -- the census ---------------------------------------------------------------

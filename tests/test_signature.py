@@ -80,6 +80,16 @@ def test_kummer_inconclusive_on_multiple_root():
     assert kummer_signature(red, K, 3) is None
 
 
+def test_kummer_refuses_a_degree_other_than_the_reductions():
+    K = InfinitePlace(F7).residue_field
+    red = [0, K.neg(1), 0, 1]  # T^3 - T, squarefree
+    for n in (2, 4):
+        with pytest.raises(ValueError):
+            kummer_signature(red, K, n)
+    with pytest.raises(ValueError):
+        kummer_signature([0, 0, 1], K, 3)  # T^2, whose repeated root would answer None
+
+
 # -- cubic infinite signatures, characteristic >= 5 ------------------------------
 
 
